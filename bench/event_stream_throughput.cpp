@@ -4,8 +4,10 @@
 // (every Host emits its 4 per-tick events into the rings). The enabled
 // path must keep >= 95% of the disabled throughput, and both modes must
 // produce the bitwise-identical power trace — telemetry observes the sim,
-// never perturbs it. Wall-clock is best-of-3 per mode with retry rounds
-// so a noisy-neighbour blip doesn't fail the build.
+// never perturbs it. Timing runs a fixed number of interleaved A/B rounds
+// (one run per mode, alternating which mode goes first); the gate is the
+// median of the per-round throughput ratios, and the quartiles are
+// reported as its spread.
 //
 // A second section exercises the consumer stack end to end on a small
 // provider workload (container churn + faults would be overkill here:
@@ -26,6 +28,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/stream.h"
+#include "util/stats.h"
 #include "util/thread_pool.h"
 
 // Sanitizer instrumentation skews wall-clock enough that the 5% overhead
@@ -110,17 +113,6 @@ ModeRun run_mode(bool bus_enabled) {
   return run;
 }
 
-/// Best wall-clock of `reps` runs; digest and event count must agree
-/// across reps (they are pure functions of the config).
-ModeRun best_of(int reps, bool bus_enabled) {
-  ModeRun best = run_mode(bus_enabled);
-  for (int rep = 1; rep < reps; ++rep) {
-    const ModeRun run = run_mode(bus_enabled);
-    if (run.seconds < best.seconds) best.seconds = run.seconds;
-  }
-  return best;
-}
-
 bool write_text_file(const std::string& path, const std::string& text) {
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) return false;
@@ -199,37 +191,57 @@ int main() {
   // No consumer runs during the timed loop; the default per-lane ring
   // (65536) comfortably holds the whole run's 7 680 events.
   constexpr double kMinRatio = CLEAKS_INSTRUMENTED_BUILD ? 0.0 : 0.95;
-  constexpr int kReps = 3;
-  constexpr int kRounds = 4;
+  constexpr int kRounds = 21;  // odd: the median is one round's ratio
   if (CLEAKS_INSTRUMENTED_BUILD) {
     std::printf("  (sanitizer build: overhead ratio is informational)\n");
   }
 
-  ModeRun disabled;
-  ModeRun enabled;
-  double ratio = 0.0;
+  const std::uint64_t expected_events =
+      static_cast<std::uint64_t>(kSteps) * 16 * kEventsPerServerStep;
+  std::vector<double> ratios;
+  std::vector<double> disabled_seconds;
+  std::vector<double> enabled_seconds;
+  std::uint64_t events_per_run = 0;  ///< enabled-mode count, last round
+  bool digests_match = true;
+  bool counts_match = true;
   for (int round = 0; round < kRounds; ++round) {
-    disabled = best_of(kReps, false);
-    enabled = best_of(kReps, true);
-    ratio = enabled.seconds > 0.0 ? disabled.seconds / enabled.seconds : 0.0;
+    // Alternating the order cancels any drift that favours whichever mode
+    // runs first (or second) within a round.
+    const bool enabled_first = round % 2 == 1;
+    ModeRun enabled;
+    if (enabled_first) enabled = run_mode(true);
+    const ModeRun disabled = run_mode(false);
+    if (!enabled_first) enabled = run_mode(true);
+    const double ratio =
+        enabled.seconds > 0.0 ? disabled.seconds / enabled.seconds : 0.0;
+    ratios.push_back(ratio);
+    disabled_seconds.push_back(disabled.seconds);
+    enabled_seconds.push_back(enabled.seconds);
+    digests_match =
+        digests_match && enabled.power_digest == disabled.power_digest;
+    events_per_run = enabled.events;
+    counts_match = counts_match && events_per_run == expected_events;
     std::printf(
-        "  round %d: disabled %7.1f ms, enabled %7.1f ms  (%.3fx "
-        "throughput)\n",
-        round, disabled.seconds * 1e3, enabled.seconds * 1e3, ratio);
-    if (ratio >= kMinRatio) break;  // overhead within budget
+        "  round %2d (%s first): disabled %7.1f ms, enabled %7.1f ms  "
+        "(%.3fx throughput)\n",
+        round, enabled_first ? "enabled " : "disabled", disabled.seconds * 1e3,
+        enabled.seconds * 1e3, ratio);
   }
+  const double median = percentile(ratios, 50.0);
+  const double q1 = percentile(ratios, 25.0);
+  const double q3 = percentile(ratios, 75.0);
+  std::printf(
+      "  median %.3fx throughput (quartiles %.3f..%.3f, gate >= %.2f)\n",
+      median, q1, q3, kMinRatio);
 
-  const bool digests_match = enabled.power_digest == disabled.power_digest;
   const bool overhead_ok = obs::bench_check(
-      ratio >= kMinRatio, "event_stream_throughput",
-      "event emission costs more than 5% of step throughput");
+      median >= kMinRatio, "event_stream_throughput",
+      "event emission costs more than 5% of median step throughput");
   const bool perturbation_ok = obs::bench_check(
       digests_match, "event_stream_throughput",
       "power trace digest changed when the bus was enabled");
-  const std::uint64_t expected_events =
-      static_cast<std::uint64_t>(kSteps) * 16 * kEventsPerServerStep;
   const bool events_ok = obs::bench_check(
-      enabled.events == expected_events && obs::EventBus::global().dropped() == 0,
+      counts_match && obs::EventBus::global().dropped() == 0,
       "event_stream_throughput", "unexpected event count or silent drops");
 
   obs::BenchReport report("event_stream_throughput");
@@ -237,11 +249,17 @@ int main() {
   json.field("steps", kSteps);
   json.field("servers", 16);
   json.field("default_lanes", ThreadPool::default_lanes());
-  json.field("disabled_seconds", disabled.seconds);
-  json.field("enabled_seconds", enabled.seconds);
-  json.field("throughput_ratio", ratio);
+  json.field("rounds", kRounds);
+  json.begin_array("round_ratios");
+  for (const double ratio : ratios) json.element(ratio);
+  json.end_array();
+  json.field("disabled_seconds_median", percentile(disabled_seconds, 50.0));
+  json.field("enabled_seconds_median", percentile(enabled_seconds, 50.0));
+  json.field("throughput_ratio_median", median);
+  json.field("throughput_ratio_q1", q1);
+  json.field("throughput_ratio_q3", q3);
   json.field("min_ratio", kMinRatio);
-  json.field("events_per_run", enabled.events);
+  json.field("events_per_run", events_per_run);
   json.field("digests_match", digests_match);
   const bool artifacts_ok = write_sample_artifacts(json);
   const std::string path = report.write();

@@ -4,10 +4,10 @@
 // RAPL read paths (stock leak vs. per-container modeled view). These are
 // the per-operation costs behind Table III's aggregate overheads.
 //
-// The BM_HostAdvance_* pair compares the legacy object-at-a-time tick loop
-// against the batched SoA plane on one host, reporting honest cycle counts
-// (util/cycle_timer.h: rdtsc, or steady_clock ns on other platforms) as the
-// "cycles" counter alongside google-benchmark's wall clock.
+// BM_HostAdvance times the whole-host tick loop on one host, reporting
+// honest cycle counts (util/cycle_timer.h: rdtsc, or steady_clock ns on
+// other platforms) as the "cycles" counter alongside google-benchmark's
+// wall clock.
 #include <benchmark/benchmark.h>
 
 #include "cloud/datacenter.h"
@@ -18,7 +18,6 @@
 #include "defense/trainer.h"
 #include "faults/injector.h"
 #include "faults/plan.h"
-#include "hw/batched_physics.h"
 #include "util/cycle_timer.h"
 
 using namespace cleaks;
@@ -207,11 +206,12 @@ void BM_SchedulerTick_8Tasks(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerTick_8Tasks);
 
-// Whole-host tick loop, legacy object-at-a-time path vs the batched SoA
-// plane. Fresh servers (not the shared Env) so the storage mode is explicit;
-// the "cycles" counter is the honest per-advance cost from the cycle timer,
-// independent of google-benchmark's wall-clock plumbing.
-void advance_loop(benchmark::State& state, cloud::Server& server) {
+// Whole-host tick loop. A fresh server (not the shared Env) so the host
+// history is fixed; the "cycles" counter is the honest per-advance cost
+// from the cycle timer, independent of google-benchmark's wall-clock
+// plumbing.
+void BM_HostAdvance(benchmark::State& state) {
+  cloud::Server server("bm-host", cloud::local_testbed(), 23);
   server.host().set_tick_duration(100 * kMillisecond);
   server.step(kSecond);  // settle warmup transients out of the measurement
   CycleTimer cycles;
@@ -223,29 +223,12 @@ void advance_loop(benchmark::State& state, cloud::Server& server) {
   state.counters["cycles"] = benchmark::Counter(
       static_cast<double>(cycles.total), benchmark::Counter::kAvgIterations);
 }
-
-void BM_HostAdvance_Scalar(benchmark::State& state) {
-  cloud::Server server("bm-scalar", cloud::local_testbed(), 23);
-  advance_loop(state, server);
-}
-BENCHMARK(BM_HostAdvance_Scalar);
-
-void BM_HostAdvance_Batched(benchmark::State& state) {
-  const auto profile = cloud::local_testbed();
-  const hw::BatchedGeometry geometry{
-      profile.hardware.num_cores, profile.hardware.num_packages,
-      static_cast<int>(profile.hardware.cpuidle_states.size())};
-  hw::BatchedPhysics plane(geometry, 1);
-  cloud::Server server("bm-batched", profile, 23);
-  server.bind_physics(plane, 0);
-  advance_loop(state, server);
-}
-BENCHMARK(BM_HostAdvance_Batched);
+BENCHMARK(BM_HostAdvance);
 
 // Provider control-plane hot paths (PR 10): steady-state launch/terminate
 // churn against a part-full datacenter, and the batch forms the churn
-// engine uses. Honest cycle counts via util/cycle_timer.h, like the
-// BM_HostAdvance pair — the "cycles" counter is per iteration (one
+// engine uses. Honest cycle counts via util/cycle_timer.h, like
+// BM_HostAdvance — the "cycles" counter is per iteration (one
 // launch + one terminate for the pair, 64 of each for the batch).
 struct FleetEnv {
   FleetEnv() : dc(make_config()), provider(dc, 4242) {

@@ -5,11 +5,11 @@
 // every thread count — is checked, not assumed. Emits BENCH_scaling.json
 // through the shared cleaks-bench-v1 exporter.
 //
-// A second, cycle-honest section profiles the step hot path (the SoA plane
-// is the only implementation now) on a single lane and emits
-// BENCH_hotpath.json with per-kernel cycle costs. The process fails if the
-// hot path's digest diverges from the scaling section's — same facility,
-// same seed, so any difference is a determinism bug, not noise.
+// A second, cycle-honest section profiles the step hot path on a single
+// lane and emits BENCH_hotpath.json with per-kernel cycle costs. The
+// process fails if the hot path's digest diverges from the scaling
+// section's — same facility, same seed, so any difference is a
+// determinism bug, not noise.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -20,7 +20,10 @@
 #include "cloud/datacenter.h"
 #include "cloud/profiles.h"
 #include "cloud/server.h"
-#include "hw/batched_physics.h"
+#include "hw/cpuidle.h"
+#include "hw/energy_model.h"
+#include "hw/rapl.h"
+#include "hw/thermal.h"
 #include "leakage/detector.h"
 #include "obs/export.h"
 #include "obs/metrics.h"

@@ -41,13 +41,6 @@ struct DcMetrics {
   obs::Counter& idle_coasted_seconds = obs::Registry::global().counter(
       "engine_idle_coasted_sim_seconds_total",
       "sim-seconds advanced through the analytic idle coast");
-  // Runtime scope: an implementation-cost accounting detail, not simulated
-  // state — keeping it out of the kSim digest preserves comparability with
-  // digests recorded before the scalar path was deleted.
-  obs::Counter& allocs_avoided = obs::Registry::global().counter(
-      "step_allocs_avoided_total",
-      "per-tick heap allocations skipped by the batched step hot path",
-      obs::Scope::kRuntime);
 
   static DcMetrics& get() {
     static DcMetrics metrics;
@@ -69,7 +62,7 @@ bool resolve_sparse(int configured) {
 
 // Histogram quantization for dc_server_power_mw. Power is non-negative in
 // every supported configuration, but casting a negative double to u64 is
-// undefined behavior — clamp instead of trusting the physics plane.
+// undefined behavior — clamp instead of trusting the physics.
 std::uint64_t power_mw_of(double power_w) noexcept {
   return power_w > 0.0 ? static_cast<std::uint64_t>(power_w * 1000.0)
                        : std::uint64_t{0};
@@ -115,21 +108,6 @@ Datacenter::Datacenter(DatacenterConfig config)
     servers_[index]->host().set_event_source(
         static_cast<std::uint32_t>(index));
   }
-  if (config_.profile.hardware.num_cores > 0 &&
-      config_.profile.hardware.num_packages > 0) {
-    // One SoA plane for the whole facility; every server's hardware state
-    // migrates onto its lane and the Hosts become views (bitwise-identical
-    // results, see hw/batched_physics.h).
-    const hw::BatchedGeometry geometry{
-        config_.profile.hardware.num_cores,
-        config_.profile.hardware.num_packages,
-        static_cast<int>(config_.profile.hardware.cpuidle_states.size())};
-    physics_ = std::make_unique<hw::BatchedPhysics>(
-        geometry, static_cast<std::size_t>(total));
-    for (std::size_t lane = 0; lane < servers_.size(); ++lane) {
-      servers_[lane]->bind_physics(*physics_, lane);
-    }
-  }
   // Coast semantics are on in BOTH modes: the never-park schedule's
   // Server::step coast path and the parked schedule's deferred catch-up
   // enter the coast regime at the same step boundaries, which is what
@@ -149,12 +127,7 @@ Datacenter::Datacenter(DatacenterConfig config)
     active_ids_.push_back(static_cast<std::uint32_t>(index));
   }
   power_w_.reserve(count);
-  allocs_avoided_.reserve(count);
-  for (const auto& server : servers_) {
-    power_w_.push_back(server->power_w());
-    allocs_avoided_.push_back(
-        std::as_const(*server).host().step_allocs_avoided());
-  }
+  for (const auto& server : servers_) power_w_.push_back(server->power_w());
   breakers_.assign(static_cast<std::size_t>(config_.num_racks),
                    CircuitBreaker{config_.rack_breaker});
   rack_energy_since_cap_j_.assign(static_cast<std::size_t>(config_.num_racks),
@@ -203,11 +176,9 @@ void Datacenter::wake_(std::uint32_t index) {
   sleeping_[index] = 0;
   --parked_count_;
   // Retire the parked aggregates with the identical pinned values park_
-  // recorded (allocs_avoided_ cannot change while parked: no physics
-  // steps), so add/remove round-trips are exact.
+  // recorded, so add/remove round-trips are exact.
   --parked_power_slots_[parked_slot_[index]];
   parked_mw_sum_ -= parked_mw_[index];
-  parked_allocs_sum_ -= allocs_avoided_[index];
   active_ids_.push_back(index);
 }
 
@@ -221,7 +192,6 @@ void Datacenter::park_(std::uint32_t index, std::size_t pos) {
   parked_mw_[index] = mw;
   ++parked_power_slots_[slot];
   parked_mw_sum_ += mw;
-  parked_allocs_sum_ += allocs_avoided_[index];
   active_ids_[pos] = active_ids_.back();
   active_ids_.pop_back();
   const SimTime wake = servers_[index]->next_wake(now_);
@@ -268,10 +238,8 @@ void Datacenter::step(SimDuration dt) {
       const std::uint32_t index = active_ids_[k];
       Server& server = *servers_[index];
       coasted_[index] = server.step(dt) ? 1 : 0;
-      // Refresh the aggregation caches while the server is hot in cache.
+      // Refresh the aggregation cache while the server is hot in cache.
       power_w_[index] = server.power_w();
-      allocs_avoided_[index] =
-          std::as_const(server).host().step_allocs_avoided();
     }
   });
   now_ += dt;
@@ -300,14 +268,6 @@ void Datacenter::step(SimDuration dt) {
   const std::uint64_t coasted_s = coasted_ns_total_ / kSecond;
   metrics.idle_coasted_seconds.inc(coasted_s - coasted_s_flushed_);
   coasted_s_flushed_ = coasted_s;
-  if (physics_) {
-    std::uint64_t avoided_total = parked_allocs_sum_;
-    for (std::size_t k = 0; k < n_step; ++k) {
-      avoided_total += allocs_avoided_[active_ids_[k]];
-    }
-    metrics.allocs_avoided.inc(avoided_total - allocs_avoided_flushed_);
-    allocs_avoided_flushed_ = avoided_total;
-  }
   // Racks with a stepped server get a fresh index-order fold — the same
   // left-to-right float sum the historical O(N) read performed, so the
   // cached value is bit-identical to it. Parked servers' power is pinned,

@@ -34,7 +34,6 @@
 #include "cloud/breaker.h"
 #include "cloud/profiles.h"
 #include "cloud/server.h"
-#include "hw/batched_physics.h"
 #include "util/event_core.h"
 #include "util/rng.h"
 #include "util/sim_time.h"
@@ -174,14 +173,10 @@ class Datacenter {
   SimTime now_ = 0;
   ThreadPool pool_;
   bool sparse_ = true;
-  /// Facility SoA physics plane (batched mode). Declared before servers_ so
-  /// the bound lane slices outlive every Host.
-  std::unique_ptr<hw::BatchedPhysics> physics_;
   std::vector<std::unique_ptr<Server>> servers_;
   std::vector<CircuitBreaker> breakers_;
   std::vector<double> rack_energy_since_cap_j_;  ///< for the capper's average
   SimTime last_cap_check_ = 0;
-  std::uint64_t allocs_avoided_flushed_ = 0;  ///< metric high-water mark
 
   // Scheduler state. Per-server flags are written only by the lane that
   // owns the server during the parallel phase and read serially after the
@@ -203,7 +198,6 @@ class Datacenter {
   std::vector<std::uint8_t> parked_slot_;  ///< per-server slot at park time
   std::vector<std::uint64_t> parked_mw_;   ///< per-server mW at park time
   std::uint64_t parked_mw_sum_ = 0;
-  std::uint64_t parked_allocs_sum_ = 0;
   std::uint64_t coasted_ns_total_ = 0;
   std::uint64_t coasted_s_flushed_ = 0;  ///< counter high-water mark
   // Incremental power aggregation: per-rack sums recomputed only for
@@ -212,13 +206,12 @@ class Datacenter {
   double total_power_cache_ = 0.0;
   std::vector<std::uint8_t> rack_dirty_;
   std::vector<std::uint32_t> dirty_racks_;
-  // Post-step aggregation caches, refreshed whenever a server takes a real
-  // step. Both values are pinned while a server coasts (power at episode
-  // entry, no physics steps to avoid allocations in), so reading the cache
-  // is exactly reading the server — without the per-server pointer chase
-  // that would otherwise dominate sparse facility steps.
+  // Post-step aggregation cache, refreshed whenever a server takes a real
+  // step. Power is pinned while a server coasts (at episode entry), so
+  // reading the cache is exactly reading the server — without the
+  // per-server pointer chase that would otherwise dominate sparse facility
+  // steps.
   std::vector<double> power_w_;
-  std::vector<std::uint64_t> allocs_avoided_;
 };
 
 }  // namespace cleaks::cloud

@@ -67,13 +67,6 @@ class Server {
   /// edges and next_wake() exposes the next edge to the sparse scheduler.
   void enable_onoff_load(workload::OnOffParams params = {});
 
-  /// Bind this server's hardware state onto lane `lane` of a facility
-  /// physics plane (see hw::BatchedPhysics). Call once, after construction;
-  /// the plane must outlive the server.
-  void bind_physics(hw::BatchedPhysics& plane, std::size_t lane) {
-    host_->bind_physics(plane, lane);
-  }
-
   /// Opt the host into the idle-coast regime (see kernel/host.h).
   void set_coast_enabled(bool on) noexcept { host_->set_coast_enabled(on); }
 

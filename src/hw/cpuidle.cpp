@@ -1,6 +1,5 @@
 #include "hw/cpuidle.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace cleaks::hw {
@@ -9,26 +8,21 @@ CpuIdleAccounting::CpuIdleAccounting(int num_cores,
                                      std::vector<CpuIdleStateSpec> states)
     : num_cores_(num_cores), states_(std::move(states)) {
   if (num_cores_ < 0) throw std::invalid_argument("negative core count");
-  own_.resize(static_cast<std::size_t>(num_cores_) * states_.size());
-  counters_ = own_.data();
-}
-
-void CpuIdleAccounting::bind(CpuIdleCounter* external) {
-  const std::size_t n =
-      static_cast<std::size_t>(num_cores_) * states_.size();
-  std::copy(counters_, counters_ + n, external);
-  counters_ = external;
-  own_.clear();
-  own_.shrink_to_fit();
+  counters_.resize(static_cast<std::size_t>(num_cores_) * states_.size());
 }
 
 void CpuIdleAccounting::record_idle(int core, std::uint64_t idle_us) {
   if (idle_us == 0 || states_.empty()) return;
-  if (core < 0 || core >= num_cores_) {
-    throw std::out_of_range("CpuIdleAccounting index");
+  int chosen = 0;
+  for (int s = static_cast<int>(states_.size()) - 1; s >= 0; --s) {
+    if (states_[static_cast<std::size_t>(s)].min_residency_us <= idle_us) {
+      chosen = s;
+      break;
+    }
   }
-  cpuidle_record(counters_ + static_cast<std::size_t>(core) * states_.size(),
-                 states_, idle_us);
+  CpuIdleCounter& c = counters_[index(core, chosen)];
+  c.usage += 1;
+  c.time_us += idle_us;
 }
 
 void CpuIdleAccounting::seed(int core, int state, std::uint64_t usage,

@@ -11,54 +11,16 @@
 
 namespace cleaks::hw {
 
-/// One (core, state) counter pair; public so BatchedPhysics can lay all
-/// cores of all servers out in one contiguous array.
+/// One (core, state) counter pair; a plain value so the idle-coast anchor
+/// can snapshot the deepest state's pair per core.
 struct CpuIdleCounter {
   std::uint64_t usage = 0;
   std::uint64_t time_us = 0;
 };
 
-/// Pick the deepest idle state whose min residency fits `idle_us` and bump
-/// its counters (the shared record kernel; menu-governor behaviour as seen
-/// from sysfs). `counters` points at the core's [state] row.
-inline void cpuidle_record(CpuIdleCounter* counters,
-                           const std::vector<CpuIdleStateSpec>& states,
-                           std::uint64_t idle_us) noexcept {
-  if (idle_us == 0 || states.empty()) return;
-  int chosen = 0;
-  for (int s = static_cast<int>(states.size()) - 1; s >= 0; --s) {
-    if (states[static_cast<std::size_t>(s)].min_residency_us <= idle_us) {
-      chosen = s;
-      break;
-    }
-  }
-  CpuIdleCounter& c = counters[chosen];
-  c.usage += 1;
-  c.time_us += idle_us;
-}
-
 class CpuIdleAccounting {
  public:
   CpuIdleAccounting(int num_cores, std::vector<CpuIdleStateSpec> states);
-
-  // Copies detach from any bound slice and own a snapshot (see RaplDomain).
-  CpuIdleAccounting(const CpuIdleAccounting& other)
-      : num_cores_(other.num_cores_),
-        states_(other.states_),
-        own_(other.counters_view()),
-        counters_(own_.data()) {}
-  CpuIdleAccounting& operator=(const CpuIdleAccounting& other) {
-    num_cores_ = other.num_cores_;
-    states_ = other.states_;
-    own_ = other.counters_view();
-    counters_ = own_.data();
-    return *this;
-  }
-
-  /// Re-point the counter table at externally owned storage of
-  /// num_cores * num_states entries (current values are migrated). The
-  /// storage must stay valid and fixed for the object's remaining lifetime.
-  void bind(CpuIdleCounter* external);
 
   /// Record that `core` was idle for `idle_us` microseconds during a tick.
   /// The residency is attributed to the deepest state whose min residency
@@ -84,16 +46,10 @@ class CpuIdleAccounting {
 
  private:
   [[nodiscard]] std::size_t index(int core, int state) const;
-  [[nodiscard]] std::vector<CpuIdleCounter> counters_view() const {
-    return std::vector<CpuIdleCounter>(
-        counters_,
-        counters_ + static_cast<std::size_t>(num_cores_) * states_.size());
-  }
 
   int num_cores_;
   std::vector<CpuIdleStateSpec> states_;
-  std::vector<CpuIdleCounter> own_;
-  CpuIdleCounter* counters_ = nullptr;  ///< core-major [core][state]
+  std::vector<CpuIdleCounter> counters_;  ///< core-major [core][state]
 };
 
 }  // namespace cleaks::hw

@@ -17,15 +17,15 @@ std::string to_string(RaplDomainKind kind) {
 }
 
 void RaplDomain::add_energy_j(double joules) noexcept {
-  rapl_charge(*state_, joules, range_uj_);
+  rapl_charge(state_, joules, range_uj_);
 }
 
 void RaplDomain::force_wrap() noexcept {
-  state_->counter_uj = range_uj_ - 1;
+  state_.counter_uj = range_uj_ - 1;
 }
 
 std::uint64_t RaplDomain::energy_uj() const noexcept {
-  return state_->counter_uj;
+  return state_.counter_uj;
 }
 
 RaplPackage::RaplPackage(int package_id, bool has_dram)

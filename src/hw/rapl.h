@@ -20,10 +20,9 @@ enum class RaplDomainKind { kPackage, kCore, kDram };
 
 std::string to_string(RaplDomainKind kind);
 
-/// The mutable accumulator state of one RAPL domain, separated from the
-/// RaplDomain façade so a facility-level plane (hw::BatchedPhysics) can
-/// keep every domain of every server in one contiguous array and charge
-/// them in a tight loop. Standalone domains carry their own copy.
+/// The mutable accumulator state of one RAPL domain, a plain value so the
+/// idle-coast integrator (hw/idle_coast.h) can snapshot it at an anchor
+/// and later overwrite it with a closed-form advance.
 struct RaplDomainState {
   double total_j = 0.0;
   double residual_uj = 0.0;  ///< sub-microjoule remainder
@@ -31,8 +30,8 @@ struct RaplDomainState {
   std::uint64_t wrap_count = 0;
 };
 
-/// Charge `joules` into a domain state (the one accumulator kernel shared
-/// by RaplDomain::add_energy_j and the batched physics sweep).
+/// Charge `joules` into a domain state (the accumulator kernel behind
+/// RaplDomain::add_energy_j).
 inline void rapl_charge(RaplDomainState& s, double joules,
                         std::uint64_t range_uj) noexcept {
   if (joules <= 0.0) return;
@@ -46,10 +45,7 @@ inline void rapl_charge(RaplDomainState& s, double joules,
   s.counter_uj = (s.counter_uj + whole) % range_uj;
 }
 
-/// One RAPL domain: a wrapping microjoule accumulator. Owns its state by
-/// default; bind() re-points it at externally owned storage (a
-/// BatchedPhysics slice), after which the object is a view — all reads and
-/// charges go through the shared array.
+/// One RAPL domain: a wrapping microjoule accumulator.
 class RaplDomain {
  public:
   /// Typical max_energy_range_uj for client parts (~262 kJ).
@@ -58,28 +54,7 @@ class RaplDomain {
   RaplDomain(RaplDomainKind kind, std::uint64_t range_uj = kDefaultRangeUj)
       : kind_(kind), range_uj_(range_uj) {}
 
-  // Copies detach from any bound slice: the new object owns a snapshot of
-  // the source's state (a copied view aliasing the same accumulator would
-  // double-charge energy).
-  RaplDomain(const RaplDomain& other)
-      : kind_(other.kind_), range_uj_(other.range_uj_), own_(*other.state_) {}
-  RaplDomain& operator=(const RaplDomain& other) {
-    kind_ = other.kind_;
-    range_uj_ = other.range_uj_;
-    own_ = *other.state_;
-    state_ = &own_;
-    return *this;
-  }
-
   [[nodiscard]] RaplDomainKind kind() const noexcept { return kind_; }
-
-  /// Move this domain's accumulator into `external` (current values are
-  /// migrated) and operate on it from now on. `external` must outlive the
-  /// domain or every later accessor/charge call.
-  void bind(RaplDomainState* external) noexcept {
-    *external = *state_;
-    state_ = external;
-  }
 
   /// Charge `joules` of energy into the accumulator.
   void add_energy_j(double joules) noexcept;
@@ -90,7 +65,7 @@ class RaplDomain {
   /// Unwrapped lifetime energy in joules (simulator-internal ground truth;
   /// not exposed through any pseudo file).
   [[nodiscard]] double lifetime_energy_j() const noexcept {
-    return state_->total_j;
+    return state_.total_j;
   }
 
   [[nodiscard]] std::uint64_t max_energy_range_uj() const noexcept {
@@ -101,7 +76,7 @@ class RaplDomain {
   /// a real sampler never sees — the observable is only the wrapped
   /// counter, which is the whole point of the multi-wrap hazard).
   [[nodiscard]] std::uint64_t wrap_count() const noexcept {
-    return state_->wrap_count;
+    return state_.wrap_count;
   }
 
   /// Fault hook: park the counter one microjoule below the wrap edge so
@@ -112,18 +87,16 @@ class RaplDomain {
 
   /// Direct accumulator access for the idle-coast integrator, which
   /// snapshots the state at a coast anchor and later overwrites it with a
-  /// closed-form advance (hw/idle_coast.h). Follows the bound slice when
-  /// the domain lives on a BatchedPhysics lane.
+  /// closed-form advance (hw/idle_coast.h).
   [[nodiscard]] const RaplDomainState& state() const noexcept {
-    return *state_;
+    return state_;
   }
-  [[nodiscard]] RaplDomainState& mutable_state() noexcept { return *state_; }
+  [[nodiscard]] RaplDomainState& mutable_state() noexcept { return state_; }
 
  private:
   RaplDomainKind kind_;
   std::uint64_t range_uj_;
-  RaplDomainState own_;
-  RaplDomainState* state_ = &own_;
+  RaplDomainState state_;
 };
 
 /// A package with its core (PP0) and DRAM subdomains, mirroring the

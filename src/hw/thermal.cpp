@@ -8,17 +8,8 @@ namespace cleaks::hw {
 
 ThermalModel::ThermalModel(int num_cores, ThermalParams params)
     : params_(params),
-      own_(static_cast<std::size_t>(std::max(num_cores, 0)),
-           params.ambient_c),
-      temps_c_(own_.data()),
-      num_cores_(own_.size()) {}
-
-void ThermalModel::bind(double* external) {
-  std::copy(temps_c_, temps_c_ + num_cores_, external);
-  temps_c_ = external;
-  own_.clear();
-  own_.shrink_to_fit();
-}
+      temps_c_(static_cast<std::size_t>(std::max(num_cores, 0)),
+               params.ambient_c) {}
 
 void ThermalModel::advance(const std::vector<double>& core_power_w,
                            double dt_seconds) {
@@ -29,9 +20,10 @@ void ThermalModel::advance(const std::vector<double>& core_power_w,
 
 void ThermalModel::advance_with_decay(const double* core_power_w,
                                       std::size_t n, double decay) noexcept {
-  for (std::size_t i = 0; i < num_cores_; ++i) {
+  for (std::size_t i = 0; i < temps_c_.size(); ++i) {
     const double power = i < n ? core_power_w[i] : 0.0;
-    thermal_step_core(temps_c_[i], power, decay, params_);
+    const double target = params_.ambient_c + params_.theta_c_per_w * power;
+    temps_c_[i] += (target - temps_c_[i]) * decay;
   }
 }
 
@@ -40,7 +32,7 @@ std::int64_t ThermalModel::temp_millic(int core) const {
 }
 
 double ThermalModel::temp_c(int core) const {
-  if (core < 0 || static_cast<std::size_t>(core) >= num_cores_) {
+  if (core < 0 || static_cast<std::size_t>(core) >= temps_c_.size()) {
     throw std::out_of_range("ThermalModel: core index");
   }
   return temps_c_[static_cast<std::size_t>(core)];

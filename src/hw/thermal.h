@@ -19,16 +19,6 @@ struct ThermalParams {
   double tau_seconds = 8.0;     ///< thermal time constant
 };
 
-/// The RC step for one core, shared verbatim by ThermalModel::advance and the
-/// BatchedPhysics sweep (which hoists the exp() in `decay` out of the lane
-/// loop — libm is deterministic for identical inputs, so hoisting preserves
-/// bitwise results).
-inline void thermal_step_core(double& temp_c, double power_w, double decay,
-                              const ThermalParams& params) noexcept {
-  const double target = params.ambient_c + params.theta_c_per_w * power_w;
-  temp_c += (target - temp_c) * decay;
-}
-
 inline double thermal_decay(double dt_seconds,
                             const ThermalParams& params) noexcept {
   return 1.0 - std::exp(-dt_seconds / params.tau_seconds);
@@ -38,30 +28,13 @@ class ThermalModel {
  public:
   explicit ThermalModel(int num_cores, ThermalParams params = ThermalParams{});
 
-  // Copies detach from any bound slice and own a snapshot (see RaplDomain).
-  ThermalModel(const ThermalModel& other)
-      : params_(other.params_), own_(other.temps_view()) {}
-  ThermalModel& operator=(const ThermalModel& other) {
-    params_ = other.params_;
-    own_ = other.temps_view();
-    temps_c_ = own_.data();
-    num_cores_ = own_.size();
-    return *this;
-  }
-
-  /// Re-point per-core temperatures at externally owned storage of the same
-  /// length (current values are migrated). The storage must stay valid and
-  /// fixed for the model's remaining lifetime.
-  void bind(double* external);
-
   /// Advance one tick: `core_power_w[i]` is the power of core i during the
   /// last `dt_seconds`.
   void advance(const std::vector<double>& core_power_w, double dt_seconds);
 
-  /// Same step with the decay factor supplied by the caller — the batched
-  /// path computes thermal_decay(dt) once per facility tick cadence and
-  /// shares it across lanes (identical dt ⇒ identical exp ⇒ identical
-  /// temperatures).
+  /// Same step with the decay factor supplied by the caller — Host caches
+  /// thermal_decay(dt) per distinct tick length (identical dt ⇒ identical
+  /// exp ⇒ identical temperatures).
   void advance_with_decay(const double* core_power_w, std::size_t n,
                           double decay) noexcept;
 
@@ -69,27 +42,20 @@ class ThermalModel {
     return params_;
   }
 
-  /// Mutable per-core temperature storage (the bound slice when the model
-  /// lives on a BatchedPhysics lane). The idle-coast integrator overwrites
-  /// temperatures from its anchor snapshot through this.
-  [[nodiscard]] double* mutable_temps() noexcept { return temps_c_; }
+  /// Mutable per-core temperature storage. The idle-coast integrator
+  /// overwrites temperatures from its anchor snapshot through this.
+  [[nodiscard]] double* mutable_temps() noexcept { return temps_c_.data(); }
 
   /// Temperature of a core in millidegrees C, as temp#_input reports it.
   [[nodiscard]] std::int64_t temp_millic(int core) const;
   [[nodiscard]] double temp_c(int core) const;
   [[nodiscard]] int num_cores() const noexcept {
-    return static_cast<int>(num_cores_);
+    return static_cast<int>(temps_c_.size());
   }
 
  private:
-  [[nodiscard]] std::vector<double> temps_view() const {
-    return std::vector<double>(temps_c_, temps_c_ + num_cores_);
-  }
-
   ThermalParams params_;
-  std::vector<double> own_;
-  double* temps_c_ = nullptr;
-  std::size_t num_cores_ = 0;
+  std::vector<double> temps_c_;
 };
 
 }  // namespace cleaks::hw

@@ -5,88 +5,29 @@
 // bandwidth quota.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace cleaks::kernel {
 
-/// Per-cpu nanosecond counters that own their storage by default but can be
-/// re-pointed (bind) at an externally owned fixed-capacity slice — how the
-/// root cgroup's cpuacct row joins the hw::BatchedPhysics plane. Copies
-/// always detach and own a snapshot.
-class PerCpuNs {
- public:
-  PerCpuNs() = default;
-  PerCpuNs(const PerCpuNs& other)
-      : own_(other.data_, other.data_ + other.size_),
-        data_(own_.data()),
-        size_(own_.size()) {}
-  PerCpuNs& operator=(const PerCpuNs& other) {
-    std::vector<std::uint64_t> snapshot(other.data_,
-                                        other.data_ + other.size_);
-    own_ = std::move(snapshot);
-    data_ = own_.data();
-    size_ = own_.size();
-    bound_ = false;
-    return *this;
-  }
-
-  /// Migrate current values into `external` (capacity entries, the rest
-  /// zero-filled) and operate on it from now on. The slice is fixed:
-  /// ensure_cpus beyond `capacity` throws afterwards.
-  void bind(std::uint64_t* external, std::size_t capacity) {
-    if (size_ > capacity) {
-      throw std::length_error("PerCpuNs::bind: slice smaller than current");
-    }
-    std::copy(data_, data_ + size_, external);
-    std::fill(external + size_, external + capacity, std::uint64_t{0});
-    data_ = external;
-    size_ = capacity;
-    bound_ = true;
-    own_.clear();
-    own_.shrink_to_fit();
-  }
-
-  void ensure_cpus(int num_cpus) {
-    const auto n = static_cast<std::size_t>(num_cpus);
-    if (n <= size_) return;
-    if (bound_) {
-      throw std::length_error("PerCpuNs: bound slice cannot grow");
-    }
-    own_.resize(n, 0);
-    data_ = own_.data();
-    size_ = n;
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  std::uint64_t& operator[](std::size_t i) noexcept { return data_[i]; }
-  std::uint64_t operator[](std::size_t i) const noexcept { return data_[i]; }
-
- private:
-  std::vector<std::uint64_t> own_;
-  std::uint64_t* data_ = nullptr;
-  std::size_t size_ = 0;
-  bool bound_ = false;
-};
-
 /// cpuacct controller: accumulated CPU time per cpu in nanoseconds
 /// (cpuacct.usage_percpu) plus total cycles, which the power-based
 /// namespace's data-collection stage reads (§V-B1).
 struct CpuacctState {
-  PerCpuNs usage_ns_per_cpu;
+  std::vector<std::uint64_t> usage_ns_per_cpu;
   double total_cycles = 0.0;
 
-  void ensure_cpus(int num_cpus) { usage_ns_per_cpu.ensure_cpus(num_cpus); }
+  /// Grow the per-cpu row to at least `num_cpus` entries (never shrinks).
+  void ensure_cpus(int num_cpus) {
+    const auto n = static_cast<std::size_t>(num_cpus);
+    if (n > usage_ns_per_cpu.size()) usage_ns_per_cpu.resize(n, 0);
+  }
   [[nodiscard]] std::uint64_t total_usage_ns() const {
     std::uint64_t total = 0;
-    for (std::size_t i = 0; i < usage_ns_per_cpu.size(); ++i) {
-      total += usage_ns_per_cpu[i];
-    }
+    for (const std::uint64_t ns : usage_ns_per_cpu) total += ns;
     return total;
   }
 };

@@ -260,32 +260,6 @@ void Host::seed_prior_uptime(SimDuration prior_uptime) {
   }
 }
 
-void Host::bind_physics(hw::BatchedPhysics& plane, std::size_t lane) {
-  const auto& geom = plane.geometry();
-  if (geom.num_cores != spec_.num_cores ||
-      geom.num_packages != spec_.num_packages ||
-      geom.num_idle_states != cpuidle_.num_states() ||
-      lane >= plane.num_lanes()) {
-    throw std::invalid_argument("Host::bind_physics: geometry mismatch");
-  }
-  // bind() migrates current values, so binding after seed_prior_uptime (or
-  // any amount of stepping) is lossless.
-  hw::RaplDomainState* rapl_states = plane.rapl_lane(lane);
-  for (std::size_t pkg = 0; pkg < rapl_.size(); ++pkg) {
-    auto* base = rapl_states + pkg * hw::BatchedPhysics::kRaplDomainsPerPackage;
-    rapl_[pkg].package().bind(base + hw::BatchedPhysics::kRaplPackageOffset);
-    rapl_[pkg].core().bind(base + hw::BatchedPhysics::kRaplCoreOffset);
-    rapl_[pkg].dram().bind(base + hw::BatchedPhysics::kRaplDramOffset);
-  }
-  thermal_.bind(plane.temps_lane(lane));
-  cpuidle_.bind(plane.cpuidle_lane(lane));
-  cgroups_.root()->cpuacct.usage_ns_per_cpu.bind(
-      plane.cpuacct_lane(lane), static_cast<std::size_t>(spec_.num_cores));
-  batched_ = true;
-  factors_.valid = false;
-  ++generation_;
-}
-
 const Host::TickFactors& Host::factors_for(SimDuration dt) {
   if (!factors_.valid || factors_.dt != dt) {
     const double dt_sec = to_seconds(dt);
@@ -619,13 +593,11 @@ int Host::package_of_core(int core) const noexcept {
 void Host::integrate_energy(SimDuration dt) {
   const double dt_sec = to_seconds(dt);
   double total_package_j = 0.0;
-  // Member scratch, zeroed in place: two heap allocations per tick avoided
-  // relative to the deleted object-at-a-time path.
+  // Member scratch, zeroed in place: no heap allocation per tick.
   pkg_core_j_.assign(pkg_core_j_.size(), 0.0);
   pkg_dram_j_.assign(pkg_dram_j_.size(), 0.0);
   double* pkg_core_j = pkg_core_j_.data();
   double* pkg_dram_j = pkg_dram_j_.data();
-  step_allocs_avoided_ += 2;
 
   for (int core = 0; core < spec_.num_cores; ++core) {
     const auto& activity =

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "hw/batched_physics.h"
 #include "hw/cpuidle.h"
 #include "hw/energy_model.h"
 #include "hw/rapl.h"
@@ -56,8 +55,7 @@ class Host {
   /// (a `duration` below one tick runs a single partial tick). Durations
   /// are NOT rounded up — now() always lands on now() + duration, and a
   /// partial tick integrates physics over its true dt. Pinned by the
-  /// AdvanceContract tests in tests/kernel_test.cpp; the batched path must
-  /// honour the same splitting.
+  /// AdvanceContract tests in tests/kernel_test.cpp.
   void advance(SimDuration duration);
 
   /// Pre-seed accumulators (uptime, jiffies, interrupts, RAPL counters,
@@ -171,8 +169,8 @@ class Host {
   // calls (split-invariance is pinned by tests/sparse_test.cpp).
   //
   // Episodes end only through mutation: every path that can change
-  // eligibility (spawn/kill, cap change, mutable_* accessors, binding)
-  // bumps generation_, which coast_active() checks against the anchor.
+  // eligibility (spawn/kill, cap change, mutable_* accessors) bumps
+  // generation_, which coast_active() checks against the anchor.
   // Default off: standalone hosts keep the legacy per-tick regime
   // bit-for-bit; the Datacenter enables coasting on every server in both
   // never-park (CLEAKS_SPARSE=0) and parked mode.
@@ -228,28 +226,6 @@ class Host {
   /// Per-host deterministic RNG fork for auxiliary consumers.
   [[nodiscard]] Rng fork_rng(std::string_view salt) const {
     return rng_base_.fork(salt);
-  }
-
-  // --- batched physics (SoA plane) ---
-  /// Migrate this host's hardware state (RAPL accumulators, core
-  /// temperatures, cpuidle counters, root-cgroup cpuacct row) onto lane
-  /// `lane` of `plane`. Pure storage migration: the tick arithmetic
-  /// (closed-form context-switch accounting, reused package scratch,
-  /// per-dt factor cache) is unconditional since the legacy scalar branches
-  /// were deleted, and binding changes *where* state lives, never a single
-  /// bit of output (tests/batched_physics_test.cpp pins recorded goldens).
-  /// The plane's geometry must match this host's HardwareSpec; the plane
-  /// must outlive the host's last use. All per-host accessors keep working
-  /// — they are views into the plane.
-  void bind_physics(hw::BatchedPhysics& plane, std::size_t lane);
-  /// Whether this host's hardware state lives on a BatchedPhysics lane.
-  [[nodiscard]] bool batched() const noexcept { return batched_; }
-  /// Heap allocations skipped so far by the tick loop relative to the
-  /// deleted object-at-a-time path (two per-tick package scratch vectors).
-  /// Plain accumulator; the Datacenter flushes it into the runtime-scoped
-  /// `step_allocs_avoided_total` metric.
-  [[nodiscard]] std::uint64_t step_allocs_avoided() const noexcept {
-    return step_allocs_avoided_;
   }
 
  private:
@@ -315,11 +291,9 @@ class Host {
   hw::CpuIdleAccounting cpuidle_;
   std::vector<double> core_power_w_;  ///< scratch per tick
 
-  bool batched_ = false;  ///< hardware state bound to a BatchedPhysics lane
-  TickFactors factors_;   ///< per-dt factor cache
+  TickFactors factors_;             ///< per-dt factor cache
   std::vector<double> pkg_core_j_;  ///< per-tick package scratch
   std::vector<double> pkg_dram_j_;
-  std::uint64_t step_allocs_avoided_ = 0;
   std::uint32_t event_source_ = 0;  ///< see set_event_source()
 
   NamespaceRegistry ns_registry_;

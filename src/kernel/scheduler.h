@@ -37,7 +37,7 @@ class Scheduler {
   /// (the host lowers freq_hz under a RAPL power cap). `idle_cgroup` is the
   /// cgroup the swapper/idle task accounts to (the root cgroup).
   ///
-  /// `closed_form_switches` (the batched-physics fast path) replaces the
+  /// `closed_form_switches` (Host::run_tick's fast path) replaces the
   /// per-quantum context-switch loops with equivalent integer arithmetic on
   /// cores where every involved cgroup is perf-unmonitored — there the
   /// switch hook is provably a no-op, so per-task ctx_switch counts and the

@@ -54,14 +54,6 @@ void SimEngine::build() {
     const auto& s = *spec_.single_server;
     single_ = std::make_unique<cloud::Server>(s.name, s.profile, s.seed,
                                               s.prior_uptime);
-    if (s.profile.hardware.num_cores > 0 &&
-        s.profile.hardware.num_packages > 0) {
-      const hw::BatchedGeometry geometry{
-          s.profile.hardware.num_cores, s.profile.hardware.num_packages,
-          static_cast<int>(s.profile.hardware.cpuidle_states.size())};
-      single_physics_ = std::make_unique<hw::BatchedPhysics>(geometry, 1);
-      single_->bind_physics(*single_physics_, 0);
-    }
   } else {
     dc_ = std::make_unique<cloud::Datacenter>(spec_.datacenter);
     if (spec_.provider) {

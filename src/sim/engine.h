@@ -24,7 +24,6 @@
 #include "coresidence/detector.h"
 #include "defense/power_namespace.h"
 #include "faults/injector.h"
-#include "hw/batched_physics.h"
 #include "sim/scenario.h"
 
 namespace cleaks::leakage {
@@ -223,9 +222,6 @@ class SimEngine {
   std::uint64_t fault_step_ = 0;
   std::unique_ptr<cloud::Datacenter> dc_;
   std::unique_ptr<cloud::CloudProvider> provider_;
-  /// One-lane SoA plane for single-server mode (Datacenter owns its own).
-  /// Declared before single_ so the bound slices outlive the Host.
-  std::unique_ptr<hw::BatchedPhysics> single_physics_;
   std::unique_ptr<cloud::Server> single_;
   std::unique_ptr<defense::PowerNamespace> power_ns_;
   std::unique_ptr<coresidence::TimerImplantDetector> verifier_;
