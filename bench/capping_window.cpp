@@ -73,7 +73,7 @@ int main() {
   // --- (b) rack-level capping, 60 s feedback interval ---
   sim::SimEngine engine(capped_rack_spec("capping-spike"));
   // Settle, then fire a synchronized 30 s fleet-wide spike.
-  engine.run_steps(90, kSecond, {}, "settle");
+  engine.run_steps(90, kSecond);
   engine.deploy_fleet();
   engine.fleet_run("spike", virus.behavior, 8);
   double spike_peak = 0.0;
@@ -83,8 +83,7 @@ int main() {
       [&](sim::SimEngine& e, const sim::StepContext&) {
         spike_peak = std::max(spike_peak, e.rack_power_w(0));
         spike_min = std::min(spike_min, e.rack_power_w(0));
-      },
-      "spike");
+      });
   engine.destroy_fleet();
   const double rack_cap_w = engine.spec().datacenter.rack_power_cap_w;
   const bool spike_survived = spike_min > rack_cap_w;
@@ -99,7 +98,7 @@ int main() {
   // load starts right after a feedback check so the full interval must
   // elapse before enforcement.
   sim::SimEngine engine2(capped_rack_spec("capping-sustained"));
-  engine2.run_steps(61, kSecond, {}, "settle");
+  engine2.run_steps(61, kSecond);
   engine2.deploy_fleet();
   engine2.fleet_run("sustained", virus.behavior, 8);
   double sustained_baseline = 0.0;

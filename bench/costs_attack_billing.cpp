@@ -62,8 +62,7 @@ CostResult run(attack::StrategyKind kind, obs::JsonWriter& json) {
       7200, kSecond,
       [&](sim::SimEngine& e, const sim::StepContext&) {
         result.peak_w = std::max(result.peak_w, e.server_power_w(server_index));
-      },
-      "engagement");
+      });
   const sim::SimEngine::BillingProbe bill = engine.billing_probe("attacker");
   result.cost_usd = bill.cost_usd;
   result.cpu_hours = bill.cpu_hours;

@@ -28,6 +28,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/stream.h"
+#include "util/fnv.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
 
@@ -54,19 +55,6 @@ double now_seconds() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-/// FNV-1a over the per-step power trace: witnesses that enabling the bus
-/// changes no simulated bit.
-struct Digest {
-  std::uint64_t hash = 1469598103934665603ULL;
-  void add_double(double value) {
-    const auto* bytes = reinterpret_cast<const unsigned char*>(&value);
-    for (std::size_t i = 0; i < sizeof value; ++i) {
-      hash ^= bytes[i];
-      hash *= 1099511628211ULL;
-    }
-  }
-};
 
 cloud::DatacenterConfig facility() {
   cloud::DatacenterConfig config;
@@ -98,7 +86,7 @@ ModeRun run_mode(bool bus_enabled) {
   (void)bus.drain();  // start from empty rings
   bus.set_enabled(bus_enabled);
   cloud::Datacenter dc(facility());
-  Digest digest;
+  Fnv64 digest;
   const double start = now_seconds();
   for (int tick = 0; tick < kSteps; ++tick) {
     dc.step(kSecond);
@@ -111,14 +99,6 @@ ModeRun run_mode(bool bus_enabled) {
   run.events = bus.drain().size();
   bus.set_enabled(false);
   return run;
-}
-
-bool write_text_file(const std::string& path, const std::string& text) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), file) ==
-                  text.size();
-  return std::fclose(file) == 0 && ok;
 }
 
 /// Drive the consumer stack on a small provider workload and write the
@@ -161,7 +141,7 @@ bool write_sample_artifacts(obs::JsonWriter& json) {
 
   const std::string trace_path =
       obs::bench_dir() + "/TRACE_event_stream_sample.json";
-  if (!write_text_file(trace_path, obs::to_chrome_trace(all))) {
+  if (!obs::write_text_file(trace_path, obs::to_chrome_trace(all))) {
     std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
     return false;
   }

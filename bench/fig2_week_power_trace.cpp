@@ -45,8 +45,7 @@ int main() {
         if (ctx.index % 60 == 0) {  // print one point per simulated half hour
           std::printf("%.2f,%.1f\n", to_seconds(ctx.now) / 3600.0, ctx.total_w);
         }
-      },
-      "week");
+      });
 
   // Zoom: drop to 1-second granularity and keep observing. The trace
   // continues from where the week ended (the post-midnight trough), so the
@@ -54,7 +53,7 @@ int main() {
   // max over both windows.
   engine.set_host_tick(kSecond);
   engine.reset_measurement();
-  engine.run_steps(120, kSecond, {}, "zoom");
+  engine.run_steps(120, kSecond);
   const double peak_1s = engine.result().peak_total_w;
 
   const double low = percentile(avg30, 2.0);

@@ -39,11 +39,11 @@ RunResult run_periodic(obs::JsonWriter& json) {
   sim::SimEngine engine(sim::fig3_fleet(attack::StrategyKind::kPeriodic));
   // Idle for the same two hours the synergistic attacker spends monitoring,
   // so both strategies attack the identical background window.
-  engine.run_steps(7200, kSecond, {}, "idle");
+  engine.run_steps(7200, kSecond);
   engine.reset_measurement();
   engine.set_fleet_control(sim::FleetSpec::Control::kAutonomous);
   std::printf("t_s,total_w\n");
-  engine.run_steps(3000, kSecond, print_every_30s, "attack");
+  engine.run_steps(3000, kSecond, print_every_30s);
 
   json.begin_object("periodic");
   engine.append_report_json(json);
@@ -60,11 +60,11 @@ RunResult run_synergistic(obs::JsonWriter& json) {
   // nearly free under utilization billing (§IV-B), so the attacker can
   // afford to learn the background for as long as it likes.
   engine.set_fleet_control(sim::FleetSpec::Control::kMonitor);
-  engine.run_steps(7200, kSecond, {}, "monitor");
+  engine.run_steps(7200, kSecond);
   engine.reset_measurement();
   engine.set_fleet_control(sim::FleetSpec::Control::kCoordinated);
   std::printf("t_s,total_w\n");
-  engine.run_steps(3000, kSecond, print_every_30s, "attack");
+  engine.run_steps(3000, kSecond, print_every_30s);
 
   json.begin_object("synergistic");
   engine.append_report_json(json);

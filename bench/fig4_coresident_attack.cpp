@@ -52,7 +52,7 @@ int main() {
   const int server_index = engine.provider().server_of(
       acquisition.instances.front()->instance_id);
 
-  engine.run_steps(30, kSecond, {}, "settle");
+  engine.run_steps(30, kSecond);
   std::printf("t_s,server_w,phase\n");
   int t = 0;
   auto record = [&](int seconds, const std::string& phase) {
@@ -64,8 +64,7 @@ int main() {
             std::printf("%d,%.1f,%s\n", t, e.server_power_w(server_index),
                         phase.c_str());
           }
-        },
-        phase);
+        });
   };
 
   record(30, "baseline");

@@ -23,6 +23,7 @@
 #include "leakage/detector.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "util/fnv.h"
 
 using namespace cleaks;
 
@@ -87,17 +88,13 @@ SweepPoint measure(const std::map<std::string, leakage::LeakClass>& baseline,
 
 /// FNV-1a over every finding: path bytes, class, degraded bit.
 std::uint64_t findings_digest(const std::vector<leakage::FileFinding>& findings) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  auto mix = [&hash](unsigned char byte) {
-    hash ^= byte;
-    hash *= 1099511628211ULL;
-  };
+  Fnv64 hash;
   for (const auto& finding : findings) {
-    for (const char c : finding.path) mix(static_cast<unsigned char>(c));
-    mix(static_cast<unsigned char>(finding.cls));
-    mix(finding.degraded ? 1 : 0);
+    hash.add_string(finding.path);
+    hash.add_byte(static_cast<unsigned char>(finding.cls));
+    hash.add_byte(finding.degraded ? 1 : 0);
   }
-  return hash;
+  return hash.hash;
 }
 
 void append_point(obs::JsonWriter& json, const SweepPoint& point) {

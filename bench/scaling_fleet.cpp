@@ -47,25 +47,11 @@
 #include "obs/metrics.h"
 #include "util/cycle_timer.h"
 #include "util/env.h"
+#include "util/fnv.h"
 
 using namespace cleaks;
 
 namespace {
-
-/// FNV-1a over raw bytes: good enough to witness bitwise identity.
-struct Digest {
-  std::uint64_t hash = 1469598103934665603ULL;
-  void add(const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash ^= bytes[i];
-      hash *= 1099511628211ULL;
-    }
-  }
-  void add_double(double value) { add(&value, sizeof value); }
-  void add_u64(std::uint64_t value) { add(&value, sizeof value); }
-  void add_i32(int value) { add(&value, sizeof value); }
-};
 
 struct SweepPoint {
   int servers = 0;
@@ -204,13 +190,13 @@ std::uint64_t run_digest(const SweepPoint& point, int lanes) {
   }
   for (int s = 0; s < point.steps; ++s) provider.step(kSecond);
 
-  Digest digest;
+  Fnv64 digest;
   for (std::uint64_t uid = 1;
        uid <= static_cast<std::uint64_t>(point.instances()); ++uid) {
     const auto* inst = provider.find_uid(uid);
     if (inst == nullptr) continue;
     digest.add_u64(uid);
-    digest.add_i32(inst->server_index);
+    digest.add_bytes(&inst->server_index, sizeof inst->server_index);
   }
   for (int t = 0; t < point.tenants; ++t) {
     const std::string tenant = "fleet-" + std::to_string(t);

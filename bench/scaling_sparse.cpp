@@ -40,6 +40,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "util/env.h"
+#include "util/fnv.h"
 
 using namespace cleaks;
 
@@ -48,20 +49,6 @@ namespace {
 /// 60-step wall seconds of the PR 8 sparse stepper at 10k servers / 1%
 /// active, recorded before the aggregation loop went O(active + racks).
 constexpr double kPr8BaselineSeconds = 0.24;
-
-/// FNV-1a over raw bytes: good enough to witness bitwise identity.
-struct Digest {
-  std::uint64_t hash = 1469598103934665603ULL;
-  void add(const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash ^= bytes[i];
-      hash *= 1099511628211ULL;
-    }
-  }
-  void add_double(double value) { add(&value, sizeof value); }
-  void add_u64(std::uint64_t value) { add(&value, sizeof value); }
-};
 
 double now_seconds() {
   return std::chrono::duration<double>(
@@ -118,7 +105,7 @@ ModeRun run_mode(const SweepPoint& point, bool parked, int repeats) {
 
     const std::uint64_t active_before = active_counter().value();
     const std::uint64_t coasted_before = coasted_counter().value();
-    Digest digest;
+    Fnv64 digest;
     int slept = 0;
     double first_step = 0.0;
     std::vector<double> step_seconds;

@@ -28,25 +28,12 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "util/cycle_timer.h"
+#include "util/fnv.h"
 #include "util/thread_pool.h"
 
 using namespace cleaks;
 
 namespace {
-
-/// FNV-1a over raw bytes: good enough to witness bitwise identity.
-struct Digest {
-  std::uint64_t hash = 1469598103934665603ULL;
-  void add(const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash ^= bytes[i];
-      hash *= 1099511628211ULL;
-    }
-  }
-  void add_double(double value) { add(&value, sizeof value); }
-  void add_string(const std::string& text) { add(text.data(), text.size()); }
-};
 
 struct Run {
   int threads = 0;
@@ -70,7 +57,7 @@ Run bench_datacenter_step(int threads) {
   config.num_threads = threads;
   cloud::Datacenter dc(config);
 
-  Digest digest;
+  Fnv64 digest;
   const double start = now_seconds();
   for (int tick = 0; tick < 120; ++tick) {
     dc.step(kSecond);
@@ -93,7 +80,7 @@ Run bench_scan(int threads) {
   const auto findings = validator.scan();
   const double elapsed = now_seconds() - start;
 
-  Digest digest;
+  Fnv64 digest;
   for (const auto& finding : findings) {
     digest.add_string(finding.path);
     digest.add_string(leakage::to_string(finding.cls));
@@ -144,7 +131,7 @@ HotpathRun bench_hotpath() {
   cloud::Datacenter dc(config);
 
   constexpr int kSteps = 120;
-  Digest digest;
+  Fnv64 digest;
   CycleTimer cycles;
   const double start = now_seconds();
   cycles.start();

@@ -24,6 +24,7 @@
 #include "leakage/detector.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "util/fnv.h"
 
 using namespace cleaks;
 
@@ -31,18 +32,6 @@ namespace {
 
 constexpr int kWarmScans = 10;      // 5 unchanged + 5 perturbed
 constexpr int kUnchangedScans = 5;
-
-struct Digest {
-  std::uint64_t hash = 1469598103934665603ULL;
-  void add(const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash ^= bytes[i];
-      hash *= 1099511628211ULL;
-    }
-  }
-  void add_string(const std::string& text) { add(text.data(), text.size()); }
-};
 
 struct Run {
   int threads = 0;
@@ -76,14 +65,13 @@ Run bench_incremental(int threads) {
 
   Run run;
   run.threads = threads;
-  Digest digest;
+  Fnv64 digest;
   auto digest_findings = [&digest](
                              const std::vector<leakage::FileFinding>& found) {
     for (const auto& finding : found) {
       digest.add_string(finding.path);
       digest.add_string(leakage::to_string(finding.cls));
-      const unsigned char degraded = finding.degraded ? 1 : 0;
-      digest.add(&degraded, 1);
+      digest.add_byte(finding.degraded ? 1 : 0);
     }
   };
 

@@ -61,8 +61,7 @@ int main() {
         if (tripped_at < 0 && e.datacenter().rack_breaker(0).tripped()) {
           tripped_at = ctx.index;
         }
-      },
-      "engagement");
+      });
 
   std::printf("\noutcome after 90 simulated minutes:\n");
   std::printf("  rack peak power      : %.0f W (breaker rated %.0f W)\n",

@@ -56,7 +56,6 @@ std::optional<double> RaplMonitor::sample_w(SimDuration since_last) {
     current.push_back(
         static_cast<std::uint64_t>(parse_first_int(view.value())));
   }
-  packages_seen_ = packages;
   if (!primed_ || last_uj_.size() != current.size()) {
     last_uj_ = current;
     primed_ = true;

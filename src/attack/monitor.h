@@ -33,9 +33,6 @@ class RaplMonitor {
   /// defense removes the channel, the signal must vanish, not persist.
   std::optional<double> sample_w(SimDuration since_last);
 
-  /// Number of packages visible (0 when the channel is unavailable).
-  [[nodiscard]] int packages_seen() const noexcept { return packages_seen_; }
-
   /// True while sample_w is serving the held last-good estimate.
   [[nodiscard]] bool degraded() const noexcept { return degraded_; }
 
@@ -48,7 +45,6 @@ class RaplMonitor {
  private:
   const container::Container* target_;
   std::vector<std::uint64_t> last_uj_;
-  int packages_seen_ = 0;
   bool primed_ = false;
   std::optional<double> last_good_w_;
   bool degraded_ = false;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/env.h"
 #include "util/strings.h"
 
@@ -200,8 +199,6 @@ void Datacenter::park_(std::uint32_t index, std::size_t pos) {
 
 void Datacenter::step(SimDuration dt) {
   auto& metrics = DcMetrics::get();
-  obs::ScopedSpan span(obs::SpanTracer::global(), "dc.step",
-                       [this] { return now_; });
   if (sparse_) {
     // Wake phase (serial, deterministic order): first servers touched
     // while parked — a mutation may have ended their episode (wake) or
@@ -351,8 +348,6 @@ void Datacenter::step_coalesced(SimDuration dt, std::uint64_t k) {
     return;
   }
   auto& metrics = DcMetrics::get();
-  obs::ScopedSpan span(obs::SpanTracer::global(), "dc.step_coalesced",
-                       [this] { return now_; });
   // Per-step float state is replayed one virtual step at a time: breaker
   // thermal/magnetic integration and the rack energy window are not
   // split-invariant in float arithmetic, but with every server parked the

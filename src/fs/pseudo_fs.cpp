@@ -1,13 +1,13 @@
 #include "fs/pseudo_fs.h"
 
 #include <algorithm>
-#include <bit>
 #include <mutex>
 
 #include "faults/injector.h"
 #include "fs/render.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "util/fnv.h"
 #include "util/strings.h"
 
 namespace cleaks::fs {
@@ -50,24 +50,6 @@ struct FsMetrics {
     return metrics;
   }
 };
-
-// FNV-1a accumulators for the viewer fingerprint.
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void mix_u64(std::uint64_t& h, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (value >> (i * 8)) & 0xff;
-    h *= kFnvPrime;
-  }
-}
-
-void mix_bytes(std::uint64_t& h, std::string_view bytes) {
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= kFnvPrime;
-  }
-}
 
 }  // namespace
 
@@ -376,34 +358,34 @@ void PseudoFs::drop_viewer_entries(std::uint64_t viewer_pid_ns) const {
 }
 
 std::uint64_t PseudoFs::viewer_state_fingerprint(const kernel::Task& viewer) {
-  std::uint64_t h = kFnvOffset;
+  Fnv64 h;
   const kernel::NamespaceSet& ns = viewer.ns;
-  mix_u64(h, ns.pid != nullptr ? ns.pid->id : 0);
-  mix_u64(h, ns.uts != nullptr ? ns.uts->id : 0);
-  mix_u64(h, ns.net != nullptr ? ns.net->id : 0);
-  mix_u64(h, ns.ipc != nullptr ? ns.ipc->id : 0);
-  mix_u64(h, ns.mnt != nullptr ? ns.mnt->id : 0);
-  mix_u64(h, ns.user != nullptr ? ns.user->id : 0);
-  mix_u64(h, ns.cgroup != nullptr ? ns.cgroup->id : 0);
-  mix_u64(h, static_cast<std::uint64_t>(viewer.host_pid));
-  mix_u64(h, static_cast<std::uint64_t>(viewer.start_time));
+  h.add_u64(ns.pid != nullptr ? ns.pid->id : 0);
+  h.add_u64(ns.uts != nullptr ? ns.uts->id : 0);
+  h.add_u64(ns.net != nullptr ? ns.net->id : 0);
+  h.add_u64(ns.ipc != nullptr ? ns.ipc->id : 0);
+  h.add_u64(ns.mnt != nullptr ? ns.mnt->id : 0);
+  h.add_u64(ns.user != nullptr ? ns.user->id : 0);
+  h.add_u64(ns.cgroup != nullptr ? ns.cgroup->id : 0);
+  h.add_u64(static_cast<std::uint64_t>(viewer.host_pid));
+  h.add_u64(static_cast<std::uint64_t>(viewer.start_time));
   if (viewer.cgroup != nullptr) {
     const kernel::Cgroup& cg = *viewer.cgroup;
-    mix_bytes(h, cg.path());
-    mix_u64(h, cg.memory.limit_bytes);
-    mix_u64(h, cg.memory.usage_bytes);
-    mix_u64(h, std::bit_cast<std::uint64_t>(cg.cpu_quota));
-    mix_u64(h, cg.cpuset.cpus.size());
+    h.add_string(cg.path());
+    h.add_u64(cg.memory.limit_bytes);
+    h.add_u64(cg.memory.usage_bytes);
+    h.add_double(cg.cpu_quota);
+    h.add_u64(cg.cpuset.cpus.size());
     for (int cpu : cg.cpuset.cpus) {
-      mix_u64(h, static_cast<std::uint64_t>(cpu));
+      h.add_u64(static_cast<std::uint64_t>(cpu));
     }
-    mix_u64(h, cg.net_prio.ifpriomap.size());
+    h.add_u64(cg.net_prio.ifpriomap.size());
     for (const auto& [device, priority] : cg.net_prio.ifpriomap) {
-      mix_bytes(h, device);
-      mix_u64(h, static_cast<std::uint64_t>(priority));
+      h.add_string(device);
+      h.add_u64(static_cast<std::uint64_t>(priority));
     }
   }
-  return h;
+  return h.hash;
 }
 
 void PseudoFs::register_procfs() {

@@ -175,7 +175,6 @@ class Host {
   // bit-for-bit; the Datacenter enables coasting on every server in both
   // never-park (CLEAKS_SPARSE=0) and parked mode.
   void set_coast_enabled(bool on) noexcept { coast_on_ = on; }
-  [[nodiscard]] bool coast_enabled() const noexcept { return coast_on_; }
   /// True when the host may coast *now*: coast enabled, only the baseline
   /// system tasks, no power cap, frequency at nominal. Every input changes
   /// only through generation-bumping paths, so eligibility cannot flip
@@ -199,10 +198,6 @@ class Host {
   /// later mutation).
   [[nodiscard]] bool coast_active() const noexcept {
     return coast_.active && generation_ == coast_.expected_generation;
-  }
-  /// Deferred sim-time not yet materialised (sparse bookkeeping).
-  [[nodiscard]] SimDuration coast_pending() const noexcept {
-    return coast_.pending;
   }
 
   /// Monotonic counter bumped whenever anything /proc- or /sys-visible may

@@ -7,7 +7,6 @@
 #include "faults/injector.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/rng.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
@@ -181,84 +180,6 @@ container::Container& CrossValidator::ensure_probe() {
   return *probe_;
 }
 
-LeakClass CrossValidator::classify(const std::string& path,
-                                   const container::Container& probe) {
-  auto& metrics = ScanMetrics::get();
-  metrics.paths.inc();
-  auto container_view = probe.read_file(path);
-  // Transient EBUSY: retry on the bounded sim-time budget before giving
-  // up. Exhausting the budget degrades to kAbsent (unknown, not wrong).
-  for (int attempt = 0;
-       container_view.code() == StatusCode::kUnavailable &&
-       attempt < options_.max_read_retries;
-       ++attempt) {
-    metrics.reads_retried.inc();
-    server_->step(options_.retry_backoff);
-    container_view = probe.read_file(path);
-  }
-  if (container_view.code() == StatusCode::kUnavailable) {
-    metrics.channels_degraded.inc();
-    metrics.absent.inc();
-    return LeakClass::kAbsent;
-  }
-  if (container_view.code() == StatusCode::kPermissionDenied) {
-    metrics.masked.inc();
-    return LeakClass::kMasked;
-  }
-  if (container_view.code() == StatusCode::kNotFound) {
-    metrics.absent.inc();
-    return LeakClass::kAbsent;
-  }
-  if (!container_view.is_ok()) {
-    metrics.absent.inc();
-    return LeakClass::kAbsent;
-  }
-
-  fs::ViewContext host_ctx;  // host context: no viewer, no policy
-  const auto host_view = server_->fs().read(path, host_ctx);
-  if (!host_view.is_ok()) {
-    metrics.absent.inc();
-    return LeakClass::kAbsent;
-  }
-
-  // Pair-wise differential analysis at a single instant: identical bytes
-  // mean the handler ignored the viewer's namespaces.
-  if (container_view.value() == host_view.value()) {
-    metrics.differential_hits.inc();
-    metrics.leaking.inc();
-    return LeakClass::kLeaking;
-  }
-
-  // Active perturbation probe for the differing paths: alternate epochs of
-  // background quiet and heavy host load. The baseline snapshot is taken
-  // *before* the load starts, so both accumulator-type fields (which race
-  // during the window) and level-type fields (which shift when the load
-  // appears) register. Properly namespaced data ignores host load.
-  metrics.undecided.inc();
-  std::vector<double> off_drift;
-  std::vector<double> on_drift;
-  for (int epoch = 0; epoch < options_.probe_epochs; ++epoch) {
-    const bool perturb = epoch % 2 == 1;
-    metrics.probe_epochs.inc();
-    const auto baseline = probe.read_file(path);
-    std::vector<kernel::HostPid> noise_pids;
-    if (perturb) noise_pids = spawn_perturbation(*server_);
-    server_->step(options_.probe_window);
-    const auto loaded = probe.read_file(path);
-    for (auto pid : noise_pids) server_->host().kill_task(pid);
-    server_->step(options_.probe_window);  // settle back to baseline
-
-    if (!baseline.is_ok() || !loaded.is_ok()) continue;
-    accumulate_drift(baseline.value(), loaded.value(),
-                     perturb ? on_drift : off_drift);
-  }
-  const LeakClass verdict =
-      drift_verdict(off_drift, on_drift, options_.sensitivity);
-  (verdict == LeakClass::kPartial ? metrics.partial : metrics.namespaced)
-      .inc();
-  return verdict;
-}
-
 std::vector<FileFinding> CrossValidator::scan() {
   auto& metrics = ScanMetrics::get();
   metrics.runs.inc();
@@ -334,69 +255,63 @@ std::vector<FileFinding> CrossValidator::scan() {
   // an undecided path whose digest pair matches the cached pair reuses the
   // cached Phase-B verdict instead of re-probing (hash-first reuse).
   const SimTime differential_start = sim_now();
-  {
-    obs::ScopedSpan span(obs::SpanTracer::global(), "scan.differential",
-                         sim_now);
-    pool.parallel_for(n, [&](std::size_t begin, std::size_t end) {
-      std::string& container_buf = pool.scratch(0);
-      std::string& host_buf = pool.scratch(1);
-      for (std::size_t i = begin; i < end; ++i) {
-        if (reused[i] != 0) continue;
-        findings[i].path = paths[i];
-        metrics.paths.inc();
-        const StatusCode code = probe.read_file_into(paths[i], container_buf);
-        if (code == StatusCode::kPermissionDenied) {
-          findings[i].cls = LeakClass::kMasked;
-          metrics.masked.inc();
-          continue;
-        }
-        if (code == StatusCode::kUnavailable) {
-          transient[i] = 1;  // EBUSY: retried below on the sim-time budget
-          continue;
-        }
-        if (code != StatusCode::kOk) {
-          findings[i].cls = LeakClass::kAbsent;
-          metrics.absent.inc();
-          continue;
-        }
-        if (pseudo.read_into(paths[i], host_ctx, host_buf) !=
-            StatusCode::kOk) {
-          findings[i].cls = LeakClass::kAbsent;
-          metrics.absent.inc();
-          continue;
-        }
-        container_digest[i] = fnv1a64(container_buf);
-        host_digest[i] = fnv1a64(host_buf);
-        digest_ok[i] = 1;
-        if (container_buf == host_buf) {
-          findings[i].cls = LeakClass::kLeaking;
-          metrics.differential_hits.inc();
-          metrics.leaking.inc();
-        } else if (warm && faulted[i] == 0 && cache_[i].valid &&
-                   cache_[i].has_digests &&
-                   (cache_[i].cls == LeakClass::kPartial ||
-                    cache_[i].cls == LeakClass::kNamespaced) &&
-                   cache_[i].container_digest == container_digest[i] &&
-                   (unchanged ||
-                    cache_[i].host_digest == host_digest[i])) {
-          // Hash-first reuse of the perturbation verdict. In a changed
-          // world both digests must match (nothing about the pair moved);
-          // in an unchanged world the container digest alone suffices —
-          // that covers kUncacheable files like /proc/containerleaks,
-          // whose host side (the live registry) churns without the world
-          // moving while the container side is exactly what Phase B
-          // measures.
-          findings[i].cls = cache_[i].cls;
-          reused[i] = 1;
-          metrics.paths_reused.inc();
-          count_class(metrics, cache_[i].cls);
-        } else {
-          undecided[i] = 1;  // needs the perturbation probe
-          metrics.undecided.inc();
-        }
+  pool.parallel_for(n, [&](std::size_t begin, std::size_t end) {
+    std::string& container_buf = pool.scratch(0);
+    std::string& host_buf = pool.scratch(1);
+    for (std::size_t i = begin; i < end; ++i) {
+      if (reused[i] != 0) continue;
+      findings[i].path = paths[i];
+      metrics.paths.inc();
+      const StatusCode code = probe.read_file_into(paths[i], container_buf);
+      if (code == StatusCode::kPermissionDenied) {
+        findings[i].cls = LeakClass::kMasked;
+        metrics.masked.inc();
+        continue;
       }
-    });
-  }
+      if (code == StatusCode::kUnavailable) {
+        transient[i] = 1;  // EBUSY: retried below on the sim-time budget
+        continue;
+      }
+      if (code != StatusCode::kOk) {
+        findings[i].cls = LeakClass::kAbsent;
+        metrics.absent.inc();
+        continue;
+      }
+      if (pseudo.read_into(paths[i], host_ctx, host_buf) != StatusCode::kOk) {
+        findings[i].cls = LeakClass::kAbsent;
+        metrics.absent.inc();
+        continue;
+      }
+      container_digest[i] = fnv1a64(container_buf);
+      host_digest[i] = fnv1a64(host_buf);
+      digest_ok[i] = 1;
+      if (container_buf == host_buf) {
+        findings[i].cls = LeakClass::kLeaking;
+        metrics.differential_hits.inc();
+        metrics.leaking.inc();
+      } else if (warm && faulted[i] == 0 && cache_[i].valid &&
+                 cache_[i].has_digests &&
+                 (cache_[i].cls == LeakClass::kPartial ||
+                  cache_[i].cls == LeakClass::kNamespaced) &&
+                 cache_[i].container_digest == container_digest[i] &&
+                 (unchanged || cache_[i].host_digest == host_digest[i])) {
+        // Hash-first reuse of the perturbation verdict. In a changed
+        // world both digests must match (nothing about the pair moved);
+        // in an unchanged world the container digest alone suffices —
+        // that covers kUncacheable files like /proc/containerleaks,
+        // whose host side (the live registry) churns without the world
+        // moving while the container side is exactly what Phase B
+        // measures.
+        findings[i].cls = cache_[i].cls;
+        reused[i] = 1;
+        metrics.paths_reused.inc();
+        count_class(metrics, cache_[i].cls);
+      } else {
+        undecided[i] = 1;  // needs the perturbation probe
+        metrics.undecided.inc();
+      }
+    }
+  });
   // Phase A': bounded sim-time retry of the transient reads. Each round
   // steps the sim once on this thread (so the fault windows can close),
   // then re-runs the pair-wise differential for just the EBUSY slots in
@@ -471,8 +386,6 @@ std::vector<FileFinding> CrossValidator::scan() {
   }
   if (!pending.empty()) {
     const SimTime perturbation_start = sim_now();
-    obs::ScopedSpan phase_span(obs::SpanTracer::global(), "scan.perturbation",
-                               sim_now);
     struct ProbeState {
       std::size_t index = 0;
       bool baseline_ok = false;
@@ -490,9 +403,6 @@ std::vector<FileFinding> CrossValidator::scan() {
     for (int epoch = 0; epoch < options_.probe_epochs; ++epoch) {
       const bool perturb = epoch % 2 == 1;
       metrics.probe_epochs.inc();
-      obs::ScopedSpan epoch_span(
-          obs::SpanTracer::global(),
-          perturb ? "scan.epoch.load" : "scan.epoch.quiet", sim_now);
       pool.parallel_for(states.size(),
                         [&](std::size_t begin, std::size_t end) {
                           for (std::size_t s = begin; s < end; ++s) {

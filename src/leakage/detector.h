@@ -94,7 +94,7 @@ class CrossValidator {
   ///      Perturbation epochs are *shared*: the load/quiet cycle runs once
   ///      and every undecided path snapshots around it (parallel reads, sim
   ///      stepping on the calling thread), instead of re-running the cycle
-  ///      per path as classify() does.
+  ///      per path.
   /// The probe container is created on the first scan and retained until
   /// the validator is destroyed (per-scan create/destroy would bump the
   /// host generation, defeating generation-keyed reuse). With
@@ -107,11 +107,6 @@ class CrossValidator {
   /// degraded paths never reuse. Findings come back in list_paths() order
   /// and are identical for every num_threads value, warm or cold.
   std::vector<FileFinding> scan();
-
-  /// Classify a single path (probe container must exist: scan() manages
-  /// its own; this entry point is for tests and examples).
-  LeakClass classify(const std::string& path,
-                     const container::Container& probe);
 
  private:
   /// One cached per-path verdict with the digests that justify reuse.

@@ -9,15 +9,6 @@
 namespace cleaks::obs {
 namespace {
 
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fnv_u64(std::uint64_t& hash, std::uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (value >> (8 * byte)) & 0xff;
-    hash *= kFnvPrime;
-  }
-}
-
 // Drop accounting is part of the stream contract ("counted, never
 // silent"). Scope::kSim: under the supported drain cadence the count is a
 // pure function of the scenario (zero when consumers keep up; the
@@ -72,7 +63,8 @@ bool event_less(const Event& x, const Event& y) noexcept {
 }
 
 void EventBus::set_capacity(std::size_t per_lane) {
-  capacity_ = round_up_pow2(per_lane > 0 ? per_lane : kDefaultCapacity);
+  capacity_ = round_up_pow2(
+      per_lane > 0 ? std::min(per_lane, kMaxCapacity) : kDefaultCapacity);
   for (auto& lane : lanes_) {
     lane.ring.clear();
     lane.ring.shrink_to_fit();
@@ -122,15 +114,15 @@ std::uint64_t EventBus::dropped() const noexcept {
 
 std::uint64_t EventBus::digest(const std::vector<Event>& events,
                                std::uint64_t seed) {
-  std::uint64_t hash = seed;
+  Fnv64 hash{seed};
   for (const auto& event : events) {
-    fnv_u64(hash, event.time);
-    fnv_u64(hash, static_cast<std::uint64_t>(event.kind));
-    fnv_u64(hash, event.source);
-    fnv_u64(hash, event.a);
-    fnv_u64(hash, event.b);
+    hash.add_u64(event.time);
+    hash.add_u64(static_cast<std::uint64_t>(event.kind));
+    hash.add_u64(event.source);
+    hash.add_u64(event.a);
+    hash.add_u64(event.b);
   }
-  return hash;
+  return hash.hash;
 }
 
 EventBus& EventBus::global() {

@@ -1,11 +1,11 @@
 // Lane-sharded event bus: typed, fixed-size sim events in per-lane rings.
 //
-// The metrics registry answers "how much happened"; the span tracer answers
-// "how long did phases take". This bus answers "what happened, when, to
-// whom" — the streaming substrate for online consumers (windowed IDS
-// aggregation, flight recording, Chrome-trace export; see obs/stream.h).
+// The metrics registry answers "how much happened"; this bus answers "what
+// happened, when, to whom" — the streaming substrate for online consumers
+// (windowed IDS aggregation, flight recording, Chrome-trace export; see
+// obs/stream.h).
 //
-// Determinism contract (same as metrics/spans): every event is a pure
+// Determinism contract (same as the metrics registry): every event is a pure
 // function of simulated state — its timestamp is the sim clock and its
 // `source` is a stable logical identity (server index, fnv of a path),
 // never the execution lane. Which *lane ring* an event lands in is
@@ -23,8 +23,8 @@
 // scheduling luck — don't run that configuration under a digest pin.
 //
 // Enabled via CLEAKS_EVENTS ("0"/unset = off, "1" = on with the default
-// capacity, N>1 = on with per-lane capacity N rounded up to a power of
-// two) or programmatically with set_enabled().
+// capacity, N>1 = on with per-lane capacity N, clamped to kMaxCapacity and
+// rounded up to a power of two) or programmatically with set_enabled().
 #pragma once
 
 #include <array>
@@ -33,6 +33,7 @@
 #include <string_view>
 #include <vector>
 
+#include "util/fnv.h"
 #include "util/sim_time.h"
 #include "util/thread_pool.h"
 
@@ -82,8 +83,10 @@ struct Event {
 class EventBus {
  public:
   static constexpr std::size_t kDefaultCapacity = 1 << 16;  ///< per lane
-  /// Seed for digest chaining across drained batches.
-  static constexpr std::uint64_t kDigestSeed = 1469598103934665603ULL;
+  /// Ceiling on the per-lane capacity (512 MiB of events per lane): an
+  /// outsized CLEAKS_EVENTS value is clamped rather than failing the first
+  /// emit's allocation.
+  static constexpr std::size_t kMaxCapacity = 1 << 24;
 
   EventBus() = default;
   EventBus(const EventBus&) = delete;
@@ -96,9 +99,9 @@ class EventBus {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Per-lane ring capacity, rounded up to a power of two (the cursor
-  /// wraps with a mask, not a divide). Call while no events are in flight;
-  /// discards buffered events.
+  /// Per-lane ring capacity, clamped to kMaxCapacity and rounded up to a
+  /// power of two (the cursor wraps with a mask, not a divide). Call while
+  /// no events are in flight; discards buffered events.
   void set_capacity(std::size_t per_lane);
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 

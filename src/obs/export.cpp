@@ -70,6 +70,14 @@ std::string bench_output_path(std::string_view bench_name) {
   return path;
 }
 
+bool write_text_file(const std::string& path, std::string_view text) {
+  std::FILE* file = std::fopen(path.c_str(), "w");
+  if (file == nullptr) return false;
+  const bool ok =
+      std::fwrite(text.data(), 1, text.size(), file) == text.size();
+  return std::fclose(file) == 0 && ok;
+}
+
 JsonWriter::JsonWriter() {
   out_ = "{";
   needs_comma_.push_back(false);
@@ -313,16 +321,11 @@ std::string BenchReport::write(const Registry& registry) {
   writer_.end_object();  // data
   append_metrics_json(registry.snapshot(), writer_);
   const std::string path = bench_output_path(name_);
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "obs: cannot open %s\n", path.c_str());
+  if (!write_text_file(path, writer_.str())) {
+    std::fprintf(stderr, "obs: cannot write %s\n", path.c_str());
     return {};
   }
-  const std::string& text = writer_.str();
-  const bool ok = std::fwrite(text.data(), 1, text.size(), file) ==
-                  text.size();
-  std::fclose(file);
-  return ok ? path : std::string{};
+  return path;
 }
 
 }  // namespace cleaks::obs

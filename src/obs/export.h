@@ -37,6 +37,10 @@ inline constexpr std::string_view kMetricsSchema = "cleaks-metrics-v1";
 std::string bench_dir();
 /// bench_dir() + "/BENCH_<bench_name>.json".
 std::string bench_output_path(std::string_view bench_name);
+/// Write `text` to `path`, replacing it. True only when the open, the
+/// write and the final flush in fclose all succeed — a full disk often
+/// fails only at that flush.
+bool write_text_file(const std::string& path, std::string_view text);
 
 /// Minimal streaming JSON writer: handles commas, nesting and string
 /// escaping so benches can't emit malformed files. Keys are only passed

@@ -2,25 +2,9 @@
 
 #include <algorithm>
 
+#include "util/fnv.h"
+
 namespace cleaks::obs {
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fnv_bytes(std::uint64_t& hash, const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-}
-
-void fnv_u64(std::uint64_t& hash, std::uint64_t value) {
-  fnv_bytes(hash, &value, sizeof value);
-}
-
-}  // namespace
 
 Histogram::Histogram(std::string name, std::string help, Scope scope,
                      std::vector<std::uint64_t> bounds)
@@ -107,27 +91,27 @@ void Histogram::reset() noexcept {
 }
 
 std::uint64_t Snapshot::digest(Scope scope) const {
-  std::uint64_t hash = kFnvOffset;
+  Fnv64 hash;
   for (const auto& metric : metrics) {
     if (metric.scope != scope) continue;
-    fnv_bytes(hash, metric.name.data(), metric.name.size());
-    fnv_u64(hash, static_cast<std::uint64_t>(metric.kind));
+    hash.add_string(metric.name);
+    hash.add_u64(static_cast<std::uint64_t>(metric.kind));
     switch (metric.kind) {
       case MetricValue::Kind::kCounter:
-        fnv_u64(hash, metric.counter);
+        hash.add_u64(metric.counter);
         break;
       case MetricValue::Kind::kGauge:
-        fnv_bytes(hash, &metric.gauge, sizeof metric.gauge);
+        hash.add_double(metric.gauge);
         break;
       case MetricValue::Kind::kHistogram:
-        for (auto bound : metric.hist_bounds) fnv_u64(hash, bound);
-        for (auto count : metric.hist_counts) fnv_u64(hash, count);
-        fnv_u64(hash, metric.hist_overflow);
-        fnv_u64(hash, metric.hist_sum);
+        for (auto bound : metric.hist_bounds) hash.add_u64(bound);
+        for (auto count : metric.hist_counts) hash.add_u64(count);
+        hash.add_u64(metric.hist_overflow);
+        hash.add_u64(metric.hist_sum);
         break;
     }
   }
-  return hash;
+  return hash.hash;
 }
 
 Counter& Registry::counter(std::string_view name, std::string_view help,

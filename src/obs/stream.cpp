@@ -7,22 +7,10 @@
 
 #include "obs/export.h"
 #include "util/env.h"
+#include "util/fnv.h"
 
 namespace cleaks::obs {
 namespace {
-
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fnv_u64(std::uint64_t& hash, std::uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (value >> (8 * byte)) & 0xff;
-    hash *= kFnvPrime;
-  }
-}
-
-/// Trace pid for the span ("engine") track; event sources are small
-/// server/hash ids, so a large constant cannot collide.
-constexpr std::uint64_t kEnginePid = 1000000;
 
 double to_trace_us(SimTime t) { return static_cast<double>(t) / 1000.0; }
 
@@ -79,18 +67,18 @@ void WindowAggregator::feed(const std::vector<Event>& merged) {
 void WindowAggregator::flush() { close_current(); }
 
 std::uint64_t WindowAggregator::digest() const {
-  std::uint64_t hash = EventBus::kDigestSeed;
+  Fnv64 hash;
   for (const WindowSummary& window : windows_) {
-    fnv_u64(hash, window.start);
-    fnv_u64(hash, window.end);
-    fnv_u64(hash, window.total);
-    for (const std::uint64_t count : window.by_kind) fnv_u64(hash, count);
+    hash.add_u64(window.start);
+    hash.add_u64(window.end);
+    hash.add_u64(window.total);
+    for (const std::uint64_t count : window.by_kind) hash.add_u64(count);
     for (const auto& [source, count] : window.by_source) {
-      fnv_u64(hash, source);
-      fnv_u64(hash, count);
+      hash.add_u64(source);
+      hash.add_u64(count);
     }
   }
-  return hash;
+  return hash.hash;
 }
 
 void FlightRecorder::feed(const std::vector<Event>& merged) {
@@ -129,16 +117,11 @@ std::string FlightRecorder::dump_to_file(std::string_view tag) const {
   path += "/FLIGHT_";
   path += tag;
   path += ".json";
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "obs: cannot open %s\n", path.c_str());
+  if (!write_text_file(path, dump_json())) {
+    std::fprintf(stderr, "obs: cannot write %s\n", path.c_str());
     return {};
   }
-  const std::string text = dump_json();
-  const bool ok =
-      std::fwrite(text.data(), 1, text.size(), file) == text.size();
-  std::fclose(file);
-  return ok ? path : std::string{};
+  return path;
 }
 
 FlightRecorder& FlightRecorder::global() {
@@ -167,8 +150,7 @@ bool bench_check(bool ok, std::string_view tag, std::string_view what) {
   return false;
 }
 
-std::string to_chrome_trace(const std::vector<Event>& events,
-                            const std::vector<Span>& spans) {
+std::string to_chrome_trace(const std::vector<Event>& events) {
   JsonWriter json;
   json.field("displayTimeUnit", "ms");
   json.begin_array("traceEvents");
@@ -178,18 +160,16 @@ std::string to_chrome_trace(const std::vector<Event>& events,
   for (const Event& event : events) sources.push_back(event.source);
   std::sort(sources.begin(), sources.end());
   sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
-  auto name_track = [&](std::uint64_t pid, const std::string& name) {
+  for (const std::uint32_t source : sources) {
     json.begin_object();
     json.field("ph", "M");
-    json.field("pid", pid);
+    json.field("pid", static_cast<std::uint64_t>(source));
     json.field("name", "process_name");
-    json.begin_object("args").field("name", name).end_object();
+    json.begin_object("args")
+        .field("name", "server-" + std::to_string(source))
+        .end_object();
     json.end_object();
-  };
-  for (const std::uint32_t source : sources) {
-    name_track(source, "server-" + std::to_string(source));
   }
-  if (!spans.empty()) name_track(kEnginePid, "engine");
 
   auto header = [&](const Event& event, std::string_view ph) {
     json.begin_object();
@@ -250,17 +230,6 @@ std::string to_chrome_trace(const std::vector<Event>& events,
         json.field("id", id_buf);
         break;
     }
-    json.end_object();
-  }
-
-  for (const Span& span : spans) {
-    json.begin_object();
-    json.field("ph", "X");
-    json.field("pid", kEnginePid);
-    json.field("tid", 0);
-    json.field("ts", to_trace_us(span.start));
-    json.field("dur", to_trace_us(span.end - span.start));
-    json.field("name", span.name);
     json.end_object();
   }
 

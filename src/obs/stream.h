@@ -10,9 +10,9 @@
 //    failed bench_check(), or from a std::terminate handler when enabled
 //    via CLEAKS_FLIGHT_RECORDER (value = window in sim-seconds; "1" keeps
 //    the 30 s default).
-//  * to_chrome_trace — chrome://tracing-loadable JSON from events plus
-//    existing spans: per-server counter tracks, instants for faults and
-//    scan findings, container lifetimes as async slices.
+//  * to_chrome_trace — chrome://tracing-loadable JSON from events:
+//    per-server counter tracks, instants for faults and scan findings,
+//    container lifetimes as async slices.
 //
 // Everything here runs on the drain thread (the engine's measurement
 // phase), so no locking: the bus's per-lane rings are the only concurrent
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "obs/events.h"
-#include "obs/trace.h"
 #include "util/sim_time.h"
 
 namespace cleaks::obs {
@@ -123,9 +122,8 @@ bool bench_check(bool ok, std::string_view tag, std::string_view what);
 /// process track ("server-<id>"): kCtxSwitch/kPerfEvent/kRaplSample/
 /// kThermalSample render as counter samples, kFaultInjected/kScanFinding/
 /// kCgroupMutation as instants, and kContainerLifecycle pairs as async
-/// slices spanning the container's life. Spans render as complete ("X")
-/// events on an "engine" track. Sim time maps 1 ns -> 1/1000 trace µs.
-std::string to_chrome_trace(const std::vector<Event>& events,
-                            const std::vector<Span>& spans = {});
+/// slices spanning the container's life. Sim time maps 1 ns -> 1/1000
+/// trace µs.
+std::string to_chrome_trace(const std::vector<Event>& events);
 
 }  // namespace cleaks::obs

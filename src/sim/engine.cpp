@@ -374,11 +374,6 @@ void SimEngine::step(SimDuration dt) {
   ++steps_;
   sim_seconds_ += to_seconds(dt);
   SimMetrics::get().steps.inc();
-
-  if (on_step_) {
-    const StepContext ctx{static_cast<int>(steps_) - 1, now(), total};
-    on_step_(*this, ctx);
-  }
 }
 
 void SimEngine::drain_event_stream_() {
@@ -402,11 +397,11 @@ std::uint64_t SimEngine::coalesce_(SimDuration dt, std::uint64_t max_steps) {
   if (max_steps <= 1 || dt == 0) return 0;
   // Anything that acts on per-step boundaries outside the datacenter
   // disqualifies the stride: the fault schedule draws per step, the
-  // provider meters billing per step, fleet control samples per step, and
-  // hooks observe each step. (A deployed fleet also pins its servers
-  // active — containers end coast eligibility — so the facility gate
-  // below would refuse anyway; the control_ check is belt and braces.)
-  if (!dc_ || provider_ || fault_injector_ || on_step_ ||
+  // provider meters billing per step and fleet control samples per step.
+  // (A deployed fleet also pins its servers active — containers end coast
+  // eligibility — so the facility gate below would refuse anyway; the
+  // control_ check is belt and braces.)
+  if (!dc_ || provider_ || fault_injector_ ||
       control_ != FleetSpec::Control::kIdle) {
     return 0;
   }
@@ -437,85 +432,63 @@ std::uint64_t SimEngine::coalesce_(SimDuration dt, std::uint64_t max_steps) {
 void SimEngine::enable_event_stream(SimDuration window_width) {
   obs::EventBus::global().set_enabled(true);
   drain_events_ = true;
-  events_digest_ = obs::EventBus::kDigestSeed;
+  events_digest_ = kDigestSeed;
   if (window_width > 0 && !aggregator_) {
     aggregator_ = std::make_unique<obs::WindowAggregator>(window_width);
   }
 }
 
-void SimEngine::run_steps(int steps, SimDuration dt, const StepHook& hook,
-                          std::string_view label) {
-  for (int i = 0; i < steps; ++i) {
+void SimEngine::run_loop_(std::uint64_t full_steps, SimDuration dt,
+                          SimDuration tail, const StepHook& hook) {
+  // Every step, plain or coalesced, advances the clock by exactly `dt`
+  // (hooks may not step), so a step count fixed up front serves all three
+  // run_* contracts. Hooks observe each step, so a hooked run never
+  // coalesces.
+  std::uint64_t i = 0;
+  const auto observe = [&] {
+    if (!hook) return;
+    const StepContext ctx{static_cast<int>(i), now(), total_power_w()};
+    hook(*this, ctx);
+  };
+  while (i < full_steps) {
     if (!hook) {
-      const std::uint64_t k =
-          coalesce_(dt, static_cast<std::uint64_t>(steps - i));
+      const std::uint64_t k = coalesce_(dt, full_steps - i);
       if (k > 0) {
-        i += static_cast<int>(k) - 1;
+        i += k;
         continue;
       }
     }
     step(dt);
-    if (hook) {
-      const StepContext ctx{i, now(), total_power_w()};
-      hook(*this, ctx);
-    }
+    observe();
+    ++i;
+  }
+  if (tail > 0) {
+    step(tail);
+    observe();
   }
   SimMetrics::get().epochs.inc();
-  if (on_epoch_) on_epoch_(*this, label, steps);
+}
+
+void SimEngine::run_steps(int steps, SimDuration dt, const StepHook& hook) {
+  assert(dt > 0);
+  run_loop_(steps > 0 ? static_cast<std::uint64_t>(steps) : 0, dt, 0, hook);
 }
 
 void SimEngine::run_for(SimDuration total, SimDuration dt,
-                        const StepHook& hook, std::string_view label) {
+                        const StepHook& hook) {
   // Contract: advance the clock by exactly `total`. A total that is not a
   // multiple of `dt` ends with one final partial step of the remainder
   // (the old truncation silently under-ran; tests/sim_test.cpp pins this).
-  int i = 0;
-  SimDuration left = total;
-  while (left > 0) {
-    if (!hook && left >= dt) {
-      const std::uint64_t k = coalesce_(dt, left / dt);
-      if (k > 0) {
-        left -= dt * k;
-        i += static_cast<int>(k);
-        continue;
-      }
-    }
-    const SimDuration step_dt = left < dt ? left : dt;
-    step(step_dt);
-    if (hook) {
-      const StepContext ctx{i, now(), total_power_w()};
-      hook(*this, ctx);
-    }
-    left -= step_dt;
-    ++i;
-  }
-  SimMetrics::get().epochs.inc();
-  if (on_epoch_) on_epoch_(*this, label, i);
+  assert(dt > 0);
+  run_loop_(total / dt, dt, total % dt, hook);
 }
 
-void SimEngine::run_until(SimTime target, SimDuration dt, const StepHook& hook,
-                          std::string_view label) {
-  int i = 0;
-  while (now() < target) {
-    if (!hook) {
-      // Plain stepping takes ceil(remaining / dt) steps (the last one may
-      // overshoot target); bound the stride by the same count.
-      const SimTime remaining = target - now();
-      const std::uint64_t k = coalesce_(dt, (remaining - 1) / dt + 1);
-      if (k > 0) {
-        i += static_cast<int>(k);
-        continue;
-      }
-    }
-    step(dt);
-    if (hook) {
-      const StepContext ctx{i, now(), total_power_w()};
-      hook(*this, ctx);
-    }
-    ++i;
-  }
-  SimMetrics::get().epochs.inc();
-  if (on_epoch_) on_epoch_(*this, label, i);
+void SimEngine::run_until(SimTime target, SimDuration dt,
+                          const StepHook& hook) {
+  // ceil(remaining / dt) steps; the last one may overshoot `target`.
+  assert(dt > 0);
+  const SimTime start = now();
+  run_loop_(target > start ? (target - start - 1) / dt + 1 : 0, dt, 0, hook);
 }
 
 double SimEngine::total_power_w() const {

@@ -4,8 +4,9 @@
 // warmup -> background tenants -> fleet -> defense enable -> masking) so
 // every experiment draws the same RNG streams as the hand-rolled benches
 // it replaced. step() advances physics first, then fleet control, then
-// measurement, then hooks — hooks observe a settled world and may mutate
-// it (start/stop viruses, switch control mode) for the *next* step.
+// measurement; a run_* hook fires after each step — hooks observe a
+// settled world and may mutate it (start/stop viruses, switch control
+// mode) for the *next* step, but must not step the engine themselves.
 //
 // Determinism contract: with a fixed spec, every CLEAKS_THREADS /
 // DatacenterConfig::num_threads value produces bitwise-identical traces,
@@ -14,7 +15,6 @@
 
 #include <functional>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "attack/monitor.h"
@@ -46,8 +46,6 @@ struct StepContext {
 class SimEngine {
  public:
   using StepHook = std::function<void(SimEngine&, const StepContext&)>;
-  using EpochHook =
-      std::function<void(SimEngine&, std::string_view label, int steps)>;
 
   explicit SimEngine(ScenarioSpec spec);
   ~SimEngine();
@@ -57,11 +55,7 @@ class SimEngine {
 
   // ---- world access ----
   [[nodiscard]] const ScenarioSpec& spec() const noexcept { return spec_; }
-  [[nodiscard]] bool has_datacenter() const noexcept { return dc_ != nullptr; }
   [[nodiscard]] cloud::Datacenter& datacenter() { return *dc_; }
-  [[nodiscard]] bool has_provider() const noexcept {
-    return provider_ != nullptr;
-  }
   [[nodiscard]] cloud::CloudProvider& provider() { return *provider_; }
   [[nodiscard]] int num_servers() const;
   [[nodiscard]] cloud::Server& server(int index = 0);
@@ -121,7 +115,7 @@ class SimEngine {
   /// measurement phase every step (merged stream fed to the window
   /// aggregator when `window_width` > 0, and to the global flight
   /// recorder when that is enabled). The accumulated stream digest is
-  /// lane-count-independent: same contract as metrics and spans.
+  /// lane-count-independent: same contract as the metrics registry.
   void enable_event_stream(SimDuration window_width = 0);
   [[nodiscard]] std::uint64_t event_stream_digest() const noexcept {
     return events_digest_;
@@ -136,29 +130,25 @@ class SimEngine {
   }
 
   // ---- loop ----
-  void set_on_step(StepHook hook) { on_step_ = std::move(hook); }
-  void set_on_epoch(EpochHook hook) { on_epoch_ = std::move(hook); }
   void step(SimDuration dt);
-  /// Run `steps` steps of `dt`; `hook` fires after each (in addition to
-  /// the persistent on_step hook); the epoch hook fires once at the end.
+  /// Run `steps` steps of `dt`; `hook` fires after each.
   ///
-  /// All run_* loops coalesce: across a stretch where the facility reports
-  /// every server parked and no wheel pop, capping window, fault schedule,
-  /// provider or hook needs a per-step boundary, they take one
-  /// variable-length stride (Datacenter::step_coalesced) instead of k
-  /// fixed steps — bitwise-identical results (pinned by sim_test), just
-  /// fewer loop iterations.
-  void run_steps(int steps, SimDuration dt, const StepHook& hook = {},
-                 std::string_view label = {});
+  /// Every run_* call requires `dt` > 0 (asserted) and is a thin wrapper
+  /// over one loop. That loop coalesces: across a stretch where the
+  /// facility reports every server parked and no wheel pop, capping
+  /// window, fault schedule, provider or hook needs a per-step boundary,
+  /// it takes one variable-length stride (Datacenter::step_coalesced)
+  /// instead of k fixed steps — bitwise-identical results (pinned by
+  /// sim_test), just fewer loop iterations.
+  void run_steps(int steps, SimDuration dt, const StepHook& hook = {});
   /// Advance the sim clock by exactly `total`: steps of `dt`, ending with
   /// one final partial step when `total` is not a multiple of `dt` (no
   /// silent truncation).
-  void run_for(SimDuration total, SimDuration dt, const StepHook& hook = {},
-               std::string_view label = {});
+  void run_for(SimDuration total, SimDuration dt, const StepHook& hook = {});
   /// The deduplicated fast-forward: step until the sim clock reaches
-  /// `target` (absolute). This is the loop every warmup used to hand-roll.
-  void run_until(SimTime target, SimDuration dt, const StepHook& hook = {},
-                 std::string_view label = {});
+  /// `target` (absolute); the last step may overshoot it. This is the
+  /// loop every warmup used to hand-roll.
+  void run_until(SimTime target, SimDuration dt, const StepHook& hook = {});
   /// Set the host tick on every server.
   void set_host_tick(SimDuration tick);
 
@@ -209,10 +199,15 @@ class SimEngine {
   void drain_event_stream_();
   /// Try one variable-length stride of up to `max_steps` steps of `dt`.
   /// Returns how many steps were absorbed (0: take a plain step instead).
-  /// Only fires when nothing needs a per-step boundary: no per-call hook
-  /// at the call site, no persistent hook, no provider/faults/fleet
-  /// control, and the facility itself reports the stretch uninteresting.
+  /// Only fires when nothing needs a per-step boundary: no hook at the
+  /// call site, no provider/faults/fleet control, and the facility itself
+  /// reports the stretch uninteresting.
   std::uint64_t coalesce_(SimDuration dt, std::uint64_t max_steps);
+  /// The one run loop behind run_steps/run_for/run_until: `full_steps`
+  /// steps of `dt` (coalesced where possible when there is no hook), then
+  /// one partial step of `tail` when it is nonzero.
+  void run_loop_(std::uint64_t full_steps, SimDuration dt, SimDuration tail,
+                 const StepHook& hook);
 
   ScenarioSpec spec_;
   std::unique_ptr<faults::FaultInjector> fault_injector_;
@@ -263,9 +258,6 @@ class SimEngine {
   std::unique_ptr<obs::WindowAggregator> aggregator_;
   std::uint64_t events_digest_ = 0;  ///< seeded in enable_event_stream
   std::uint64_t events_drained_ = 0;
-
-  StepHook on_step_;
-  EpochHook on_epoch_;
 
   // Incremental leak-scan validator (leak_scan_probe). Declared last so
   // it is destroyed first: its destructor tears down the retained probe

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "util/fnv.h"
+
 namespace cleaks {
 namespace {
 
@@ -105,12 +107,9 @@ std::string Rng::hex_string(std::size_t digits) {
 }
 
 std::uint64_t fnv1a64(std::string_view data) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
+  Fnv64 hash{kFnvOffsetBasis};
+  hash.add_string(data);
+  return hash.hash;
 }
 
 }  // namespace cleaks

@@ -91,12 +91,6 @@ double shannon_entropy(std::span<const double> samples) {
   return entropy_of_counts(counts, samples.size());
 }
 
-double shannon_entropy_strings(std::span<const std::string> samples) {
-  std::unordered_map<std::string, std::size_t> counts;
-  for (const auto& s : samples) ++counts[s];
-  return entropy_of_counts(counts, samples.size());
-}
-
 double joint_channel_entropy(std::span<const std::vector<double>> fields) {
   double h = 0.0;
   for (const auto& field : fields) {

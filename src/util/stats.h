@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <map>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace cleaks {
@@ -45,7 +44,6 @@ double pearson_correlation(std::span<const double> a, std::span<const double> b)
 /// Shannon entropy (bits) of a discrete sample: H = -sum p_j log2 p_j,
 /// where p_j is the empirical frequency of each distinct value.
 double shannon_entropy(std::span<const double> samples);
-double shannon_entropy_strings(std::span<const std::string> samples);
 
 /// Joint entropy of a channel per Formula (1) of the paper: the channel is a
 /// tuple of independent data fields X_1..X_n; the joint entropy is the sum of

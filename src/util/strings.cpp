@@ -52,11 +52,6 @@ bool starts_with(std::string_view text, std::string_view prefix) {
   return text.substr(0, prefix.size()) == prefix;
 }
 
-bool ends_with(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
-}
-
 bool contains(std::string_view text, std::string_view needle) {
   return text.find(needle) != std::string_view::npos;
 }

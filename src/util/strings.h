@@ -24,7 +24,6 @@ std::vector<std::string> split_lines(std::string_view text);
 std::string_view trim(std::string_view text);
 
 bool starts_with(std::string_view text, std::string_view prefix);
-bool ends_with(std::string_view text, std::string_view suffix);
 bool contains(std::string_view text, std::string_view needle);
 
 /// printf-style formatting into std::string. Pseudo-file generators render a

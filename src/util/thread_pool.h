@@ -24,7 +24,7 @@ namespace cleaks {
 class ThreadPool {
  public:
   /// Upper bound on execution lanes. Everything lane-indexed (the metrics
-  /// registry's shards, the tracer's per-lane rings) is sized by this, so
+  /// registry's shards, the event bus's per-lane rings) is sized by this, so
   /// requested lane counts are clamped to it.
   static constexpr int kMaxLanes = 64;
 

@@ -3,6 +3,7 @@
 // degradation in the scanner / monitor / trainer, and the cross-lane
 // digest of a fully faulted scan.
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "leakage/detector.h"
 #include "obs/metrics.h"
 #include "sim/engine.h"
+#include "util/fnv.h"
 
 namespace cleaks::faults {
 namespace {
@@ -334,31 +336,28 @@ TEST(ScanUnderFaultsTest, ExhaustedRetriesDegradeInsteadOfMisclassify) {
       "scan_channels_degraded_total", "");
   const std::uint64_t degraded_before = degraded_total.value();
   leakage::CrossValidator validator(server);
-  auto probe = server.runtime().create({});
-  EXPECT_EQ(validator.classify("/proc/uptime", *probe),
-            leakage::LeakClass::kAbsent);
+  std::map<std::string, leakage::FileFinding> by_path;
+  for (const auto& finding : validator.scan()) {
+    by_path[finding.path] = finding;
+  }
+  EXPECT_EQ(by_path.at("/proc/uptime").cls, leakage::LeakClass::kAbsent);
+  EXPECT_TRUE(by_path.at("/proc/uptime").degraded);
   EXPECT_EQ(degraded_total.value(), degraded_before + 1);
   // A path outside the glob classifies normally through the same scan.
-  EXPECT_EQ(validator.classify("/proc/version", *probe),
-            leakage::LeakClass::kLeaking);
+  EXPECT_EQ(by_path.at("/proc/version").cls, leakage::LeakClass::kLeaking);
+  EXPECT_FALSE(by_path.at("/proc/version").degraded);
 }
 
 // FNV-1a over every finding (path bytes, class, degraded bit): a faulted
 // scan must produce identical findings at every lane count.
 std::uint64_t digest_of(const std::vector<leakage::FileFinding>& findings) {
-  std::uint64_t hash = 1469598103934665603ull;
-  auto mix_byte = [&hash](unsigned char byte) {
-    hash ^= byte;
-    hash *= 1099511628211ull;
-  };
+  Fnv64 hash;
   for (const auto& finding : findings) {
-    for (const char c : finding.path) {
-      mix_byte(static_cast<unsigned char>(c));
-    }
-    mix_byte(static_cast<unsigned char>(finding.cls));
-    mix_byte(finding.degraded ? 1 : 0);
+    hash.add_string(finding.path);
+    hash.add_byte(static_cast<unsigned char>(finding.cls));
+    hash.add_byte(finding.degraded ? 1 : 0);
   }
-  return hash;
+  return hash.hash;
 }
 
 std::uint64_t findings_digest(int num_threads) {

@@ -119,15 +119,19 @@ TEST(Detector, RaplChannelsAbsentWithoutHardware) {
 
 TEST(Detector, Cc5RestrictedStatIsPartialLeak) {
   cloud::Server server("cc5-host", cloud::cc5(), 6, 10 * kDay);
-  CrossValidator validator(server);
+  ScanOptions options;
   container::ContainerConfig config;
   config.num_cpus = 4;
   config.memory_limit_bytes = 8ULL << 30;
-  auto probe = server.runtime().create(config);
-  EXPECT_EQ(validator.classify("/proc/stat", *probe), LeakClass::kPartial);
-  EXPECT_EQ(validator.classify("/proc/locks", *probe), LeakClass::kMasked);
-  EXPECT_EQ(validator.classify("/proc/timer_list", *probe),
-            LeakClass::kLeaking);
+  options.probe_config = config;
+  CrossValidator validator(server, options);
+  std::map<std::string, LeakClass> by_path;
+  for (const auto& finding : validator.scan()) {
+    by_path[finding.path] = finding.cls;
+  }
+  EXPECT_EQ(by_path.at("/proc/stat"), LeakClass::kPartial);
+  EXPECT_EQ(by_path.at("/proc/locks"), LeakClass::kMasked);
+  EXPECT_EQ(by_path.at("/proc/timer_list"), LeakClass::kLeaking);
 }
 
 // ---------- channel catalog ----------

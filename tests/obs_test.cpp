@@ -1,11 +1,13 @@
-// Telemetry subsystem: deterministic lane-sharded metrics, the sim-time
-// span tracer, and the exporters behind every bench emission. The core
+// Telemetry subsystem: deterministic lane-sharded metrics, the event
+// stream, and the exporters behind every bench emission. The core
 // contract under test is the PR-1 invariant extended to telemetry: merged
-// metric values, snapshot digests and drained traces are bitwise identical
-// for every thread-pool lane count.
+// metric values, snapshot digests and drained event streams are bitwise
+// identical for every thread-pool lane count.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <regex>
@@ -20,7 +22,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/stream.h"
-#include "obs/trace.h"
 #include "sim/engine.h"
 #include "sim/scenario.h"
 #include "util/thread_pool.h"
@@ -243,77 +244,11 @@ TEST(BenchReport, WritesEnvelopeToBenchDir) {
   EXPECT_EQ(report.write(registry), "");
 }
 
-// ---------- span tracer ----------
-
-TEST(SpanTracer, DrainSortsByStartEndName) {
-  SpanTracer tracer;
-  tracer.set_enabled(true);
-  tracer.record("b", 10, 20);
-  tracer.record("a", 10, 20);
-  tracer.record("z", 5, 6);
-  tracer.record("a", 10, 15);
-  const auto spans = tracer.drain();
-  ASSERT_EQ(spans.size(), 4u);
-  EXPECT_EQ(spans[0].name, "z");
-  EXPECT_EQ(spans[1].name, "a");
-  EXPECT_EQ(spans[1].end, 15u);
-  EXPECT_EQ(spans[2].name, "a");
-  EXPECT_EQ(spans[3].name, "b");
-  EXPECT_TRUE(tracer.drain().empty());  // drain clears
-}
-
-TEST(SpanTracer, OrderingIdenticalAcrossLaneCounts) {
-  auto run = [](int lanes) {
-    SpanTracer tracer;
-    tracer.set_enabled(true);
-    ThreadPool pool(lanes);
-    pool.parallel_for(400, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        // Sim-times derived from the index: the span *set* is identical at
-        // every lane count even though lane assignment is not.
-        tracer.record(i % 2 == 0 ? "even" : "odd", i, i + 3);
-      }
-    });
-    return SpanTracer::digest(tracer.drain());
-  };
-  const std::uint64_t serial = run(1);
-  for (int lanes : {2, 4, 8}) {
-    EXPECT_EQ(run(lanes), serial) << lanes << " lanes";
-  }
-}
-
-TEST(SpanTracer, DisabledRecordsNothing) {
-  SpanTracer tracer;
-  tracer.record("ignored", 1, 2);
-  EXPECT_TRUE(tracer.drain().empty());
-}
-
-TEST(SpanTracer, RingWrapsAndCountsDrops) {
-  SpanTracer tracer;
-  tracer.set_capacity(4);
-  tracer.set_enabled(true);
-  for (std::uint64_t i = 0; i < 10; ++i) tracer.record("s", i, i + 1);
-  EXPECT_EQ(tracer.dropped(), 6u);
-  const auto spans = tracer.drain();
-  ASSERT_EQ(spans.size(), 4u);  // the newest four survive
-  EXPECT_EQ(spans.front().start, 6u);
-  EXPECT_EQ(spans.back().start, 9u);
-  EXPECT_EQ(tracer.dropped(), 0u);  // drain resets the drop count
-}
-
-TEST(ScopedSpan, RecordsSimTimeWindow) {
-  SpanTracer tracer;
-  tracer.set_enabled(true);
-  SimTime clock = 100;
-  {
-    ScopedSpan span(tracer, "phase", [&] { return clock; });
-    clock = 250;
-  }
-  const auto spans = tracer.drain();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].name, "phase");
-  EXPECT_EQ(spans[0].start, 100u);
-  EXPECT_EQ(spans[0].end, 250u);
+TEST(WriteTextFile, FailedFinalFlushIsAFailure) {
+  // /dev/full accepts the open and the buffered write; only the flush in
+  // fclose fails (ENOSPC), so a writer that ignores fclose reports success.
+  EXPECT_FALSE(write_text_file("/dev/full", "payload\n"));
+  EXPECT_FALSE(write_text_file("/nonexistent-dir/out.json", "payload\n"));
 }
 
 // ---------- /proc/containerleaks capstone ----------
@@ -373,6 +308,12 @@ TEST(EventBus, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(bus.capacity(), 4u);
   bus.set_capacity(65);
   EXPECT_EQ(bus.capacity(), 128u);
+  // Outsized CLEAKS_EVENTS values clamp instead of looping in the rounding
+  // (SIZE_MAX) or failing the first emit's allocation (LONG_MAX).
+  bus.set_capacity(static_cast<std::size_t>(LONG_MAX));
+  EXPECT_EQ(bus.capacity(), EventBus::kMaxCapacity);
+  bus.set_capacity(SIZE_MAX);
+  EXPECT_EQ(bus.capacity(), EventBus::kMaxCapacity);
 }
 
 TEST(EventBus, TinyRingOverwritesOldestAndCountsDrops) {

@@ -18,8 +18,8 @@
 #include "cloud/profiles.h"
 #include "cloud/server.h"
 #include "leakage/detector.h"
+#include "obs/events.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/thread_pool.h"
 
 namespace cleaks {
@@ -219,16 +219,16 @@ TEST(ParallelScan, WarmIncrementalFindingsIdenticalAcrossThreadCounts) {
 
 // ---------- telemetry rides the same determinism contract ----------
 
-TEST(ParallelTelemetry, SimMetricsAndTraceIdenticalAcrossThreadCounts) {
+TEST(ParallelTelemetry, SimMetricsAndEventStreamIdenticalAcrossThreadCounts) {
   // The full instrumented workload — datacenter stepping plus a leak scan —
-  // must leave the metrics registry and the span tracer in bitwise-identical
+  // must leave the metrics registry and the event stream in bitwise-identical
   // states at every thread count (Scope::kSim; lane breakdowns are exempt).
   auto run = [](int threads) {
     obs::Registry::global().reset();
-    auto& tracer = obs::SpanTracer::global();
-    const bool was_enabled = tracer.enabled();
-    tracer.drain();
-    tracer.set_enabled(true);
+    auto& bus = obs::EventBus::global();
+    const bool was_enabled = bus.enabled();
+    (void)bus.drain();
+    bus.set_enabled(true);
 
     cloud::Datacenter dc(small_dc(threads));
     for (int tick = 0; tick < 30; ++tick) dc.step(kSecond);
@@ -240,10 +240,9 @@ TEST(ParallelTelemetry, SimMetricsAndTraceIdenticalAcrossThreadCounts) {
 
     const std::uint64_t sim_digest =
         obs::Registry::global().snapshot().digest(obs::Scope::kSim);
-    const std::uint64_t trace_digest =
-        obs::SpanTracer::digest(tracer.drain());
-    tracer.set_enabled(was_enabled);
-    return std::make_pair(sim_digest, trace_digest);
+    const std::uint64_t stream_digest = obs::EventBus::digest(bus.drain());
+    bus.set_enabled(was_enabled);
+    return std::make_pair(sim_digest, stream_digest);
   };
   const auto serial = run(1);
   for (int threads : {2, 4, 8}) {

@@ -2,7 +2,6 @@
 // serialization, the cross-lane determinism contract, and the golden
 // pin of Fig 3's pre-refactor headline numbers.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -12,6 +11,7 @@
 #include "obs/metrics.h"
 #include "sim/engine.h"
 #include "sim/scenarios.h"
+#include "util/fnv.h"
 #include "workload/onoff.h"
 
 namespace cleaks::sim {
@@ -118,22 +118,12 @@ std::uint64_t trace_digest(int num_threads) {
   spec.datacenter.seed = 4248;
   spec.datacenter.num_threads = num_threads;
   SimEngine engine(spec);
-  std::uint64_t hash = 1469598103934665603ull;
-  auto mix = [&hash](double value) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(value));
-    std::memcpy(&bits, &value, sizeof(bits));
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (bits >> (byte * 8)) & 0xff;
-      hash *= 1099511628211ull;
-    }
-  };
-  engine.run_steps(600, kSecond,
-                   [&](SimEngine&, const StepContext& ctx) {
-                     mix(ctx.total_w);
-                   });
-  mix(engine.result().peak_total_w);
-  return hash;
+  Fnv64 hash;
+  engine.run_steps(600, kSecond, [&](SimEngine&, const StepContext& ctx) {
+    hash.add_double(ctx.total_w);
+  });
+  hash.add_double(engine.result().peak_total_w);
+  return hash.hash;
 }
 
 TEST(SimEngineTest, BitwiseIdenticalAcrossLaneCounts) {
@@ -213,11 +203,15 @@ struct StrideOutcome {
   bool operator==(const StrideOutcome&) const = default;
 };
 
+// Which run_* wrapper drives the 30 minutes of 1 s steps.
+enum class RunLoop { kSteps, kFor, kUntil };
+
 // A mostly-idle capped facility with one on/off server: strides must end
 // at wheel wakeups AND capping windows. `fixed` pins the per-step path by
 // installing a no-op hook (hooks observe every step, so they disable
-// coalescing); without it run_for takes variable-length strides.
-StrideOutcome run_strided(bool fixed, int num_threads) {
+// coalescing); without it the chosen loop takes variable-length strides.
+StrideOutcome run_strided(bool fixed, int num_threads,
+                          RunLoop loop = RunLoop::kFor) {
   obs::Registry::global().reset();
   ScenarioSpec spec;
   spec.name = "stride-eq";
@@ -238,7 +232,17 @@ StrideOutcome run_strided(bool fixed, int num_threads) {
   const SimEngine::StepHook hook =
       fixed ? SimEngine::StepHook([](SimEngine&, const StepContext&) {})
             : SimEngine::StepHook{};
-  engine.run_for(30 * kMinute, kSecond, hook);
+  switch (loop) {
+    case RunLoop::kSteps:
+      engine.run_steps(30 * 60, kSecond, hook);
+      break;
+    case RunLoop::kFor:
+      engine.run_for(30 * kMinute, kSecond, hook);
+      break;
+    case RunLoop::kUntil:
+      engine.run_until(engine.now() + 30 * kMinute, kSecond, hook);
+      break;
+  }
   StrideOutcome out;
   const fs::ViewContext ctx;
   for (int i = 0; i < engine.num_servers(); ++i) {
@@ -268,10 +272,14 @@ TEST(SimEngineTest, VariableLengthStridesAreBitwiseEqualToFixedSteps) {
       obs::Scope::kRuntime);
   const StrideOutcome fixed = run_strided(true, 1);
   EXPECT_EQ(coalesced_steps.value(), 0u);  // hooks disable coalescing
-  const StrideOutcome strided = run_strided(false, 1);
-  // The stride path must actually engage, or this test pins nothing.
-  EXPECT_GT(coalesced_steps.value(), 0u);
-  EXPECT_EQ(strided, fixed);
+  // Every run_* wrapper strides over the same fixed-step outcome.
+  for (const RunLoop loop : {RunLoop::kSteps, RunLoop::kFor, RunLoop::kUntil}) {
+    const StrideOutcome strided = run_strided(false, 1, loop);
+    // The stride path must actually engage (run_strided resets the
+    // registry first), or this test pins nothing.
+    EXPECT_GT(coalesced_steps.value(), 0u) << static_cast<int>(loop);
+    EXPECT_EQ(strided, fixed) << static_cast<int>(loop);
+  }
   EXPECT_EQ(run_strided(false, 2), fixed);
   EXPECT_EQ(run_strided(false, 4), fixed);
   EXPECT_EQ(run_strided(false, 8), fixed);

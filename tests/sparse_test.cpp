@@ -23,6 +23,7 @@
 #include "kernel/host.h"
 #include "obs/metrics.h"
 #include "util/event_core.h"
+#include "util/fnv.h"
 #include "workload/onoff.h"
 
 namespace cleaks {
@@ -366,23 +367,11 @@ TEST(SparseFacility, EngineCountersAccrueEquallyInBothModes) {
 
 // ---------- recorded dense-era goldens ----------
 
-// FNV-1a, matching the capture tool that recorded the goldens below from
-// the last build that still had the visit-every-server branch as separate
-// code. Pinning the numbers (not just dense == sparse) guards against a
-// refactor that changes both modes in lockstep.
-struct GoldenDigest {
-  std::uint64_t hash = 1469598103934665603ULL;
-  void add(const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash ^= bytes[i];
-      hash *= 1099511628211ULL;
-    }
-  }
-  void add_str(const std::string& s) { add(s.data(), s.size()); }
-  void add_double(double v) { add(&v, sizeof v); }
-  void add_u64(std::uint64_t v) { add(&v, sizeof v); }
-};
+// The digests below are FNV-1a (util/fnv.h), matching the capture tool
+// that recorded them from the last build that still had the
+// visit-every-server branch as separate code. Pinning the numbers (not
+// just dense == sparse) guards against a refactor that changes both modes
+// in lockstep.
 
 // The run_facility scenario, additionally folding the per-step rack power
 // trace — the value whose aggregation moved from an O(N) fold on every
@@ -392,7 +381,7 @@ std::uint64_t facility_trace_digest(bool sparse, int num_threads) {
   config.num_threads = num_threads;
   cloud::Datacenter dc(config);
   dc.server(0).enable_onoff_load(bursty());
-  GoldenDigest digest;
+  Fnv64 digest;
   for (int s = 0; s < 30 * 60; ++s) {
     dc.step(kSecond);
     for (int rack = 0; rack < config.num_racks; ++rack) {
@@ -402,10 +391,10 @@ std::uint64_t facility_trace_digest(bool sparse, int num_threads) {
   const fs::ViewContext ctx;
   for (int i = 0; i < dc.num_servers(); ++i) {
     cloud::Server& server = dc.server(i);
-    digest.add_str(server.fs().read("/proc/stat", ctx).value());
-    digest.add_str(server.fs().read("/proc/uptime", ctx).value());
-    digest.add_str(server.fs().read("/proc/loadavg", ctx).value());
-    digest.add_str(server.fs().read("/proc/interrupts", ctx).value());
+    digest.add_string(server.fs().read("/proc/stat", ctx).value());
+    digest.add_string(server.fs().read("/proc/uptime", ctx).value());
+    digest.add_string(server.fs().read("/proc/loadavg", ctx).value());
+    digest.add_string(server.fs().read("/proc/interrupts", ctx).value());
     digest.add_double(server.power_w());
     digest.add_double(server.host().lifetime_energy_j());
     digest.add_u64(server.host().rapl()[0].package().energy_uj());
