@@ -7,9 +7,9 @@
 //     map per launch (walk every live instance into a std::map), so the
 //     per-launch curve used to be linear in N. The gate: per-launch
 //     *control* cycles must grow sub-linearly in server count (<=
-//     server-growth/2 across the sweep; literal flatness is a memory
-//     fiction at this scale — a 1M-container world is ~3 GB, so even
-//     O(log R) work pays more per cache/TLB miss at the top). Placement
+//     server-growth/2 across the sweep). Literal flatness is not what
+//     happens: measured on a 4-vCPU box, the full sweep peaks at 2.2 GB
+//     RSS and per-launch control grows 2.6–4.6x across it. Placement
 //     itself is pinned against the old linear scan by
 //     tests/provider_test.cpp (recordings plus an in-test reference).
 //   * step cost is O(servers + tenants), not O(instances) — the provider
@@ -282,14 +282,16 @@ int main() {
   json.end_array();
 
   // Gates bind on the *control-plane* cycles. Total launch/terminate
-  // cost includes the container runtime create/destroy, which is the
-  // kernel subsystem's own cache-footprint story — reported, not gated.
+  // cost includes the container runtime create/destroy — reported, not
+  // gated. Measured on a 4-vCPU box, a terminate costs 55–56k cycles at
+  // 1,048,576 instances, 6.9–7.3k of them control; at 4,096 instances
+  // 7–10k, 2.3–3.1k of them control.
   //
   //   launch_sublinear: per-launch control growth across the sweep must
   //     stay at or below half the server growth (16x servers -> <= 8x).
-  //     O(log R) arithmetic would be ~1.4x, but at 1M containers the
-  //     working set is ~3 GB and every miss costs more; the honest claim
-  //     is "decoupled from fleet size", not "cache-free".
+  //     O(log R) arithmetic alone would be ~1.4x; measured growth is
+  //     2.6–4.6x with the sweep peaking at 2.2 GB RSS, so the honest
+  //     claim is "decoupled from fleet size", not "flat".
   //   step_control_flat: the step control phase is O(servers + tenants),
   //     so its per-instance cost must not grow as instances grow 256x
   //     (it falls: each server carries 16x more containers at the top).

@@ -1,7 +1,11 @@
 #include "fs/pseudo_fs.h"
 
 #include <algorithm>
+#include <compare>
+#include <limits>
+#include <map>
 #include <mutex>
+#include <utility>
 
 #include "faults/injector.h"
 #include "fs/render.h"
@@ -51,51 +55,132 @@ struct FsMetrics {
   }
 };
 
+// The part of a HardwareSpec that decides which paths exist, and the key of
+// the shared file tables. The registration functions below read exactly
+// these fields, so two hosts with equal geometry get equal tables.
+struct FsGeometry {
+  int num_cores = 0;
+  int numa_nodes = 1;
+  std::size_t cpuidle_states = 0;
+  int num_packages = 0;
+  bool has_coretemp = false;
+  bool has_rapl = false;
+  bool has_dram_rapl = false;
+
+  static FsGeometry of(const hw::HardwareSpec& spec) {
+    return {.num_cores = spec.num_cores,
+            .numa_nodes = std::max(1, spec.numa_nodes),
+            .cpuidle_states = spec.cpuidle_states.size(),
+            .num_packages = spec.num_packages,
+            .has_coretemp = spec.has_coretemp,
+            .has_rapl = spec.has_rapl,
+            .has_dram_rapl = spec.has_dram_rapl};
+  }
+  auto operator<=>(const FsGeometry&) const = default;
+};
+
 }  // namespace
 
-PseudoFs::PseudoFs(const kernel::Host& host) : host_(&host) {
-  files_.reserve(512);
-  register_procfs();
-  register_sysfs();
-  register_telemetry();
+struct PseudoFs::Registry {
+  std::vector<FileEntry> files;  ///< sorted by path
+
+  explicit Registry(const FsGeometry& geometry) {
+    register_procfs(geometry);
+    register_sysfs(geometry);
+    register_telemetry();
+  }
+
+  /// The table for `geometry`, built on the first request and shared by
+  /// every later one. Tables are never modified once built.
+  static std::shared_ptr<const Registry> shared(const FsGeometry& geometry) {
+    static std::mutex mu;
+    static std::map<FsGeometry, std::shared_ptr<const Registry>> tables;
+    std::lock_guard<std::mutex> lock(mu);
+    auto& table = tables[geometry];
+    if (table == nullptr) table = std::make_shared<const Registry>(geometry);
+    return table;
+  }
+
+  /// Sorted insert; an existing path gets the new generator (last
+  /// registration wins). Returns the file id and whether it was inserted.
+  std::pair<std::size_t, bool> register_file(
+      std::string path, Generator generator,
+      CacheMode mode = CacheMode::kCacheable) {
+    auto it = std::lower_bound(
+        files.begin(), files.end(), std::string_view(path),
+        [](const FileEntry& entry, std::string_view p) {
+          return entry.path < p;
+        });
+    const bool inserted = it == files.end() || it->path != path;
+    if (inserted) {
+      it = files.insert(it, FileEntry{std::move(path), {}, true});
+    }
+    it->generator = std::move(generator);
+    it->cacheable = mode == CacheMode::kCacheable;
+    return {static_cast<std::size_t>(it - files.begin()), inserted};
+  }
+
+  void register_procfs(const FsGeometry& geometry);
+  void register_sysfs(const FsGeometry& geometry);
+  void register_telemetry();
+};
+
+PseudoFs::PseudoFs(const kernel::Host& host)
+    : host_(&host),
+      registry_(Registry::shared(FsGeometry::of(host.spec()))),
+      caches_(registry_->files.size()) {}
+
+PseudoFs::~PseudoFs() {
+  for (auto& slot : caches_) delete slot.load();
 }
 
 void PseudoFs::register_file(std::string path, Generator generator,
                              CacheMode mode) {
-  auto it = std::lower_bound(
-      files_.begin(), files_.end(), std::string_view(path),
-      [](const FileEntry& entry, std::string_view p) {
-        return entry.path < p;
-      });
-  ++render_epoch_;
-  if (it != files_.end() && it->path == path) {
-    it->generator = std::move(generator);
-    it->cacheable = mode == CacheMode::kCacheable;
-    return;
+  // Copy-on-write: other hosts may share the table, so edit a private copy.
+  auto table = std::make_shared<Registry>(*registry_);
+  const auto [id, inserted] =
+      table->register_file(std::move(path), std::move(generator), mode);
+  registry_ = std::move(table);
+  if (inserted) {  // shift the cache slots of later files up by one
+    std::vector<std::atomic<RenderCache*>> caches(caches_.size() + 1);
+    for (std::size_t i = 0; i < caches_.size(); ++i) {
+      caches[i < id ? i : i + 1].store(caches_[i].load());
+    }
+    caches_ = std::move(caches);
   }
-  FileEntry entry;
-  entry.path = std::move(path);
-  entry.generator = std::move(generator);
-  entry.cacheable = mode == CacheMode::kCacheable;
-  entry.cache = std::make_unique<RenderCache>();
-  files_.insert(it, std::move(entry));
+  ++render_epoch_;
 }
 
 const PseudoFs::FileEntry* PseudoFs::find_entry(std::string_view path) const {
+  const auto& files = registry_->files;
   auto it = std::lower_bound(
-      files_.begin(), files_.end(), path,
+      files.begin(), files.end(), path,
       [](const FileEntry& entry, std::string_view p) {
         return entry.path < p;
       });
-  if (it == files_.end() || it->path != path) return nullptr;
+  if (it == files.end() || it->path != path) return nullptr;
   return &*it;
+}
+
+PseudoFs::RenderCache& PseudoFs::cache_for(const FileEntry& entry) const {
+  auto& slot = caches_[static_cast<std::size_t>(
+      &entry - registry_->files.data())];
+  RenderCache* cache = slot.load();
+  if (cache != nullptr) return *cache;
+  // First cached read of this file. Concurrent first readers each build a
+  // cache; one install wins and the losers free theirs.
+  auto fresh = std::make_unique<RenderCache>();
+  if (slot.compare_exchange_strong(cache, fresh.get())) {
+    return *fresh.release();
+  }
+  return *cache;
 }
 
 std::vector<std::string> PseudoFs::list_paths() const {
   std::vector<std::string> paths;
-  paths.reserve(files_.size());
-  for (const auto& entry : files_) paths.push_back(entry.path);
-  return paths;  // files_ is kept sorted
+  paths.reserve(registry_->files.size());
+  for (const auto& entry : registry_->files) paths.push_back(entry.path);
+  return paths;  // the table is kept sorted
 }
 
 std::vector<std::string> PseudoFs::list_paths(const ViewContext& ctx) const {
@@ -132,7 +217,15 @@ std::optional<PseudoFs::PidPath> PseudoFs::resolve_pid_path(
       resolved.leaf != "cmdline" && resolved.leaf != "sched") {
     return std::nullopt;
   }
-  const int pid = static_cast<int>(parse_first_int(pid_text));
+  // Linux's name_to_int (fs/proc/util.c): a multi-digit name with a
+  // leading zero, or a value past INT_MAX, names no pid at all.
+  if (pid_text.size() > 1 && pid_text.front() == '0') return resolved;
+  long long value = 0;
+  for (const char digit : pid_text) {
+    value = value * 10 + (digit - '0');
+    if (value > std::numeric_limits<int>::max()) return resolved;
+  }
+  const int pid = static_cast<int>(value);
   // Pid lookup happens inside the viewer's PID namespace. PID namespaces
   // are hierarchical: the init namespace resolves *every* task (container
   // tasks included) by host pid; a container namespace resolves only its
@@ -227,7 +320,7 @@ StatusCode PseudoFs::read_host_cached(const FileEntry& entry,
                                       const RenderContext& render_ctx,
                                       std::string& out) const {
   auto& metrics = FsMetrics::get();
-  RenderCache& cache = *entry.cache;
+  RenderCache& cache = cache_for(entry);
   const std::uint64_t generation = host_->state_generation();
   const auto fresh = [&] {
     return cache.valid && cache.host_generation == generation &&
@@ -261,7 +354,7 @@ StatusCode PseudoFs::read_viewer_cached(const FileEntry& entry,
                                         const RenderContext& render_ctx,
                                         std::string& out) const {
   auto& metrics = FsMetrics::get();
-  RenderCache& cache = *entry.cache;
+  RenderCache& cache = cache_for(entry);
   const std::uint64_t key = render_ctx.viewer->ns.pid->id;
   const std::uint64_t generation = host_->state_generation();
   const std::uint64_t fingerprint =
@@ -345,8 +438,10 @@ bool PseudoFs::cache_eligible(std::string_view path) const {
 }
 
 void PseudoFs::drop_viewer_entries(std::uint64_t viewer_pid_ns) const {
-  for (const FileEntry& entry : files_) {
-    RenderCache& cache = *entry.cache;
+  for (const auto& slot : caches_) {
+    RenderCache* allocated = slot.load();
+    if (allocated == nullptr) continue;  // never read: holds no slots
+    RenderCache& cache = *allocated;
     std::unique_lock<std::shared_mutex> lock(cache.mu);
     auto& slots = cache.viewers;
     slots.erase(std::remove_if(slots.begin(), slots.end(),
@@ -388,7 +483,7 @@ std::uint64_t PseudoFs::viewer_state_fingerprint(const kernel::Task& viewer) {
   return h.hash;
 }
 
-void PseudoFs::register_procfs() {
+void PseudoFs::Registry::register_procfs(const FsGeometry& geometry) {
   using namespace render;
   register_file("/proc/uptime", uptime);
   register_file("/proc/version", version);
@@ -411,7 +506,7 @@ void PseudoFs::register_procfs() {
   register_file("/proc/sys/fs/inode-nr", fs_inode_nr);
   register_file("/proc/sys/fs/dentry-state", fs_dentry_state);
   register_file("/proc/fs/ext4/sda1/mb_groups", ext4_mb_groups);
-  for (int cpu = 0; cpu < host_->spec().num_cores; ++cpu) {
+  for (int cpu = 0; cpu < geometry.num_cores; ++cpu) {
     for (int domain = 0; domain < 2; ++domain) {
       register_file(
           strformat("/proc/sys/kernel/sched_domain/cpu%d/domain%d/"
@@ -430,14 +525,12 @@ void PseudoFs::register_procfs() {
   register_file("/proc/self/status", self_status);
 }
 
-void PseudoFs::register_sysfs() {
+void PseudoFs::Registry::register_sysfs(const FsGeometry& geometry) {
   using namespace render;
-  const auto& spec = host_->spec();
 
   register_file("/sys/fs/cgroup/net_prio/net_prio.ifpriomap", ifpriomap);
 
-  const int nodes = std::max(1, spec.numa_nodes);
-  for (int node = 0; node < nodes; ++node) {
+  for (int node = 0; node < geometry.numa_nodes; ++node) {
     register_file(strformat("/sys/devices/system/node/node%d/numastat", node),
                   [node](const RenderContext& ctx, std::string& out) {
                     numastat(ctx, node, out);
@@ -452,8 +545,8 @@ void PseudoFs::register_sysfs() {
                   });
   }
 
-  const int idle_states = static_cast<int>(spec.cpuidle_states.size());
-  for (int cpu = 0; cpu < spec.num_cores; ++cpu) {
+  const int idle_states = static_cast<int>(geometry.cpuidle_states);
+  for (int cpu = 0; cpu < geometry.num_cores; ++cpu) {
     for (int state = 0; state < idle_states; ++state) {
       const std::string base =
           strformat("/sys/devices/system/cpu/cpu%d/cpuidle/state%d", cpu, state);
@@ -472,9 +565,9 @@ void PseudoFs::register_sysfs() {
     }
   }
 
-  if (spec.has_coretemp) {
+  if (geometry.has_coretemp) {
     // Sensor 1 = package, sensors 2..N+1 = per core.
-    for (int sensor = 1; sensor <= spec.num_cores + 1; ++sensor) {
+    for (int sensor = 1; sensor <= geometry.num_cores + 1; ++sensor) {
       register_file(
           strformat(
               "/sys/devices/platform/coretemp.0/hwmon/hwmon1/temp%d_input",
@@ -485,8 +578,8 @@ void PseudoFs::register_sysfs() {
     }
   }
 
-  if (spec.has_rapl) {
-    for (int pkg = 0; pkg < spec.num_packages; ++pkg) {
+  if (geometry.has_rapl) {
+    for (int pkg = 0; pkg < geometry.num_packages; ++pkg) {
       const std::string pkg_base =
           strformat("/sys/class/powercap/intel-rapl:%d", pkg);
       register_file(pkg_base + "/name",
@@ -510,7 +603,7 @@ void PseudoFs::register_sysfs() {
         hw::RaplDomainKind kind;
       };
       std::vector<SubDomain> subdomains = {{0, hw::RaplDomainKind::kCore}};
-      if (spec.has_dram_rapl) {
+      if (geometry.has_dram_rapl) {
         subdomains.push_back({1, hw::RaplDomainKind::kDram});
       }
       for (const auto& sub : subdomains) {
@@ -534,7 +627,7 @@ void PseudoFs::register_sysfs() {
   }
 }
 
-void PseudoFs::register_telemetry() {
+void PseudoFs::Registry::register_telemetry() {
   // The simulator's own telemetry, exposed the way the paper says kernel
   // telemetry *should* be exposed: the host context reads the full
   // Prometheus-rendered registry, a containerized (or restricted) viewer

@@ -8,13 +8,18 @@
 // contexts exactly like the tool in Fig 1.
 //
 // Performance notes (the scanner renders hundreds of paths per pass):
-//  * the registry is a sorted flat vector looked up by std::string_view
-//    (no per-lookup key allocation, cache-friendly binary search);
+//  * the file table depends only on hardware geometry (core, NUMA-node,
+//    cpuidle-state and package counts plus the RAPL/coretemp flags), so it
+//    is built once per geometry, sorted, and shared read-only by every host
+//    of that geometry; lookups binary-search it by std::string_view (no
+//    per-lookup key allocation);
 //  * generators append into a caller-provided buffer (read_into), so a
 //    scanning worker reuses one buffer for its whole path range;
 //  * host-context renders are memoized in a per-file cache tagged with the
 //    host's state generation — the cache invalidates itself whenever the
-//    host ticks forward or its task table changes;
+//    host ticks forward or its task table changes. A host allocates a
+//    file's cache on that file's first cached read, so a parked server that
+//    is never read holds no caches at all;
 //  * container-context renders are memoized per viewer in the same cache,
 //    keyed by (viewer PID-namespace id, host generation, render epoch,
 //    viewer-state fingerprint, restricted flag). The PID-namespace id is
@@ -27,10 +32,12 @@
 // Concurrency: reads are const and generators are pure, so any number of
 // threads may read concurrently *while the host is quiescent* (nobody is
 // calling Host::advance/spawn_task/etc.). The render cache is internally
-// locked per file (shared lock on the hit path, exclusive only to fill);
-// everything else is read-only.
+// locked per file (shared lock on the hit path, exclusive only to fill) and
+// installed with a compare-exchange on first use; everything else is
+// read-only.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -63,10 +70,14 @@ enum class CacheMode { kCacheable, kUncacheable };
 
 class PseudoFs {
  public:
-  /// Builds the full procfs + sysfs tree for `host`. The host must outlive
+  /// Mounts the full procfs + sysfs tree for `host`. The host must outlive
   /// the PseudoFs. Hardware-dependent subtrees (RAPL, coretemp) are only
   /// registered when the spec provides the hardware.
   explicit PseudoFs(const kernel::Host& host);
+  ~PseudoFs();
+
+  PseudoFs(const PseudoFs&) = delete;
+  PseudoFs& operator=(const PseudoFs&) = delete;
 
   /// All registered static paths, sorted. (Path *existence* does not depend
   /// on the viewer; DENY shows up at read time, as with AppArmor.)
@@ -114,7 +125,8 @@ class PseudoFs {
   [[nodiscard]] const kernel::Host& host() const noexcept { return *host_; }
 
   /// Register an extra path (used by tests to model future channels).
-  /// Replaces the generator when the path already exists.
+  /// Replaces the generator when the path already exists. The change is
+  /// private to this host: it edits a copy of the shared file table.
   void register_file(std::string path, Generator generator,
                      CacheMode mode = CacheMode::kCacheable);
 
@@ -170,10 +182,10 @@ class PseudoFs {
   /// Memoized renders for one file: the host-context slot, valid for one
   /// (host generation, render epoch) pair — i.e. until the next tick /
   /// task-table change / provider swap — plus up to kMaxViewerSlots
-  /// container-context slots. Heap-allocated so FileEntry stays movable
-  /// for the sorted insert. The shared_mutex serves hits under a reader
-  /// lock; fills upgrade to the writer lock and re-check, so a racing
-  /// fill is counted as exactly one miss no matter who wins.
+  /// container-context slots. Allocated on the file's first cached read
+  /// (see cache_for). The shared_mutex serves hits under a reader lock;
+  /// fills upgrade to the writer lock and re-check, so a racing fill is
+  /// counted as exactly one miss no matter who wins.
   struct RenderCache {
     mutable std::shared_mutex mu;
     std::uint64_t host_generation = 0;
@@ -193,14 +205,17 @@ class PseudoFs {
     std::string path;
     Generator generator;
     bool cacheable = true;
-    std::unique_ptr<RenderCache> cache;
   };
 
-  void register_procfs();
-  void register_sysfs();
-  void register_telemetry();
+  /// A sorted, immutable file table, shared by every host whose hardware
+  /// has the same geometry (defined in pseudo_fs.cpp). A file's id is its
+  /// index in the table.
+  struct Registry;
 
   [[nodiscard]] const FileEntry* find_entry(std::string_view path) const;
+
+  /// The render cache of `entry`, allocated and installed on first use.
+  RenderCache& cache_for(const FileEntry& entry) const;
 
   /// Serve a host-context render from the per-file cache (fill on miss).
   StatusCode read_host_cached(const FileEntry& entry,
@@ -224,7 +239,9 @@ class PseudoFs {
   const RaplViewProvider* rapl_provider_ = nullptr;
   const faults::FaultInjector* fault_injector_ = nullptr;
   std::uint64_t render_epoch_ = 0;
-  std::vector<FileEntry> files_;  ///< sorted by path
+  std::shared_ptr<const Registry> registry_;
+  /// One slot per file id; null until that file's first cached read.
+  mutable std::vector<std::atomic<RenderCache*>> caches_;
 };
 
 }  // namespace cleaks::fs

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
+#include "cloud/profiles.h"
+#include "cloud/server.h"
 #include "container/container.h"
 #include "fs/pseudo_fs.h"
 #include "leakage/channels.h"
 #include "obs/metrics.h"
+#include "util/fnv.h"
 #include "util/strings.h"
 
 namespace cleaks::fs {
@@ -118,6 +123,57 @@ TEST(PseudoFs, RegisterExtraFile) {
       "/proc/custom",
       [](const RenderContext&, std::string& out) { out += "hello\n"; });
   EXPECT_EQ(fixture.probe->read_file("/proc/custom").value(), "hello\n");
+}
+
+// ---------- shared file tables ----------
+
+// Path sets recorded when every host still built its own table: one
+// default-seeded Fnv64 over list_paths(), one add_string per path in order.
+TEST(PseudoFs, SharedRegistryMatchesRecordedPathSets) {
+  struct Recorded {
+    cloud::CloudServiceProfile profile;
+    std::size_t paths;
+    std::uint64_t digest;
+  };
+  const Recorded testbed{cloud::local_testbed(), 184, 0xe96eca7630013606ULL};
+  const Recorded cc1{cloud::cc1(), 628, 0x84f8d3514413992aULL};
+  const Recorded cc4{cloud::cc4(), 466, 0x171fd7a1cc1e285bULL};
+  // Interleaved, so a table handed to the wrong geometry would show.
+  int seed = 0;
+  for (const Recorded* recorded : {&testbed, &cc1, &cc4, &cc1, &testbed}) {
+    kernel::Host host(recorded->profile.name, recorded->profile.hardware,
+                      static_cast<std::uint64_t>(++seed));
+    PseudoFs filesystem(host);
+    const auto paths = filesystem.list_paths();
+    Fnv64 digest;
+    for (const auto& path : paths) digest.add_string(path);
+    EXPECT_EQ(paths.size(), recorded->paths) << recorded->profile.name;
+    EXPECT_EQ(digest.hash, recorded->digest) << recorded->profile.name;
+  }
+}
+
+TEST(PseudoFs, RegisterFileIsPrivateToItsHost) {
+  cloud::Server a("server-a", cloud::cc1(), 1, kDay);
+  cloud::Server b("server-b", cloud::cc1(), 2, kDay);
+  const ViewContext host_ctx;
+  const std::string b_uptime = b.fs().read("/proc/uptime", host_ctx).value();
+  const std::uint64_t b_epoch = b.fs().render_epoch();
+  const std::vector<std::string> b_paths = b.fs().list_paths();
+
+  a.fs().register_file(
+      "/proc/custom",
+      [](const RenderContext&, std::string& out) { out += "custom\n"; });
+  a.fs().register_file(
+      "/proc/uptime",
+      [](const RenderContext&, std::string& out) { out += "replaced\n"; });
+  EXPECT_EQ(a.fs().read("/proc/custom", host_ctx).value(), "custom\n");
+  EXPECT_EQ(a.fs().read("/proc/uptime", host_ctx).value(), "replaced\n");
+
+  EXPECT_EQ(b.fs().read("/proc/custom", host_ctx).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(b.fs().read("/proc/uptime", host_ctx).value(), b_uptime);
+  EXPECT_EQ(b.fs().render_epoch(), b_epoch);
+  EXPECT_EQ(b.fs().list_paths(), b_paths);
 }
 
 // ---------- leaking generators: container view == host view ----------

@@ -9,8 +9,10 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <latch>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -300,6 +302,38 @@ TEST(RenderCache, RegisterFileReplacesCachedBytes) {
       "/proc/custom",
       [](const fs::RenderContext&, std::string& out) { out += "v2\n"; });
   EXPECT_EQ(server.fs().read("/proc/custom", host_ctx).value(), "v2\n");
+}
+
+TEST(RenderCache, ConcurrentFirstReadFillsOnce) {
+  cloud::Server server("cache-host", cloud::local_testbed(), 5, kDay);
+  const fs::PseudoFs& pseudo = server.fs();  // settle the host up front
+  const fs::ViewContext host_ctx{};
+  auto& registry = obs::Registry::global();
+  const std::uint64_t hits_before =
+      registry.counter("fs_render_cache_hits_total").value();
+  const std::uint64_t misses_before =
+      registry.counter("fs_render_cache_misses_total").value();
+
+  // All readers race for the first read of a never-read file: each may
+  // build a cache, exactly one is installed, and exactly one renders.
+  constexpr int kReaders = 8;
+  std::latch start(kReaders);
+  std::array<std::string, kReaders> bytes;
+  std::vector<std::thread> readers;
+  for (int i = 0; i < kReaders; ++i) {
+    readers.emplace_back([&, i] {
+      start.arrive_and_wait();
+      bytes[i] = pseudo.read("/proc/meminfo", host_ctx).value();
+    });
+  }
+  for (auto& reader : readers) reader.join();
+
+  for (const auto& read : bytes) EXPECT_EQ(read, bytes[0]);
+  EXPECT_FALSE(bytes[0].empty());
+  EXPECT_EQ(registry.counter("fs_render_cache_misses_total").value(),
+            misses_before + 1);
+  EXPECT_EQ(registry.counter("fs_render_cache_hits_total").value(),
+            hits_before + kReaders - 1);
 }
 
 TEST(RenderCache, ReadIntoMatchesRead) {

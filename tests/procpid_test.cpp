@@ -4,6 +4,11 @@
 // another tenant's (or the host's) processes through it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "containerleaks.h"
 
 namespace cleaks::fs {
@@ -141,6 +146,66 @@ TEST(ProcPid, UnknownLeafFallsThroughToNotFound) {
             StatusCode::kNotFound);
   EXPECT_EQ(fixture.tenant->read_file("/proc/99999/status").code(),
             StatusCode::kNotFound);
+}
+
+// `a` + `b` for non-negative decimal strings of any length.
+std::string add_decimal(const std::string& a, const std::string& b) {
+  std::string sum;
+  int carry = 0;
+  for (std::size_t i = 0; i < std::max(a.size(), b.size()) || carry; ++i) {
+    const int da = i < a.size() ? a[a.size() - 1 - i] - '0' : 0;
+    const int db = i < b.size() ? b[b.size() - 1 - i] - '0' : 0;
+    sum.insert(sum.begin(), static_cast<char>('0' + (da + db + carry) % 10));
+    carry = (da + db + carry) / 10;
+  }
+  return sum;
+}
+
+// Linux's name_to_int: a pid directory name is the canonical decimal of a
+// visible pid, so every spelling that aliases a listed pid must miss.
+TEST(ProcPid, ReadsExactlyTheListedPaths) {
+  Fixture fixture;
+  fixture.tenant->run("worker", {});
+  ViewContext host_ctx;
+  ViewContext tenant_ctx;
+  tenant_ctx.viewer = fixture.tenant->init_task();
+  for (const ViewContext& ctx : {host_ctx, tenant_ctx}) {
+    const auto listed = fixture.filesystem.list_paths(ctx);
+    const std::set<std::string> listed_set(listed.begin(), listed.end());
+    std::size_t pid_paths = 0;
+    for (const auto& path : listed) {
+      EXPECT_NE(fixture.filesystem.read(path, ctx).code(),
+                StatusCode::kNotFound)
+          << path;
+      if (!starts_with(path, "/proc/")) continue;
+      const std::string tail = path.substr(6);
+      const std::size_t slash = tail.find('/');
+      const std::string pid = tail.substr(0, slash);
+      if (slash == std::string::npos ||
+          pid.find_first_not_of("0123456789") != std::string::npos) {
+        continue;
+      }
+      ++pid_paths;
+      const std::string leaf = tail.substr(slash);
+      std::vector<std::string> aliases = {
+          "/proc/0" + pid + leaf,
+          "/proc/" + add_decimal(pid, "4294967296") + leaf,
+          "/proc/" + add_decimal(pid, "18446744073709551616") + leaf,
+          path + "/x",
+      };
+      for (std::size_t i = 0; i < pid.size(); ++i) {
+        aliases.push_back("/proc/" + pid.substr(0, i) + pid.substr(i + 1) +
+                          leaf);
+      }
+      for (const auto& alias : aliases) {
+        if (listed_set.count(alias) != 0) continue;
+        EXPECT_EQ(fixture.filesystem.read(alias, ctx).code(),
+                  StatusCode::kNotFound)
+            << alias;
+      }
+    }
+    EXPECT_GT(pid_paths, 0u);
+  }
 }
 
 TEST(ProcPid, MaskingPolicyStillApplies) {
