@@ -16,8 +16,6 @@
 #include "cloud/server.h"
 #include "defense/power_namespace.h"
 #include "defense/trainer.h"
-#include "faults/injector.h"
-#include "faults/plan.h"
 #include "util/cycle_timer.h"
 
 using namespace cleaks;
@@ -117,58 +115,21 @@ void BM_Read_SchedDebug(benchmark::State& state) {
 }
 BENCHMARK(BM_Read_SchedDebug);
 
-// Cached vs uncached container-context reads (the PR 5 viewer cache). On a
-// quiescent host, repeat reads of a cacheable path are served from the
-// per-viewer render cache; the uncached fixture pins the fault-bypass path
-// with a rate-0 rule — it never actually fires, but any covered path skips
-// the viewer cache entirely and renders from scratch each time.
-const faults::FaultInjector& meminfo_bypass_injector() {
-  static const faults::FaultInjector injector = [] {
-    faults::FaultPlan plan;
-    faults::FaultRule rule;
-    rule.path_glob = "/proc/*info";  // meminfo + cpuinfo
-    rule.rate = 0.0;
-    plan.rules.push_back(rule);
-    return faults::FaultInjector(plan);
-  }();
-  return injector;
-}
-
-void BM_Read_ProcMeminfo_Cached(benchmark::State& state) {
+void BM_Read_ProcMeminfo(benchmark::State& state) {
   auto& e = env();
   for (auto _ : state) {
     benchmark::DoNotOptimize(e.instance->read_file("/proc/meminfo"));
   }
 }
-BENCHMARK(BM_Read_ProcMeminfo_Cached);
+BENCHMARK(BM_Read_ProcMeminfo);
 
-void BM_Read_ProcMeminfo_Uncached(benchmark::State& state) {
-  auto& e = env();
-  e.server.fs().set_fault_injector(&meminfo_bypass_injector());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(e.instance->read_file("/proc/meminfo"));
-  }
-  e.server.fs().set_fault_injector(nullptr);
-}
-BENCHMARK(BM_Read_ProcMeminfo_Uncached);
-
-void BM_Read_ProcCpuinfo_Cached(benchmark::State& state) {
+void BM_Read_ProcCpuinfo(benchmark::State& state) {
   auto& e = env();
   for (auto _ : state) {
     benchmark::DoNotOptimize(e.instance->read_file("/proc/cpuinfo"));
   }
 }
-BENCHMARK(BM_Read_ProcCpuinfo_Cached);
-
-void BM_Read_ProcCpuinfo_Uncached(benchmark::State& state) {
-  auto& e = env();
-  e.server.fs().set_fault_injector(&meminfo_bypass_injector());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(e.instance->read_file("/proc/cpuinfo"));
-  }
-  e.server.fs().set_fault_injector(nullptr);
-}
-BENCHMARK(BM_Read_ProcCpuinfo_Uncached);
+BENCHMARK(BM_Read_ProcCpuinfo);
 
 void BM_Read_RaplEnergy_Stock(benchmark::State& state) {
   auto& e = env();

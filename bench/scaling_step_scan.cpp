@@ -181,7 +181,7 @@ void report_hotpath_run(obs::JsonWriter& json, const char* key,
 /// same step count, so the hot path must reproduce it bitwise. Lane
 /// reporting goes through ThreadPool::default_lanes() so the envelope
 /// records the same CLEAKS_THREADS resolution every pool in the binary
-/// uses (clamped env override, else hardware concurrency).
+/// uses (clamped env override, else the affinity-mask CPU count).
 bool run_hotpath_section(std::uint64_t scaling_digest) {
   std::printf("\n== step hot path (single lane) ==\n");
   const double cps = calibrate_cycles_per_second();

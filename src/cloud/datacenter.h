@@ -59,8 +59,8 @@ struct DatacenterConfig {
   int benign_load_servers = -1;
   std::uint64_t seed = 42;
   /// Lanes used to step servers concurrently (0 = ThreadPool default: the
-  /// CLEAKS_THREADS env var, else hardware concurrency; 1 = serial). Each
-  /// server owns its whole state and its own RNG stream, so stepping is
+  /// CLEAKS_THREADS env var, else the affinity-mask CPU count; 1 = serial).
+  /// Each server owns its whole state and its own RNG stream, so stepping is
   /// embarrassingly parallel and *bitwise deterministic*: every thread
   /// count produces the identical power trace.
   int num_threads = 0;

@@ -161,12 +161,6 @@ bool ContainerRuntime::destroy(const std::string& id) {
                                  return device.name == veth_name;
                                }),
                 devices.end());
-  // Release the destroyed viewer's cached renders. Hygiene, not
-  // correctness: its PID-namespace id is incarnation-unique, so no future
-  // viewer could ever match the stale slots anyway.
-  if (instance->ns_.pid != nullptr) {
-    fs_->drop_viewer_entries(instance->ns_.pid->id);
-  }
   instance->alive_ = false;
   containers_.erase(it);
   return true;

@@ -104,8 +104,8 @@ class ContainerRuntime {
   }
   /// Replace the masking policy at runtime (stage-1 defense rollout);
   /// affects existing and future containers alike. Bumps the filesystem's
-  /// render epoch: the policy decides which renders are restricted, so
-  /// every cached render predating the flip is stale.
+  /// render epoch: the policy decides which renders are restricted, so no
+  /// scan may reuse a render predating the flip.
   void set_policy(fs::MaskingPolicy policy) {
     policy_ = std::move(policy);
     fs_->bump_render_epoch();

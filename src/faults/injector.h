@@ -34,8 +34,8 @@ class FaultInjector {
   /// True when any read-faulting rule's glob matches `path`, regardless of
   /// sim time or rate. Deliberately conservative (a rate-0 rule still
   /// covers): fault draws are keyed by sim-time window, so a covered path
-  /// must bypass every render cache — serving memoized bytes would skip
-  /// the draw that decides whether this exact read faults.
+  /// is never cache_eligible — reusing a classification would skip the
+  /// draw that decides whether this exact read faults.
   [[nodiscard]] bool covers(std::string_view path) const;
 
   /// True when a kRaplWrapForce rule fires at engine step `step_index`

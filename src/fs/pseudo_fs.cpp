@@ -19,7 +19,12 @@ namespace {
 
 // Pseudo-fs telemetry. Every value counts reads/renders that the simulation
 // performs deterministically (the same set of reads happens at every thread
-// count, and the cache is locked per file), so these stay Scope::kSim.
+// count), so these stay Scope::kSim.
+//
+// The six fs_{render,viewer}_cache_* counters keep their names because
+// perfbench reads them, though the pseudo-fs memoizes nothing: a "miss" is
+// a render of a cacheable file (see read_into), and hits and invalidations
+// stay registered at 0.
 //
 // Invariant: none of these counters fire on an *uncacheable* static-path
 // render — /proc/containerleaks renders the registry that contains them,
@@ -28,22 +33,23 @@ namespace {
 // exactly that stability).
 struct FsMetrics {
   obs::Counter& cache_hits = obs::Registry::global().counter(
-      "fs_render_cache_hits_total", "host-context renders served from cache");
+      "fs_render_cache_hits_total",
+      "always 0: the pseudo-fs memoizes nothing");
   obs::Counter& cache_misses = obs::Registry::global().counter(
-      "fs_render_cache_misses_total", "host-context renders that ran the generator");
+      "fs_render_cache_misses_total",
+      "host-context renders of cacheable files");
   obs::Counter& cache_invalidations = obs::Registry::global().counter(
       "fs_render_cache_invalidations_total",
-      "cached bytes discarded as stale (tick / task table / epoch change)");
+      "always 0: the pseudo-fs memoizes nothing");
   obs::Counter& viewer_hits = obs::Registry::global().counter(
       "fs_viewer_cache_hits_total",
-      "container-context renders served from a viewer slot");
+      "always 0: the pseudo-fs memoizes nothing");
   obs::Counter& viewer_misses = obs::Registry::global().counter(
       "fs_viewer_cache_misses_total",
-      "container-context renders that ran the generator");
+      "container-context renders of cacheable files no fault rule covers");
   obs::Counter& viewer_invalidations = obs::Registry::global().counter(
       "fs_viewer_cache_invalidations_total",
-      "viewer slots discarded as stale (generation / epoch / fingerprint / "
-      "mask flip) or evicted");
+      "always 0: the pseudo-fs memoizes nothing");
   obs::Counter& pid_renders = obs::Registry::global().counter(
       "fs_pid_renders_total", "dynamic /proc/<pid>/* renders");
   obs::Counter& reads_denied = obs::Registry::global().counter(
@@ -102,22 +108,19 @@ struct PseudoFs::Registry {
   }
 
   /// Sorted insert; an existing path gets the new generator (last
-  /// registration wins). Returns the file id and whether it was inserted.
-  std::pair<std::size_t, bool> register_file(
-      std::string path, Generator generator,
-      CacheMode mode = CacheMode::kCacheable) {
+  /// registration wins).
+  void register_file(std::string path, Generator generator,
+                     CacheMode mode = CacheMode::kCacheable) {
     auto it = std::lower_bound(
         files.begin(), files.end(), std::string_view(path),
         [](const FileEntry& entry, std::string_view p) {
           return entry.path < p;
         });
-    const bool inserted = it == files.end() || it->path != path;
-    if (inserted) {
+    if (it == files.end() || it->path != path) {
       it = files.insert(it, FileEntry{std::move(path), {}, true});
     }
     it->generator = std::move(generator);
     it->cacheable = mode == CacheMode::kCacheable;
-    return {static_cast<std::size_t>(it - files.begin()), inserted};
   }
 
   void register_procfs(const FsGeometry& geometry);
@@ -126,28 +129,14 @@ struct PseudoFs::Registry {
 };
 
 PseudoFs::PseudoFs(const kernel::Host& host)
-    : host_(&host),
-      registry_(Registry::shared(FsGeometry::of(host.spec()))),
-      caches_(registry_->files.size()) {}
-
-PseudoFs::~PseudoFs() {
-  for (auto& slot : caches_) delete slot.load();
-}
+    : host_(&host), registry_(Registry::shared(FsGeometry::of(host.spec()))) {}
 
 void PseudoFs::register_file(std::string path, Generator generator,
                              CacheMode mode) {
   // Copy-on-write: other hosts may share the table, so edit a private copy.
   auto table = std::make_shared<Registry>(*registry_);
-  const auto [id, inserted] =
-      table->register_file(std::move(path), std::move(generator), mode);
+  table->register_file(std::move(path), std::move(generator), mode);
   registry_ = std::move(table);
-  if (inserted) {  // shift the cache slots of later files up by one
-    std::vector<std::atomic<RenderCache*>> caches(caches_.size() + 1);
-    for (std::size_t i = 0; i < caches_.size(); ++i) {
-      caches[i < id ? i : i + 1].store(caches_[i].load());
-    }
-    caches_ = std::move(caches);
-  }
   ++render_epoch_;
 }
 
@@ -160,20 +149,6 @@ const PseudoFs::FileEntry* PseudoFs::find_entry(std::string_view path) const {
       });
   if (it == files.end() || it->path != path) return nullptr;
   return &*it;
-}
-
-PseudoFs::RenderCache& PseudoFs::cache_for(const FileEntry& entry) const {
-  auto& slot = caches_[static_cast<std::size_t>(
-      &entry - registry_->files.data())];
-  RenderCache* cache = slot.load();
-  if (cache != nullptr) return *cache;
-  // First cached read of this file. Concurrent first readers each build a
-  // cache; one install wins and the losers free theirs.
-  auto fresh = std::make_unique<RenderCache>();
-  if (slot.compare_exchange_strong(cache, fresh.get())) {
-    return *fresh.release();
-  }
-  return *cache;
 }
 
 std::vector<std::string> PseudoFs::list_paths() const {
@@ -296,138 +271,19 @@ StatusCode PseudoFs::read_into(std::string_view path, const ViewContext& ctx,
   if (const StatusCode fault = injected_fault(); fault != StatusCode::kOk) {
     return fault;
   }
-  // Host-context renders (no viewer, no restriction) depend only on host
-  // state, so their bytes are served from the per-tick cache. Container
-  // renders are memoized per viewer in the same cache's viewer slots —
-  // unless the path is covered by a fault rule, in which case every read
-  // must reach the injector's sim-time-windowed draw (the fault above fired
-  // *this* read; the next one re-draws). kUncacheable files always render
-  // (their generators read state the host generation doesn't track).
+  // Count renders of cacheable files as cache "misses" (see FsMetrics):
+  // host-context reads, and container reads by a PID-namespaced viewer of
+  // a path no fault rule covers.
   if (entry->cacheable) {
-    if (render_ctx.viewer == nullptr && !render_ctx.restricted) {
-      return read_host_cached(*entry, render_ctx, out);
-    }
-    if (ctx.is_container() && ctx.viewer->ns.pid != nullptr &&
-        (fault_injector_ == nullptr || !fault_injector_->covers(path))) {
-      return read_viewer_cached(*entry, render_ctx, out);
+    if (render_ctx.viewer == nullptr) {
+      FsMetrics::get().cache_misses.inc();
+    } else if (ctx.is_container() && ctx.viewer->ns.pid != nullptr &&
+               (fault_injector_ == nullptr ||
+                !fault_injector_->covers(path))) {
+      FsMetrics::get().viewer_misses.inc();
     }
   }
   entry->generator(render_ctx, out);
-  return StatusCode::kOk;
-}
-
-StatusCode PseudoFs::read_host_cached(const FileEntry& entry,
-                                      const RenderContext& render_ctx,
-                                      std::string& out) const {
-  auto& metrics = FsMetrics::get();
-  RenderCache& cache = cache_for(entry);
-  const std::uint64_t generation = host_->state_generation();
-  const auto fresh = [&] {
-    return cache.valid && cache.host_generation == generation &&
-           cache.render_epoch == render_epoch_;
-  };
-  {
-    std::shared_lock<std::shared_mutex> lock(cache.mu);
-    if (fresh()) {
-      metrics.cache_hits.inc();
-      out.append(cache.bytes);
-      return StatusCode::kOk;
-    }
-  }
-  std::unique_lock<std::shared_mutex> lock(cache.mu);
-  if (fresh()) {  // a racer filled between the lock upgrade: count a hit
-    metrics.cache_hits.inc();
-  } else {
-    if (cache.valid) metrics.cache_invalidations.inc();
-    metrics.cache_misses.inc();
-    cache.bytes.clear();
-    entry.generator(render_ctx, cache.bytes);
-    cache.host_generation = generation;
-    cache.render_epoch = render_epoch_;
-    cache.valid = true;
-  }
-  out.append(cache.bytes);
-  return StatusCode::kOk;
-}
-
-StatusCode PseudoFs::read_viewer_cached(const FileEntry& entry,
-                                        const RenderContext& render_ctx,
-                                        std::string& out) const {
-  auto& metrics = FsMetrics::get();
-  RenderCache& cache = cache_for(entry);
-  const std::uint64_t key = render_ctx.viewer->ns.pid->id;
-  const std::uint64_t generation = host_->state_generation();
-  const std::uint64_t fingerprint =
-      viewer_state_fingerprint(*render_ctx.viewer);
-  const auto fresh = [&](const ViewerSlot& slot) {
-    return slot.valid && slot.host_generation == generation &&
-           slot.render_epoch == render_epoch_ &&
-           slot.view_fingerprint == fingerprint &&
-           slot.restricted == render_ctx.restricted;
-  };
-  {
-    std::shared_lock<std::shared_mutex> lock(cache.mu);
-    for (const ViewerSlot& slot : cache.viewers) {
-      if (slot.viewer_key != key) continue;
-      if (fresh(slot)) {
-        metrics.viewer_hits.inc();
-        out.append(slot.bytes);
-        return StatusCode::kOk;
-      }
-      break;
-    }
-  }
-  std::unique_lock<std::shared_mutex> lock(cache.mu);
-  ViewerSlot* slot = nullptr;
-  for (ViewerSlot& candidate : cache.viewers) {
-    if (candidate.viewer_key == key) {
-      slot = &candidate;
-      break;
-    }
-  }
-  if (slot != nullptr && fresh(*slot)) {
-    // A racer filled between the lock upgrade: a (key, generation) fill
-    // happens exactly once, so hit/miss totals stay race-independent.
-    metrics.viewer_hits.inc();
-    out.append(slot->bytes);
-    return StatusCode::kOk;
-  }
-  if (slot == nullptr) {
-    if (cache.viewers.size() < kMaxViewerSlots) {
-      slot = &cache.viewers.emplace_back();
-      slot->viewer_key = key;
-    } else {
-      // Deterministic eviction: PID-namespace ids are monotonic, so the
-      // smallest resident key is the oldest incarnation. An incoming key
-      // smaller than every resident renders uncached — either way the
-      // resident set converges to the same top-N newest incarnations
-      // regardless of read interleaving.
-      ViewerSlot* oldest = &cache.viewers.front();
-      for (ViewerSlot& candidate : cache.viewers) {
-        if (candidate.viewer_key < oldest->viewer_key) oldest = &candidate;
-      }
-      if (oldest->viewer_key > key) {
-        metrics.viewer_misses.inc();
-        entry.generator(render_ctx, out);
-        return StatusCode::kOk;
-      }
-      metrics.viewer_invalidations.inc();
-      *oldest = ViewerSlot{};
-      oldest->viewer_key = key;
-      slot = oldest;
-    }
-  } else if (slot->valid) {
-    metrics.viewer_invalidations.inc();  // stale bytes being replaced
-  }
-  metrics.viewer_misses.inc();
-  slot->bytes.clear();
-  entry.generator(render_ctx, slot->bytes);
-  slot->host_generation = generation;
-  slot->render_epoch = render_epoch_;
-  slot->view_fingerprint = fingerprint;
-  slot->restricted = render_ctx.restricted;
-  slot->valid = true;
-  out.append(slot->bytes);
   return StatusCode::kOk;
 }
 
@@ -435,21 +291,6 @@ bool PseudoFs::cache_eligible(std::string_view path) const {
   const FileEntry* entry = find_entry(path);
   if (entry == nullptr || !entry->cacheable) return false;
   return fault_injector_ == nullptr || !fault_injector_->covers(path);
-}
-
-void PseudoFs::drop_viewer_entries(std::uint64_t viewer_pid_ns) const {
-  for (const auto& slot : caches_) {
-    RenderCache* allocated = slot.load();
-    if (allocated == nullptr) continue;  // never read: holds no slots
-    RenderCache& cache = *allocated;
-    std::unique_lock<std::shared_mutex> lock(cache.mu);
-    auto& slots = cache.viewers;
-    slots.erase(std::remove_if(slots.begin(), slots.end(),
-                               [&](const ViewerSlot& slot) {
-                                 return slot.viewer_key == viewer_pid_ns;
-                               }),
-                slots.end());
-  }
 }
 
 std::uint64_t PseudoFs::viewer_state_fingerprint(const kernel::Task& viewer) {
@@ -636,7 +477,7 @@ void PseudoFs::Registry::register_telemetry() {
   // classifies the file NAMESPACED — the contrast case to Table I.
   //
   // kUncacheable: the registry mutates without bumping the host state
-  // generation, so memoized bytes would go stale. The render itself must
+  // generation, so a reused classification would go stale. The render must
   // not touch any counter (see FsMetrics) or two quiescent reads would
   // disagree.
   register_file(

@@ -475,7 +475,7 @@ void Host::materialize_coast_(SimDuration elapsed) {
   }
 
   now_ = c.t0 + elapsed;
-  ++generation_;  // the render cache must see the new bytes
+  ++generation_;  // scan reuse must see the new bytes
   c.expected_generation = generation_;
 }
 

@@ -201,8 +201,9 @@ class Host {
   }
 
   /// Monotonic counter bumped whenever anything /proc- or /sys-visible may
-  /// have changed (tick, task table change, runtime mutation). The pseudo-fs
-  /// render cache keys on it: equal generation ⇒ identical render bytes.
+  /// have changed (tick, task table change, runtime mutation). The scan
+  /// reuse key (CrossValidator) includes it: equal generation, render epoch
+  /// and viewer fingerprint ⇒ identical render bytes.
   [[nodiscard]] std::uint64_t state_generation() const noexcept {
     return generation_;
   }

@@ -52,8 +52,9 @@ struct ScanOptions {
   /// background drift.
   double sensitivity = 3.0;
   /// Execution lanes for scan()'s read phases (0 = ThreadPool default via
-  /// CLEAKS_THREADS / hardware concurrency, 1 = serial). Reads are pure and
-  /// statically chunked, so the findings are identical for every value.
+  /// CLEAKS_THREADS / the affinity-mask CPU count, 1 = serial). Reads are
+  /// pure and statically chunked, so the findings are identical for every
+  /// value.
   int num_threads = 0;
   /// Bounded sim-time retry for transient (EBUSY) reads: up to
   /// `max_read_retries` rounds, stepping the server `retry_backoff` apart.

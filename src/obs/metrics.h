@@ -3,7 +3,7 @@
 // The paper's premise is that unguarded kernel telemetry becomes an attack
 // surface; this module is the reproduction watching itself — counters,
 // gauges and fixed-bucket histograms over the engine's hot paths
-// (Datacenter::step, CrossValidator::scan, the pseudo-fs render cache).
+// (Datacenter::step, CrossValidator::scan, pseudo-fs reads).
 //
 // Determinism contract (the PR-1 invariant, extended to telemetry):
 // metric values are *bitwise identical for every CLEAKS_THREADS value*.

@@ -1,5 +1,7 @@
 #include "util/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 
 #include "obs/metrics.h"
@@ -27,12 +29,20 @@ obs::Counter& lane_chunks_counter() {
 }  // namespace
 
 int ThreadPool::default_lanes() {
-  // Non-numeric text falls through to hardware concurrency; numeric
-  // values — including 0, negatives and absurd counts — are clamped to
+  // Non-numeric text falls through to the CPU count; numeric values —
+  // including 0, negatives and absurd counts — are clamped to
   // [1, kMaxLanes] rather than fed straight to the pool.
   if (const auto parsed = env_long("CLEAKS_THREADS")) {
     return static_cast<int>(
         std::clamp(*parsed, 1L, static_cast<long>(kMaxLanes)));
+  }
+  // Count the CPUs this thread may run on, not the CPUs online: under
+  // `taskset -c 0` a pool sized by hardware_concurrency() would pile every
+  // lane onto one CPU.
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof mask, &mask) == 0) {
+    return std::clamp(CPU_COUNT(&mask), 1, kMaxLanes);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? std::min(static_cast<int>(hw), kMaxLanes) : 1;

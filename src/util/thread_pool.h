@@ -42,10 +42,10 @@ class ThreadPool {
     return static_cast<int>(workers_.size()) + 1;
   }
 
-  /// CLEAKS_THREADS environment override, else hardware concurrency. Env
-  /// values are sanitized: non-numeric text is ignored, and numeric values
-  /// are clamped to [1, kMaxLanes] (0, negatives and absurd counts never
-  /// reach the pool).
+  /// CLEAKS_THREADS environment override, else the number of CPUs in the
+  /// calling thread's affinity mask. Env values are sanitized: non-numeric
+  /// text is ignored, and numeric values are clamped to [1, kMaxLanes] (0,
+  /// negatives and absurd counts never reach the pool).
   static int default_lanes();
 
   /// Lane id of the calling thread: 0 for any thread outside a pool body

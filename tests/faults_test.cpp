@@ -253,7 +253,8 @@ TEST(FaultInjectorTest, CoversIsAPureGlobOverReadFaultRules) {
 }
 
 // The pinned fault-safety contract: a path covered by any read-fault rule
-// bypasses the viewer render cache entirely, even if the rule never fires.
+// is never cacheable, even if the rule never fires, so its container reads
+// do not count as viewer-cache renders.
 TEST(ScanUnderFaultsTest, FaultCoveredPathsBypassViewerCache) {
   cloud::Server server("bypass-host", cloud::local_testbed(), 77);
   FaultPlan plan;
@@ -264,17 +265,16 @@ TEST(ScanUnderFaultsTest, FaultCoveredPathsBypassViewerCache) {
   const FaultInjector injector(plan);
   server.fs().set_fault_injector(&injector);
   auto instance = server.runtime().create({});
-  auto& hits =
-      obs::Registry::global().counter("fs_viewer_cache_hits_total", "");
+  auto& misses =
+      obs::Registry::global().counter("fs_viewer_cache_misses_total", "");
   std::string buffer;
-  instance->read_file_into("/proc/uptime", buffer);
-  const std::uint64_t covered_before = hits.value();
-  instance->read_file_into("/proc/uptime", buffer);
-  EXPECT_EQ(hits.value(), covered_before);  // covered: never cached
-  instance->read_file_into("/proc/version", buffer);
-  const std::uint64_t open_before = hits.value();
-  instance->read_file_into("/proc/version", buffer);
-  EXPECT_EQ(hits.value(), open_before + 1);  // uncovered path caches fine
+  const std::uint64_t covered_before = misses.value();
+  EXPECT_EQ(instance->read_file_into("/proc/uptime", buffer), StatusCode::kOk);
+  EXPECT_EQ(misses.value(), covered_before);  // covered: never cacheable
+  const std::uint64_t open_before = misses.value();
+  EXPECT_EQ(instance->read_file_into("/proc/version", buffer),
+            StatusCode::kOk);
+  EXPECT_EQ(misses.value(), open_before + 1);  // uncovered path counts
 }
 
 // ---------- scanner degradation ----------

@@ -411,7 +411,7 @@ TEST(Restricted, MeminfoShowsCgroupLimit) {
   EXPECT_EQ(parse_first_int(split_lines(text)[0]), 2 * 1024 * 1024);
 }
 
-// ---------- viewer render cache (PR 5) ----------
+// ---------- container-context renders: reuse-key edges ----------
 
 namespace {
 
@@ -426,15 +426,14 @@ std::uint64_t viewer_misses() {
 
 }  // namespace
 
-TEST(ViewerCache, RepeatContainerReadHitsCache) {
+TEST(ViewerCache, RepeatContainerReadRendersEachTime) {
   Fixture fixture;
-  const auto first = fixture.probe->read_file("/proc/meminfo").value();
-  const std::uint64_t hits_before = viewer_hits();
   const std::uint64_t misses_before = viewer_misses();
+  const auto first = fixture.probe->read_file("/proc/meminfo").value();
+  EXPECT_EQ(viewer_misses(), misses_before + 1);
   const auto second = fixture.probe->read_file("/proc/meminfo").value();
   EXPECT_EQ(second, first);
-  EXPECT_EQ(viewer_hits(), hits_before + 1);   // served from the cache
-  EXPECT_EQ(viewer_misses(), misses_before);   // no re-render
+  EXPECT_EQ(viewer_misses(), misses_before + 2);  // nothing memoized
 }
 
 TEST(ViewerCache, HostTickInvalidates) {
@@ -444,7 +443,7 @@ TEST(ViewerCache, HostTickInvalidates) {
   const std::uint64_t hits_before = viewer_hits();
   const auto after = fixture.probe->read_file("/proc/uptime").value();
   EXPECT_NE(after, before);                // fresh render, new generation
-  EXPECT_EQ(viewer_hits(), hits_before);   // the stale slot could not hit
+  EXPECT_EQ(viewer_hits(), hits_before);   // nothing is ever served memoized
 }
 
 TEST(ViewerCache, MaskUnmaskViaStage1StaysCorrect) {
@@ -457,7 +456,6 @@ TEST(ViewerCache, MaskUnmaskViaStage1StaysCorrect) {
 
   const auto open_view = instance->read_file("/proc/meminfo").value();
   EXPECT_EQ(parse_first_int(split_lines(open_view)[0]), 16 * 1024 * 1024);
-  instance->read_file("/proc/meminfo");  // prime the cache under kAllow
 
   MaskingPolicy restrict_policy;
   restrict_policy.add_rule("/proc/meminfo", MaskAction::kRestrict);
@@ -481,11 +479,14 @@ TEST(ViewerCache, CgroupLimitChangeRefreshesRestrictedView) {
   auto instance = runtime.create(config);
   const auto before = instance->read_file("/proc/meminfo").value();
   EXPECT_EQ(parse_first_int(split_lines(before)[0]), 4 * 1024 * 1024);
-  instance->read_file("/proc/meminfo");  // cached at the 4 GiB fingerprint
+  const std::uint64_t fingerprint =
+      PseudoFs::viewer_state_fingerprint(*instance->init_task());
 
   // Tighten the limit in place: the host generation does not move, but the
-  // viewer-state fingerprint does — the cached render must not be served.
+  // viewer-state fingerprint does, which ends any scan reuse of this view.
   instance->cgroup()->memory.limit_bytes = 2ULL << 30;
+  EXPECT_NE(PseudoFs::viewer_state_fingerprint(*instance->init_task()),
+            fingerprint);
   const auto after = instance->read_file("/proc/meminfo").value();
   EXPECT_EQ(parse_first_int(split_lines(after)[0]), 2 * 1024 * 1024);
 }
@@ -507,8 +508,8 @@ TEST(ViewerCache, DestroyRecreateReusedIdGetsFreshView) {
 
   // A second runtime on the same host replays the same id stream, so the
   // new container reuses the dead one's id — but its namespaces are a new
-  // incarnation and its limit differs. The cache must not resurrect the
-  // old bytes.
+  // incarnation and its limit differs. Its view must show the new limit,
+  // never the old bytes.
   container::ContainerRuntime second_runtime(host, filesystem, policy);
   config.memory_limit_bytes = 2ULL << 30;
   auto second = second_runtime.create(config);

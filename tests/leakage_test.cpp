@@ -1,12 +1,23 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <map>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
+#include "defense/power_namespace.h"
+#include "defense/trainer.h"
+#include "faults/injector.h"
 #include "leakage/channels.h"
 #include "leakage/detector.h"
 #include "leakage/inspector.h"
 #include "obs/metrics.h"
+#include "util/fnv.h"
+#include "util/rng.h"
 
 namespace cleaks::leakage {
 namespace {
@@ -269,6 +280,198 @@ TEST(Incremental, DisabledIncrementalScansStayCold) {
   }
   EXPECT_EQ(reused.value(), reused_before);    // no reuse when disabled
   EXPECT_EQ(avoided.value(), avoided_before);  // every render ran again
+}
+
+// The reuse key (host state generation, render epoch, probe fingerprint)
+// is the only thing that lets a scan skip renders, so it must be complete:
+// across any mutation that leaves it unchanged, every cache-eligible path
+// renders the same bytes from the host view and from the probe's view.
+TEST(Incremental, UnchangedReuseKeyMeansUnchangedBytes) {
+  constexpr int kMutations = 100;
+  // In-place cgroup writes are weighted up: they are the mutations that can
+  // leave the key unchanged while touching state a restricted render reads.
+  enum Kind {
+    kStep, kAdvance, kSpawn, kKill, kCreate, kDestroy, kProbeCgroup,
+    kOtherCgroup, kPolicy, kPowerNs, kFaultPlan
+  };
+  constexpr Kind kKinds[] = {kStep,         kAdvance,     kSpawn,
+                             kKill,         kCreate,      kDestroy,
+                             kProbeCgroup,  kProbeCgroup, kProbeCgroup,
+                             kOtherCgroup,  kOtherCgroup, kPolicy,
+                             kPowerNs,      kFaultPlan};
+  const defense::PowerModel model = defense::train_default_model(7).value();
+  faults::FaultPlan plan;
+  faults::FaultRule never;
+  never.path_glob = "/proc/s*";  // a rate-0 rule still covers its paths
+  never.rate = 0.0;
+  plan.rules.push_back(never);
+  const faults::FaultInjector rate_zero(plan);
+
+  for (const auto& profile :
+       {cloud::local_testbed(), cloud::cc1(), cloud::cc4()}) {
+    SCOPED_TRACE(profile.name);
+    cloud::Server server("key-host", profile, 41, kDay);
+    container::ContainerRuntime& runtime = server.runtime();
+    defense::PowerNamespace power_ns(runtime, model);
+    container::ContainerConfig config;
+    config.num_cpus = 2;
+    config.memory_limit_bytes = 2ULL << 30;
+    const auto probe = runtime.create(config);
+    std::vector<std::shared_ptr<container::Container>> others;
+    std::vector<std::pair<container::Container*, kernel::HostPid>> spawned;
+    const std::vector<std::string> paths = server.fs().list_paths();
+    Rng rng(fnv1a64(profile.name));
+    fs::MaskingPolicy restricting;
+    for (const char* path :
+         {"/proc/meminfo", "/proc/uptime", "/proc/stat", "/proc/loadavg",
+          "/sys/fs/cgroup/net_prio/net_prio.ifpriomap"}) {
+      restricting.add_rule(path, fs::MaskAction::kRestrict);
+    }
+
+    const auto key = [&] {
+      return std::tuple(
+          server.host().state_generation(), server.fs().render_epoch(),
+          fs::PseudoFs::viewer_state_fingerprint(*probe->init_task()));
+    };
+    struct Render {
+      bool eligible = false;
+      StatusCode host_code = StatusCode::kOk;
+      std::string host;
+      StatusCode probe_code = StatusCode::kOk;
+      std::string probe;
+    };
+    const auto render_all = [&] {
+      std::vector<Render> renders(paths.size());
+      for (std::size_t i = 0; i < paths.size(); ++i) {
+        Render& r = renders[i];
+        r.eligible = server.fs().cache_eligible(paths[i]);
+        if (!r.eligible) continue;
+        r.host_code = server.fs().read_into(paths[i], {}, r.host);
+        r.probe_code = probe->read_file_into(paths[i], r.probe);
+      }
+      return renders;
+    };
+    const auto pick_other = [&]() -> container::Container& {
+      return *others[rng.uniform_u64(0, others.size() - 1)];
+    };
+    const auto write_cgroup = [&](kernel::Cgroup& cg) {
+      switch (rng.uniform_u64(0, 4)) {
+        case 0:  // may rewrite the current value, leaving the key as is
+          cg.memory.limit_bytes = rng.uniform_u64(1, 3) << 30;
+          break;
+        case 1:
+          cg.memory.usage_bytes = rng.uniform_u64(1, 512) << 20;
+          break;
+        case 2:
+          cg.cpu_quota = rng.uniform(0.1, 1.0);
+          break;
+        case 3:
+          cg.cpuset.cpus = {static_cast<int>(rng.uniform_u64(0, 1))};
+          break;
+        default:
+          cg.net_prio.ifpriomap["eth0"] =
+              static_cast<int>(rng.uniform_u64(0, 3));
+          break;
+      }
+    };
+    const auto random_policy = [&] {
+      switch (rng.uniform_u64(0, 2)) {
+        case 0:
+          return fs::MaskingPolicy::docker_default();
+        case 1:
+          return profile.policy;
+        default:
+          return restricting;
+      }
+    };
+    runtime.set_policy(restricting);  // start with tenant-scoped views
+
+    int unchanged = 0;
+    auto before_key = key();
+    auto before = render_all();
+    for (int m = 0; m < kMutations; ++m) {
+      const Kind kind = kKinds[rng.uniform_u64(0, std::size(kKinds) - 1)];
+      switch (kind) {
+        case kStep:
+          server.step(static_cast<SimDuration>(rng.uniform_u64(1, 20)) *
+                      100 * kMillisecond);
+          break;
+        case kAdvance:
+          server.host().advance(
+              static_cast<SimDuration>(rng.uniform_u64(1, 5)) * 100 *
+              kMillisecond);
+          break;
+        case kSpawn: {
+          container::Container& target =
+              others.empty() || rng.uniform_u64(0, 1) == 0 ? *probe
+                                                           : pick_other();
+          kernel::TaskBehavior behavior;
+          behavior.duty_cycle = rng.uniform(0.1, 1.0);
+          spawned.emplace_back(&target,
+                               target.run("worker", behavior)->host_pid);
+          break;
+        }
+        case kKill:
+          if (!spawned.empty()) {
+            spawned.front().first->kill(spawned.front().second);
+            spawned.erase(spawned.begin());
+          }
+          break;
+        case kCreate:
+          others.push_back(runtime.create(config));
+          break;
+        case kDestroy:
+          if (!others.empty()) {
+            container::Container* victim = &pick_other();
+            std::erase_if(spawned, [&](const auto& task) {
+              return task.first == victim;
+            });
+            runtime.destroy(victim->id());
+            std::erase_if(others, [&](const auto& instance) {
+              return instance.get() == victim;
+            });
+          }
+          break;
+        case kProbeCgroup:
+          write_cgroup(*probe->cgroup());
+          break;
+        case kOtherCgroup:
+          if (!others.empty()) write_cgroup(*pick_other().cgroup());
+          break;
+        case kPolicy:
+          runtime.set_policy(random_policy());
+          break;
+        case kPowerNs:
+          if (power_ns.enabled()) {
+            power_ns.disable();
+          } else {
+            power_ns.enable();
+          }
+          break;
+        case kFaultPlan:
+          server.fs().set_fault_injector(
+              server.fs().fault_injector() == nullptr ? &rate_zero : nullptr);
+          break;
+      }
+      const auto after_key = key();
+      auto after = render_all();
+      if (after_key == before_key) {
+        ++unchanged;
+        for (std::size_t i = 0; i < paths.size(); ++i) {
+          if (!before[i].eligible || !after[i].eligible) continue;
+          SCOPED_TRACE("mutation " + std::to_string(m) + " (kind " +
+                       std::to_string(kind) + "): " + paths[i]);
+          EXPECT_EQ(after[i].host_code, before[i].host_code);
+          EXPECT_EQ(after[i].host, before[i].host);
+          EXPECT_EQ(after[i].probe_code, before[i].probe_code);
+          EXPECT_EQ(after[i].probe, before[i].probe);
+        }
+      }
+      before_key = after_key;
+      before = std::move(after);
+    }
+    EXPECT_GE(unchanged, 20) << "too few unchanged-key mutations to test";
+  }
 }
 
 TEST(Detector, LeakClassNames) {
