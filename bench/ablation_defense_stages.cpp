@@ -12,7 +12,7 @@
 //   crest      — whether the synergistic attacker's RAPL monitor still
 //                tracks host load (the Fig 3 precondition).
 //
-// Each configuration is a single-server scenario; the three measurements
+// Each configuration is a pinned 1x1 facility; the three measurements
 // are the engine's typed probes (leak_scan / coresidence / crest_signal).
 #include <cstdio>
 #include <iostream>
@@ -41,13 +41,12 @@ struct Row {
 Row evaluate(const Config& config, const defense::PowerModel& model) {
   sim::ScenarioSpec spec;
   spec.name = "defense-stage-" + config.name;
-  sim::SingleServerSpec server;
-  server.name = "stage-" + config.name;
-  server.profile = cloud::local_testbed();
-  server.profile.policy = config.policy;
-  server.seed = 606;
-  server.prior_uptime = 25 * kDay;
-  spec.single_server = server;
+  spec.datacenter.servers_per_rack = 1;
+  spec.datacenter.benign_load = false;
+  spec.datacenter.profile = cloud::local_testbed();
+  spec.datacenter.profile.policy = config.policy;
+  spec.datacenter.pinned_host =
+      cloud::PinnedHost{.seed = 606, .prior_uptime = 25 * kDay};
   spec.host_tick = 100 * kMillisecond;
   // The namespace is always constructed (as a real rollout would ship
   // it); `enable` decides whether it is switched on for this config.

@@ -8,8 +8,8 @@
 // switches, plain computation), the simulated kernel executes the same
 // operation mix in both modes, and the score is operations per wall
 // second. Overhead = 1 - score_modified / score_original. The measured
-// world (server + namespace + benchmark container) is a single-server
-// scenario; only the inner op loop talks to the kernel directly.
+// world (server + namespace + benchmark container) is a pinned 1x1
+// facility; only the inner op loop talks to the kernel directly.
 //
 // Paper headline: ~0-3% for compute/pipe/syscall rows; 6-9% for
 // execl/process creation; the pipe-based context switching row shows a
@@ -135,11 +135,10 @@ Measurement run_scenario(const UnixBenchSpec& spec, int copies,
                          bool power_ns_enabled, const defense::PowerModel& model) {
   sim::ScenarioSpec scenario;
   scenario.name = "table3-unixbench";
-  sim::SingleServerSpec testbed;
-  testbed.name = "t3";
-  testbed.profile = cloud::local_testbed();
-  testbed.seed = 404;
-  scenario.single_server = testbed;
+  scenario.datacenter.servers_per_rack = 1;
+  scenario.datacenter.benign_load = false;
+  scenario.datacenter.profile = cloud::local_testbed();
+  scenario.datacenter.pinned_host = cloud::PinnedHost{.seed = 404};
   scenario.host_tick = 10 * kMillisecond;
   scenario.defense.model = model;
   scenario.defense.enable = power_ns_enabled;

@@ -5,9 +5,9 @@
 // reads only its own consumption through the *unchanged* RAPL interface,
 // (b) the host keeps hardware truth, and (c) per-container readings enable
 // a finer-grained billing view. Stage 1 (masking) closes the remaining
-// channels. The defended host is a single-server scenario: the spec
-// carries the trained model and the engine wires the namespace around the
-// tenant containers.
+// channels. The defended host is a pinned 1x1 facility: the spec carries
+// the trained model and the engine wires the namespace around the tenant
+// containers.
 #include <cstdio>
 
 #include "containerleaks.h"
@@ -44,11 +44,10 @@ int main() {
 
   sim::ScenarioSpec spec;
   spec.name = "power-namespace-demo";
-  sim::SingleServerSpec host;
-  host.name = "defended-host";
-  host.profile = cloud::local_testbed();
-  host.seed = 7;
-  spec.single_server = host;
+  spec.datacenter.servers_per_rack = 1;
+  spec.datacenter.benign_load = false;
+  spec.datacenter.profile = cloud::local_testbed();
+  spec.datacenter.pinned_host = cloud::PinnedHost{.seed = 7};
   spec.host_tick = 100 * kMillisecond;
   spec.defense.model = std::move(model).value();
   spec.defense.enable = true;  // switched on after the containers exist

@@ -85,12 +85,15 @@ Datacenter::Datacenter(DatacenterConfig config)
   servers_.reserve(static_cast<std::size_t>(total));
   for (int index = 0; index < total; ++index) {
     const int rack = index / config_.servers_per_rack;
-    const SimDuration prior_uptime =
-        rack_bases[static_cast<std::size_t>(rack)] +
-        rng.uniform_u64(0, 15 * kMinute);
-    auto server = std::make_unique<Server>(
-        strformat("server-%02d", index), config_.profile,
-        rng.fork(1000 + index).uniform_u64(1, ~0ULL >> 1), prior_uptime);
+    SimDuration prior_uptime = rack_bases[static_cast<std::size_t>(rack)] +
+                               rng.uniform_u64(0, 15 * kMinute);
+    std::uint64_t seed = rng.fork(1000 + index).uniform_u64(1, ~0ULL >> 1);
+    if (index == 0 && config_.pinned_host) {
+      seed = config_.pinned_host->seed;
+      prior_uptime = config_.pinned_host->prior_uptime;
+    }
+    auto server = std::make_unique<Server>(strformat("server-%02d", index),
+                                           config_.profile, seed, prior_uptime);
     if (config_.benign_load && (config_.benign_load_servers < 0 ||
                                 index < config_.benign_load_servers)) {
       workload::DiurnalParams params;
@@ -312,72 +315,6 @@ void Datacenter::step(SimDuration dt) {
       park_(index, k);
     }
   }
-}
-
-std::uint64_t Datacenter::coalescible_steps(SimDuration dt,
-                                            std::uint64_t max_steps) const {
-  if (!sparse_ || dt == 0 || max_steps == 0) return 0;
-  if (parked_count_ != servers_.size() || !recheck_ids_.empty()) return 0;
-  std::uint64_t k = max_steps;
-  const SimTime due = wheel_.next_due();
-  if (due != TimerWheel::kNever) {
-    // Virtual step s (1-based) pops the wheel at clock now_ + (s-1)*dt;
-    // safe while that stays strictly before the earliest entry.
-    if (due <= now_) return 0;
-    const SimTime gap = due - now_;
-    k = std::min(k, (gap - 1) / dt + 1);
-  }
-  if (config_.rack_power_cap_w > 0.0) {
-    // Never coalesce across a capping window: the capper resets per-rack
-    // energy state and can end coast episodes.
-    const SimTime since = now_ - last_cap_check_;
-    if (since >= config_.capping_interval) return 0;
-    const SimTime rem = config_.capping_interval - since;
-    k = std::min(k, (rem - 1) / dt);
-  }
-  return k;
-}
-
-void Datacenter::step_coalesced(SimDuration dt, std::uint64_t k) {
-  if (k == 0) return;
-  assert(k <= coalescible_steps(dt, k) &&
-         "step_coalesced: stride exceeds the coalescible window");
-  if (coalescible_steps(dt, k) < k) {
-    // Contract violation in release builds: degrade to the exact path.
-    for (std::uint64_t s = 0; s < k; ++s) step(dt);
-    return;
-  }
-  auto& metrics = DcMetrics::get();
-  // Per-step float state is replayed one virtual step at a time: breaker
-  // thermal/magnetic integration and the rack energy window are not
-  // split-invariant in float arithmetic, but with every server parked the
-  // rack power they observe is a constant — so the serial replay below is
-  // bitwise-identical to k plain step() calls at O(k * racks) with no
-  // server visits.
-  for (std::uint64_t s = 0; s < k; ++s) {
-    now_ += dt;
-    for (int rack = 0; rack < config_.num_racks; ++rack) {
-      const double power = rack_power_cache_[static_cast<std::size_t>(rack)];
-      auto& breaker = breakers_[static_cast<std::size_t>(rack)];
-      const bool was_tripped = breaker.tripped();
-      breaker.observe(power, dt);
-      if (!was_tripped && breaker.tripped()) metrics.breaker_trips.inc();
-      rack_energy_since_cap_j_[static_cast<std::size_t>(rack)] +=
-          power * to_seconds(dt);
-    }
-  }
-  // Integer telemetry lands in bulk: k steps of an all-parked facility are
-  // k identical pre-binned contributions.
-  metrics.steps.inc(k);
-  metrics.step_ns.observe_n(dt, k);
-  coasted_ns_total_ += static_cast<std::uint64_t>(dt) * parked_count_ * k;
-  metrics.server_power.add_bucket_counts(parked_power_slots_.data(),
-                                         parked_power_slots_.size(),
-                                         parked_mw_sum_, k);
-  const std::uint64_t coasted_s = coasted_ns_total_ / kSecond;
-  metrics.idle_coasted_seconds.inc(coasted_s - coasted_s_flushed_);
-  coasted_s_flushed_ = coasted_s;
-  metrics.total_power.set(total_power_cache_);
 }
 
 void Datacenter::apply_rack_capping(int rack) {

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,18 @@
 #include "util/thread_pool.h"
 
 namespace cleaks::cloud {
+
+/// One testbed host with a known seed and uptime, rather than a
+/// rack-installed server. The defense experiments (Table 3, the ablation
+/// stages, the namespace demo) run on a 1x1 facility with
+/// benign_load = false and this set. Server 0 takes these values in place
+/// of its rack-derived draws; the draws still run, so every other server
+/// is unchanged. A pinned server is still a facility server: it coasts
+/// like any other whenever it holds no container and no load.
+struct PinnedHost {
+  std::uint64_t seed = 1;
+  SimDuration prior_uptime = 0;
+};
 
 struct DatacenterConfig {
   int num_racks = 1;
@@ -70,6 +83,8 @@ struct DatacenterConfig {
   /// 1 = sparse. One code path either way; both settings are
   /// bitwise-identical and sparse is the fast one.
   int sparse = -1;
+  /// Server 0's seed and prior uptime, in place of its rack-derived ones.
+  std::optional<PinnedHost> pinned_host;
 };
 
 class Datacenter {
@@ -82,22 +97,6 @@ class Datacenter {
   /// calling thread, and finally park every server that is provably idle.
   void step(SimDuration dt);
 
-  /// How many whole steps of `dt`, starting now, are *globally
-  /// uninteresting*: every server parked, no pending rechecks, no wheel
-  /// pop and no capping window inside them. 0 whenever any server is
-  /// active. Bounded by `max_steps`. The engine uses this to take one
-  /// variable-length stride across idle stretches (step_coalesced).
-  [[nodiscard]] std::uint64_t coalescible_steps(
-      SimDuration dt, std::uint64_t max_steps) const;
-
-  /// Advance `k` steps of `dt` at once. Precondition: k <=
-  /// coalescible_steps(dt, k) — asserted in debug builds, and falls back
-  /// to plain per-step execution otherwise. Per-step float state
-  /// (breaker thermal integration, rack energy windows) is replayed
-  /// serially per virtual step so the result is bitwise-identical to k
-  /// plain step() calls; integer telemetry lands in bulk.
-  void step_coalesced(SimDuration dt, std::uint64_t k);
-
   [[nodiscard]] SimTime now() const noexcept { return now_; }
   [[nodiscard]] int num_servers() const noexcept {
     return static_cast<int>(servers_.size());
@@ -106,10 +105,12 @@ class Datacenter {
   /// idle time since it parked; deferring + syncing materialises it) and
   /// marks it for a wake-phase recheck — the caller may be about to
   /// mutate state that ends its coast episode, and a parked server is
-  /// never re-examined unless something says so.
+  /// never re-examined unless something says so. Throws
+  /// std::out_of_range for an index outside [0, num_servers()).
   [[nodiscard]] Server& server(int index) {
+    Server& target = *servers_.at(static_cast<std::size_t>(index));
     touch_(static_cast<std::size_t>(index));
-    return *servers_.at(static_cast<std::size_t>(index));
+    return target;
   }
   /// Read-only access that does NOT touch or wake: safe for scans that
   /// must not end coast episodes or schedule rechecks (the provider's

@@ -392,44 +392,8 @@ void Host::materialize_coast_(SimDuration elapsed) {
     sstat.schedule_called += jiffies;
     sstat.sched_goidle += jiffies;
   }
-  const auto nic_events = static_cast<std::uint64_t>(
-      (40.0 + c.io_rate_per_s * 0.4) * e_sec);
-  const auto disk_events =
-      static_cast<std::uint64_t>(c.io_rate_per_s * 0.6 * e_sec);
-  for (auto& line : ks.irqs) {
-    switch (line.kind) {
-      case IrqKind::kLocalTimer:
-        for (auto& count : line.per_cpu) count += jiffies;
-        ks.total_interrupts += jiffies * line.per_cpu.size();
-        break;
-      case IrqKind::kNic:
-        line.per_cpu[0] += nic_events;
-        ks.total_interrupts += nic_events;
-        break;
-      case IrqKind::kDisk:
-        line.per_cpu[0] += disk_events;
-        ks.total_interrupts += disk_events;
-        break;
-      case IrqKind::kResched:  // nothing migrates while nothing runs
-      case IrqKind::kOther:
-        break;
-    }
-  }
-  for (std::size_t type = 0; type < kSoftirqNames.size(); ++type) {
-    auto& per_cpu = ks.softirqs[type];
-    const std::string_view name = kSoftirqNames[type];
-    if (name == "TIMER" || name == "SCHED") {
-      for (auto& count : per_cpu) count += jiffies;
-    } else if (name == "RCU") {
-      for (auto& count : per_cpu) count += jiffies / 2;
-    } else if (name == "HRTIMER") {
-      for (auto& count : per_cpu) count += jiffies / 10;
-    } else if (name == "NET_RX" && !per_cpu.empty()) {
-      per_cpu[0] += nic_events;
-    } else if (name == "BLOCK" && !per_cpu.empty()) {
-      per_cpu[0] += disk_events;
-    }
-  }
+  // Nothing migrates while nothing runs.
+  advance_interrupts_(jiffies, c.io_rate_per_s, e_sec, /*migrations=*/0);
   ks.total_ctxt_switches +=
       static_cast<std::uint64_t>(c.ctxt_rate_per_s * e_sec);
   // loadavg: the closed-form solution of the kernel's per-tick decay
@@ -653,6 +617,55 @@ void Host::apply_power_capping() {
   }
 }
 
+void Host::advance_interrupts_(std::uint64_t jiffies, double io_rate_per_s,
+                               double seconds, std::uint64_t migrations) {
+  // Local timer per cpu per jiffy, device interrupts from IO, reschedule
+  // IPIs per migration. Dispatch on the precomputed line kind, and resolve
+  // each softirq type's increment once, outside the per-core loop.
+  auto& ks = kstate_;
+  const auto nic_events =
+      static_cast<std::uint64_t>((40.0 + io_rate_per_s * 0.4) * seconds);
+  const auto disk_events =
+      static_cast<std::uint64_t>(io_rate_per_s * 0.6 * seconds);
+  for (auto& line : ks.irqs) {
+    switch (line.kind) {
+      case IrqKind::kLocalTimer:
+        for (auto& count : line.per_cpu) count += jiffies;
+        ks.total_interrupts += jiffies * line.per_cpu.size();
+        break;
+      case IrqKind::kNic:
+        line.per_cpu[0] += nic_events;
+        ks.total_interrupts += nic_events;
+        break;
+      case IrqKind::kDisk:
+        line.per_cpu[0] += disk_events;
+        ks.total_interrupts += disk_events;
+        break;
+      case IrqKind::kResched:
+        for (auto& count : line.per_cpu) count += migrations;
+        ks.total_interrupts += migrations * line.per_cpu.size();
+        break;
+      case IrqKind::kOther:
+        break;
+    }
+  }
+  for (std::size_t type = 0; type < kSoftirqNames.size(); ++type) {
+    auto& per_cpu = ks.softirqs[type];
+    const std::string_view name = kSoftirqNames[type];
+    if (name == "TIMER" || name == "SCHED") {
+      for (auto& count : per_cpu) count += jiffies;
+    } else if (name == "RCU") {
+      for (auto& count : per_cpu) count += jiffies / 2;
+    } else if (name == "HRTIMER") {
+      for (auto& count : per_cpu) count += jiffies / 10;
+    } else if (name == "NET_RX" && !per_cpu.empty()) {
+      per_cpu[0] += nic_events;
+    } else if (name == "BLOCK" && !per_cpu.empty()) {
+      per_cpu[0] += disk_events;
+    }
+  }
+}
+
 void Host::update_kernel_counters(SimDuration dt, std::uint64_t ctx_before,
                                   std::uint64_t migrations_before) {
   const double dt_sec = to_seconds(dt);
@@ -703,63 +716,9 @@ void Host::update_kernel_counters(SimDuration dt, std::uint64_t ctx_before,
         1, static_cast<std::uint64_t>(activity.active_seconds * kUserHz));
   }
 
-  // Interrupts: local timer per cpu per jiffy; device interrupts from IO.
-  // Dispatch on the precomputed line kind — same counters as the original
-  // label-string matching, without per-tick string compares.
-  const auto jiffies =
-      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(dt_sec * kUserHz));
-  for (auto& line : ks.irqs) {
-    switch (line.kind) {
-      case IrqKind::kLocalTimer:
-        for (auto& count : line.per_cpu) count += jiffies;
-        ks.total_interrupts += jiffies * line.per_cpu.size();
-        break;
-      case IrqKind::kNic: {
-        const auto events = static_cast<std::uint64_t>(
-            (40.0 + total_io_rate * 0.4) * dt_sec);
-        line.per_cpu[0] += events;
-        ks.total_interrupts += events;
-        break;
-      }
-      case IrqKind::kDisk: {
-        const auto events =
-            static_cast<std::uint64_t>(total_io_rate * 0.6 * dt_sec);
-        line.per_cpu[0] += events;
-        ks.total_interrupts += events;
-        break;
-      }
-      case IrqKind::kResched: {
-        const std::uint64_t migrations =
-            sched_.total_migrations() - migrations_before;
-        for (auto& count : line.per_cpu) count += migrations;
-        ks.total_interrupts += migrations * line.per_cpu.size();
-        break;
-      }
-      case IrqKind::kOther:
-        break;
-    }
-  }
-
-  // Softirqs: TIMER/SCHED per jiffy per cpu, NET_RX and BLOCK from IO.
-  // The per-type increment is resolved once, outside the per-core loop
-  // (the original compared name strings per (type, core) pair).
-  for (std::size_t type = 0; type < kSoftirqNames.size(); ++type) {
-    auto& per_cpu = ks.softirqs[type];
-    const std::string_view name = kSoftirqNames[type];
-    if (name == "TIMER" || name == "SCHED") {
-      for (auto& count : per_cpu) count += jiffies;
-    } else if (name == "RCU") {
-      for (auto& count : per_cpu) count += jiffies / 2;
-    } else if (name == "HRTIMER") {
-      for (auto& count : per_cpu) count += jiffies / 10;
-    } else if (name == "NET_RX" && !per_cpu.empty()) {
-      per_cpu[0] += static_cast<std::uint64_t>(
-          (40.0 + total_io_rate * 0.4) * dt_sec);
-    } else if (name == "BLOCK" && !per_cpu.empty()) {
-      per_cpu[0] +=
-          static_cast<std::uint64_t>(total_io_rate * 0.6 * dt_sec);
-    }
-  }
+  advance_interrupts_(
+      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(dt_sec * kUserHz)),
+      total_io_rate, dt_sec, sched_.total_migrations() - migrations_before);
 
   ks.total_ctxt_switches += sched_.total_context_switches() - ctx_before;
   ks.procs_running = std::max(1, runnable);

@@ -269,6 +269,11 @@ class Host {
   void integrate_energy(SimDuration dt);
   void update_kernel_counters(SimDuration dt, std::uint64_t ctx_before,
                               std::uint64_t migrations_before);
+  /// Interrupt and softirq counters over an interval, shared by the tick
+  /// and the coast: `jiffies` timer ticks, IO at `io_rate_per_s` for
+  /// `seconds`, and `migrations` reschedule IPIs per cpu.
+  void advance_interrupts_(std::uint64_t jiffies, double io_rate_per_s,
+                           double seconds, std::uint64_t migrations);
   void update_memory_accounting();
   void apply_power_capping();
   [[nodiscard]] int package_of_core(int core) const noexcept;

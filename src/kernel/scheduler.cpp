@@ -156,25 +156,6 @@ void Scheduler::tick(const std::vector<std::shared_ptr<Task>>& tasks,
   }
 }
 
-int Scheduler::place_task(const std::vector<int>& allowed_cpus) const {
-  int best_core = -1;
-  int best_load = 0;
-  auto consider = [&](int core) {
-    if (core < 0 || core >= num_cores_) return;
-    const int load = runnable_per_core_[static_cast<std::size_t>(core)];
-    if (best_core < 0 || load < best_load) {
-      best_core = core;
-      best_load = load;
-    }
-  };
-  if (allowed_cpus.empty()) {
-    for (int core = 0; core < num_cores_; ++core) consider(core);
-  } else {
-    for (int core : allowed_cpus) consider(core);
-  }
-  return best_core < 0 ? 0 : best_core;
-}
-
 int Scheduler::rebalance(const std::vector<std::shared_ptr<Task>>& tasks) {
   // Current load per core.
   std::vector<int> load(static_cast<std::size_t>(num_cores_), 0);

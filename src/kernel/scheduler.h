@@ -74,10 +74,6 @@ class Scheduler {
   }
   [[nodiscard]] int num_cores() const noexcept { return num_cores_; }
 
-  /// Least-loaded core among `allowed` (all cores when empty), by current
-  /// runnable count.
-  [[nodiscard]] int place_task(const std::vector<int>& allowed_cpus) const;
-
   /// Move tasks from overloaded cores to underloaded ones within their
   /// cpusets; returns the number of migrations performed.
   int rebalance(const std::vector<std::shared_ptr<Task>>& tasks);

@@ -20,14 +20,11 @@ Histogram::Histogram(std::string name, std::string help, Scope scope,
       static_cast<std::size_t>(ThreadPool::kMaxLanes) * stride_);
 }
 
-void Histogram::observe(std::uint64_t value) noexcept { observe_n(value, 1); }
-
-void Histogram::observe_n(std::uint64_t value, std::uint64_t times) noexcept {
-  if (times == 0) return;
+void Histogram::observe(std::uint64_t value) noexcept {
   const auto lane = static_cast<std::size_t>(ThreadPool::current_lane());
-  cells_[cell(lane, bucket_index(value))].fetch_add(times,
+  cells_[cell(lane, bucket_index(value))].fetch_add(1,
                                                     std::memory_order_relaxed);
-  cells_[cell(lane, bounds_.size() + 1)].fetch_add(value * times,
+  cells_[cell(lane, bounds_.size() + 1)].fetch_add(value,
                                                    std::memory_order_relaxed);
 }
 
@@ -39,17 +36,15 @@ std::size_t Histogram::bucket_index(std::uint64_t value) const noexcept {
 }
 
 void Histogram::add_bucket_counts(const std::uint64_t* slots,
-                                  std::size_t n_slots, std::uint64_t sum,
-                                  std::uint64_t times) noexcept {
-  if (times == 0) return;
+                                  std::size_t n_slots,
+                                  std::uint64_t sum) noexcept {
   const auto lane = static_cast<std::size_t>(ThreadPool::current_lane());
   const std::size_t limit = std::min(n_slots, bounds_.size() + 1);
   for (std::size_t slot = 0; slot < limit; ++slot) {
     if (slots[slot] == 0) continue;
-    cells_[cell(lane, slot)].fetch_add(slots[slot] * times,
-                                       std::memory_order_relaxed);
+    cells_[cell(lane, slot)].fetch_add(slots[slot], std::memory_order_relaxed);
   }
-  cells_[cell(lane, bounds_.size() + 1)].fetch_add(sum * times,
+  cells_[cell(lane, bounds_.size() + 1)].fetch_add(sum,
                                                    std::memory_order_relaxed);
 }
 

@@ -28,13 +28,6 @@ struct SimMetrics {
   obs::Counter& churn_storms = obs::Registry::global().counter(
       "sim_churn_storms_total",
       "provider create/destroy storms fired (ChurnSpec)");
-  // Runtime scope: a cost-accounting detail of the stepping strategy, and
-  // keeping it out of the kSim digest preserves digests recorded before
-  // coalescing existed.
-  obs::Counter& coalesced_steps = obs::Registry::global().counter(
-      "sim_engine_coalesced_steps_total",
-      "engine steps absorbed into variable-length idle strides",
-      obs::Scope::kRuntime);
 
   static SimMetrics& get() {
     static SimMetrics metrics;
@@ -50,18 +43,12 @@ SimEngine::~SimEngine() = default;
 
 void SimEngine::build() {
   // 1. Facility.
-  if (spec_.single_server) {
-    const auto& s = *spec_.single_server;
-    single_ = std::make_unique<cloud::Server>(s.name, s.profile, s.seed,
-                                              s.prior_uptime);
-  } else {
-    dc_ = std::make_unique<cloud::Datacenter>(spec_.datacenter);
-    if (spec_.provider) {
-      const auto& p = *spec_.provider;
-      provider_ = std::make_unique<cloud::CloudProvider>(
-          *dc_, p.seed, p.rates, p.placement, p.max_instances_per_server,
-          p.billing_epoch);
-    }
+  dc_ = std::make_unique<cloud::Datacenter>(spec_.datacenter);
+  if (spec_.provider) {
+    const auto& p = *spec_.provider;
+    provider_ = std::make_unique<cloud::CloudProvider>(
+        *dc_, p.seed, p.rates, p.placement, p.max_instances_per_server,
+        p.billing_epoch);
   }
   if (spec_.host_tick != 0) set_host_tick(spec_.host_tick);
 
@@ -151,18 +138,6 @@ void SimEngine::step_churn_() {
     SimMetrics::get().churn_storms.inc();
   }
 }
-
-int SimEngine::num_servers() const {
-  return dc_ ? dc_->num_servers() : (single_ ? 1 : 0);
-}
-
-cloud::Server& SimEngine::server(int index) {
-  if (dc_) return dc_->server(index);
-  assert(single_ && index == 0);
-  return *single_;
-}
-
-SimTime SimEngine::now() const { return dc_ ? dc_->now() : single_now_; }
 
 void SimEngine::set_host_tick(SimDuration tick) {
   for (int i = 0; i < num_servers(); ++i) {
@@ -346,29 +321,21 @@ void SimEngine::step(SimDuration dt) {
   ++fault_step_;
 
   // Physics first: the provider's step meters billing around the
-  // datacenter step; a bare server just ticks.
+  // datacenter step.
   if (provider_) {
     provider_->step(dt);
-  } else if (dc_) {
-    dc_->step(dt);
   } else {
-    single_->step(dt);
-    single_now_ += dt;
+    dc_->step(dt);
   }
 
   step_churn_();
   step_fleet(dt);
 
-  const double total = total_power_w();
-  peak_total_w_ = std::max(peak_total_w_, total);
-  if (dc_) {
-    for (int rack = 0; rack < spec_.datacenter.num_racks; ++rack) {
-      peak_rack_w_ = std::max(peak_rack_w_, dc_->rack_power_w(rack));
-    }
-    if (dc_->any_breaker_tripped()) breaker_tripped_ = true;
-  } else {
-    peak_rack_w_ = std::max(peak_rack_w_, total);
+  peak_total_w_ = std::max(peak_total_w_, total_power_w());
+  for (int rack = 0; rack < spec_.datacenter.num_racks; ++rack) {
+    peak_rack_w_ = std::max(peak_rack_w_, dc_->rack_power_w(rack));
   }
+  if (dc_->any_breaker_tripped()) breaker_tripped_ = true;
   drain_event_stream_();
 
   ++steps_;
@@ -393,42 +360,6 @@ void SimEngine::drain_event_stream_() {
   }
 }
 
-std::uint64_t SimEngine::coalesce_(SimDuration dt, std::uint64_t max_steps) {
-  if (max_steps <= 1 || dt == 0) return 0;
-  // Anything that acts on per-step boundaries outside the datacenter
-  // disqualifies the stride: the fault schedule draws per step, the
-  // provider meters billing per step and fleet control samples per step.
-  // (A deployed fleet also pins its servers active — containers end coast
-  // eligibility — so the facility gate below would refuse anyway; the
-  // control_ check is belt and braces.)
-  if (!dc_ || provider_ || fault_injector_ ||
-      control_ != FleetSpec::Control::kIdle) {
-    return 0;
-  }
-  const std::uint64_t k = dc_->coalescible_steps(dt, max_steps);
-  if (k == 0) return 0;
-  dc_->step_coalesced(dt, k);
-  fault_step_ += k;
-  steps_ += k;
-  // Replay the float accumulation per virtual step — += k*to_seconds(dt)
-  // would round differently than k separate adds.
-  for (std::uint64_t s = 0; s < k; ++s) sim_seconds_ += to_seconds(dt);
-  SimMetrics::get().steps.inc(k);
-  SimMetrics::get().coalesced_steps.inc(k);
-  // Peaks and the breaker flag fold a world that was constant across the
-  // stride, so observing it once equals observing it k times.
-  const double total = total_power_w();
-  peak_total_w_ = std::max(peak_total_w_, total);
-  for (int rack = 0; rack < spec_.datacenter.num_racks; ++rack) {
-    peak_rack_w_ = std::max(peak_rack_w_, dc_->rack_power_w(rack));
-  }
-  if (dc_->any_breaker_tripped()) breaker_tripped_ = true;
-  // No server stepped, so no events were emitted; the drain is the same
-  // empty-batch identity k plain steps would have folded.
-  drain_event_stream_();
-  return k;
-}
-
 void SimEngine::enable_event_stream(SimDuration window_width) {
   obs::EventBus::global().set_enabled(true);
   drain_events_ = true;
@@ -440,32 +371,17 @@ void SimEngine::enable_event_stream(SimDuration window_width) {
 
 void SimEngine::run_loop_(std::uint64_t full_steps, SimDuration dt,
                           SimDuration tail, const StepHook& hook) {
-  // Every step, plain or coalesced, advances the clock by exactly `dt`
-  // (hooks may not step), so a step count fixed up front serves all three
-  // run_* contracts. Hooks observe each step, so a hooked run never
-  // coalesces.
-  std::uint64_t i = 0;
-  const auto observe = [&] {
+  // Every step advances the clock by exactly its length (hooks may not
+  // step), so a step count fixed up front serves all three run_*
+  // contracts.
+  const auto step_observed = [&](std::uint64_t i, SimDuration length) {
+    step(length);
     if (!hook) return;
     const StepContext ctx{static_cast<int>(i), now(), total_power_w()};
     hook(*this, ctx);
   };
-  while (i < full_steps) {
-    if (!hook) {
-      const std::uint64_t k = coalesce_(dt, full_steps - i);
-      if (k > 0) {
-        i += k;
-        continue;
-      }
-    }
-    step(dt);
-    observe();
-    ++i;
-  }
-  if (tail > 0) {
-    step(tail);
-    observe();
-  }
+  for (std::uint64_t i = 0; i < full_steps; ++i) step_observed(i, dt);
+  if (tail > 0) step_observed(full_steps, tail);
   SimMetrics::get().epochs.inc();
 }
 
@@ -491,14 +407,10 @@ void SimEngine::run_until(SimTime target, SimDuration dt,
   run_loop_(target > start ? (target - start - 1) / dt + 1 : 0, dt, 0, hook);
 }
 
-double SimEngine::total_power_w() const {
-  if (dc_) return dc_->total_power_w();
-  return single_ ? single_->power_w() : 0.0;
-}
+double SimEngine::total_power_w() const { return dc_->total_power_w(); }
 
 double SimEngine::rack_power_w(int rack) const {
-  if (dc_) return dc_->rack_power_w(rack);
-  return single_ ? single_->power_w() : 0.0;
+  return dc_->rack_power_w(rack);
 }
 
 double SimEngine::server_power_w(int index) {
@@ -604,8 +516,7 @@ ScenarioResult SimEngine::result() const {
   ScenarioResult r;
   r.scenario = spec_.name;
   r.num_servers = num_servers();
-  r.seed = spec_.single_server ? spec_.single_server->seed
-                               : spec_.datacenter.seed;
+  r.seed = spec_.datacenter.seed;
   r.end_s = to_seconds(now());
   r.steps = steps_;
   r.sim_seconds = sim_seconds_;

@@ -57,9 +57,11 @@ class SimEngine {
   [[nodiscard]] const ScenarioSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] cloud::Datacenter& datacenter() { return *dc_; }
   [[nodiscard]] cloud::CloudProvider& provider() { return *provider_; }
-  [[nodiscard]] int num_servers() const;
-  [[nodiscard]] cloud::Server& server(int index = 0);
-  [[nodiscard]] SimTime now() const;
+  [[nodiscard]] int num_servers() const { return dc_->num_servers(); }
+  [[nodiscard]] cloud::Server& server(int index = 0) {
+    return dc_->server(index);
+  }
+  [[nodiscard]] SimTime now() const { return dc_->now(); }
   [[nodiscard]] defense::PowerNamespace* power_namespace() noexcept {
     return power_ns_.get();
   }
@@ -134,12 +136,7 @@ class SimEngine {
   /// Run `steps` steps of `dt`; `hook` fires after each.
   ///
   /// Every run_* call requires `dt` > 0 (asserted) and is a thin wrapper
-  /// over one loop. That loop coalesces: across a stretch where the
-  /// facility reports every server parked and no wheel pop, capping
-  /// window, fault schedule, provider or hook needs a per-step boundary,
-  /// it takes one variable-length stride (Datacenter::step_coalesced)
-  /// instead of k fixed steps — bitwise-identical results (pinned by
-  /// sim_test), just fewer loop iterations.
+  /// over one counted loop of step() calls.
   void run_steps(int steps, SimDuration dt, const StepHook& hook = {});
   /// Advance the sim clock by exactly `total`: steps of `dt`, ending with
   /// one final partial step when `total` is not a multiple of `dt` (no
@@ -195,17 +192,10 @@ class SimEngine {
   /// Fire due churn storms (ProviderSpec::churn) — part of the fleet
   /// control phase, right after physics.
   void step_churn_();
-  /// Measurement-phase event drain, shared by step() and coalesce_().
+  /// Measurement-phase event drain.
   void drain_event_stream_();
-  /// Try one variable-length stride of up to `max_steps` steps of `dt`.
-  /// Returns how many steps were absorbed (0: take a plain step instead).
-  /// Only fires when nothing needs a per-step boundary: no hook at the
-  /// call site, no provider/faults/fleet control, and the facility itself
-  /// reports the stretch uninteresting.
-  std::uint64_t coalesce_(SimDuration dt, std::uint64_t max_steps);
   /// The one run loop behind run_steps/run_for/run_until: `full_steps`
-  /// steps of `dt` (coalesced where possible when there is no hook), then
-  /// one partial step of `tail` when it is nonzero.
+  /// steps of `dt`, then one partial step of `tail` when it is nonzero.
   void run_loop_(std::uint64_t full_steps, SimDuration dt, SimDuration tail,
                  const StepHook& hook);
 
@@ -217,7 +207,6 @@ class SimEngine {
   std::uint64_t fault_step_ = 0;
   std::unique_ptr<cloud::Datacenter> dc_;
   std::unique_ptr<cloud::CloudProvider> provider_;
-  std::unique_ptr<cloud::Server> single_;
   std::unique_ptr<defense::PowerNamespace> power_ns_;
   std::unique_ptr<coresidence::TimerImplantDetector> verifier_;
   attack::OrchestratorResult acquisition_;
@@ -242,9 +231,6 @@ class SimEngine {
   int crest_spikes_ = 0;
   double crest_attack_seconds_ = 0.0;
   double crest_monitor_seconds_ = 0.0;
-
-  // Clock for single-server mode (Datacenter keeps its own).
-  SimTime single_now_ = 0;
 
   // Measured-window accumulators (reset_measurement clears these).
   std::uint64_t steps_ = 0;

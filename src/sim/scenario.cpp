@@ -27,24 +27,16 @@ void append_spec_json(const ScenarioSpec& spec, obs::JsonWriter& json,
                       std::string_view key) {
   json.begin_object(key);
   json.field("name", spec.name);
-  if (spec.single_server) {
-    json.begin_object("single_server")
-        .field("name", spec.single_server->name)
-        .field("seed", spec.single_server->seed)
-        .field("prior_uptime_s", to_seconds(spec.single_server->prior_uptime))
-        .end_object();
-  } else {
-    json.begin_object("datacenter")
-        .field("racks", spec.datacenter.num_racks)
-        .field("servers_per_rack", spec.datacenter.servers_per_rack)
-        .field("seed", spec.datacenter.seed)
-        .field("benign_load", spec.datacenter.benign_load)
-        .field("benign_load_servers", spec.datacenter.benign_load_servers)
-        .field("rack_power_cap_w", spec.datacenter.rack_power_cap_w)
-        .field("num_threads", spec.datacenter.num_threads)
-        .field("sparse", spec.datacenter.sparse)
-        .end_object();
-  }
+  json.begin_object("datacenter")
+      .field("racks", spec.datacenter.num_racks)
+      .field("servers_per_rack", spec.datacenter.servers_per_rack)
+      .field("seed", spec.datacenter.seed)
+      .field("benign_load", spec.datacenter.benign_load)
+      .field("benign_load_servers", spec.datacenter.benign_load_servers)
+      .field("rack_power_cap_w", spec.datacenter.rack_power_cap_w)
+      .field("num_threads", spec.datacenter.num_threads)
+      .field("sparse", spec.datacenter.sparse)
+      .end_object();
   if (spec.provider) {
     json.begin_object("provider")
         .field("seed", spec.provider->seed)

@@ -1,9 +1,10 @@
 // Declarative experiment layer (the "scenario engine").
 //
 // A ScenarioSpec is a pure value describing one ContainerLeaks experiment:
-// the facility (a Datacenter, or a single bare Server for testbed-style
-// runs), the provider in front of it, a warmup schedule, the attacker
-// fleet (placement + control strategy), and the defense wiring. A
+// the facility (always a Datacenter; testbed-style runs pin a 1x1 one, see
+// DatacenterConfig::pinned_host), the provider in front of it, a warmup
+// schedule, the attacker fleet (placement + control strategy), and the
+// defense wiring. A
 // SimEngine (engine.h) builds the world from the spec in a fixed order so
 // that every bench and example constructs *identical* RNG streams — the
 // pinned invariant is that refactoring a bench onto a spec changes no
@@ -24,16 +25,6 @@
 #include "util/sim_time.h"
 
 namespace cleaks::sim {
-
-/// Testbed alternative to a full Datacenter: one bare Server, as used by
-/// the defense-side experiments (Table 3, ablation stages, the namespace
-/// demo). Mutually exclusive with ScenarioSpec::datacenter.
-struct SingleServerSpec {
-  std::string name = "host";
-  cloud::CloudServiceProfile profile = cloud::local_testbed();
-  std::uint64_t seed = 1;
-  SimDuration prior_uptime = 0;
-};
 
 /// Deterministic create/destroy storms driven through the provider's
 /// batch API — the §IV-C amortized probe loop as a background workload.
@@ -145,9 +136,9 @@ struct DefenseSpec {
 /// The complete declarative experiment description.
 struct ScenarioSpec {
   std::string name = "scenario";
-  /// Facility: `single_server` set => one bare Server; else `datacenter`.
+  /// Facility. A testbed run (one named host) is a 1x1 datacenter with
+  /// benign_load = false and pinned_host set.
   cloud::DatacenterConfig datacenter;
-  std::optional<SingleServerSpec> single_server;
   /// Host tick applied at build, before warmup (0 = profile default).
   SimDuration host_tick = 0;
   std::optional<ProviderSpec> provider;

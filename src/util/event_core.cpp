@@ -132,21 +132,4 @@ std::vector<TimerWheel::Entry> TimerWheel::pop_due(SimTime now) {
   return due;
 }
 
-SimTime TimerWheel::next_due() const noexcept {
-  if (size_ == 0) return kNever;
-  SimTime earliest = overflow_min_;
-  // Buckets cover consecutive windows starting at the cursor; the first
-  // non-empty one holds the earliest in-bucket entry (the cursor bucket may
-  // also hold already-late entries, which only tighten the bound).
-  for (std::size_t step = 0; step < buckets_.size(); ++step) {
-    const auto& bucket = buckets_[(cursor_ + step) % buckets_.size()];
-    if (bucket.empty()) continue;
-    for (const Entry& entry : bucket) {
-      earliest = std::min(earliest, entry.time);
-    }
-    break;
-  }
-  return earliest;
-}
-
 }  // namespace cleaks

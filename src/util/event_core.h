@@ -30,7 +30,7 @@ class TimerWheel {
     std::uint32_t id = 0;
   };
 
-  /// next_due() sentinel: nothing is scheduled.
+  /// The end of time: the horizon saturates here instead of wrapping.
   static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
 
   /// `bucket_width` is the wheel resolution (entries within one bucket are
@@ -49,13 +49,6 @@ class TimerWheel {
   /// (asserted in debug builds), so a confused caller can never re-pop a
   /// window or corrupt the cursor.
   std::vector<Entry> pop_due(SimTime now);
-
-  /// Earliest scheduled time, or kNever when the wheel is empty. This is a
-  /// lower bound on the next non-empty pop_due(): the coalescing scheduler
-  /// uses it to take one variable-length step across the gap. Stale (
-  /// already-obsolete) entries still count — they only make the bound
-  /// conservative. O(buckets + cursor-bucket entries).
-  [[nodiscard]] SimTime next_due() const noexcept;
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }

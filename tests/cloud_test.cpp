@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "cloud/billing.h"
 #include "cloud/breaker.h"
 #include "cloud/datacenter.h"
@@ -177,6 +179,34 @@ TEST(Datacenter, BuildsRequestedTopology) {
   EXPECT_EQ(dc.num_servers(), 8);
   EXPECT_EQ(dc.rack_of(0), 0);
   EXPECT_EQ(dc.rack_of(5), 1);
+}
+
+TEST(Datacenter, ServerIndexOutOfRangeThrows) {
+  DatacenterConfig config;
+  config.servers_per_rack = 2;
+  config.benign_load = false;
+  Datacenter dc(config);
+  // The bounds check runs before the accessor touches per-server state.
+  EXPECT_THROW((void)dc.server(dc.num_servers()), std::out_of_range);
+  EXPECT_THROW((void)dc.server(-1), std::out_of_range);
+}
+
+TEST(Datacenter, PinnedHostReplacesOnlyServerZero) {
+  DatacenterConfig config;
+  config.servers_per_rack = 3;
+  config.benign_load = false;
+  Datacenter stock(config);
+  config.pinned_host = PinnedHost{.seed = 9, .prior_uptime = 10 * kDay};
+  Datacenter pinned(config);
+  const fs::ViewContext ctx;
+  auto uptime = [&](Datacenter& dc, int server) {
+    return dc.server(server).fs().read("/proc/uptime", ctx).value();
+  };
+  EXPECT_NEAR(extract_numbers(uptime(pinned, 0))[0], to_seconds(10 * kDay),
+              60.0);
+  EXPECT_NE(uptime(pinned, 0), uptime(stock, 0));
+  EXPECT_EQ(uptime(pinned, 1), uptime(stock, 1));
+  EXPECT_EQ(uptime(pinned, 2), uptime(stock, 2));
 }
 
 TEST(Datacenter, RackPowerSumsServers) {

@@ -506,9 +506,18 @@ TEST(TrainerUnderFaultsTest, PoisonedCalibrationWindowsAreSkipped) {
 
 // ---------- engine wiring ----------
 
-TEST(EngineFaultsTest, SpecJsonCarriesThePlan) {
+// One pinned testbed host: a 1x1 facility with no benign load.
+sim::ScenarioSpec testbed_spec() {
   sim::ScenarioSpec spec;
-  spec.single_server = sim::SingleServerSpec{};
+  spec.datacenter.servers_per_rack = 1;
+  spec.datacenter.benign_load = false;
+  spec.datacenter.profile = cloud::local_testbed();
+  spec.datacenter.pinned_host = cloud::PinnedHost{};
+  return spec;
+}
+
+TEST(EngineFaultsTest, SpecJsonCarriesThePlan) {
+  sim::ScenarioSpec spec = testbed_spec();
   spec.faults = sample_plan();
   obs::JsonWriter json;
   sim::append_spec_json(spec, json);
@@ -525,8 +534,7 @@ TEST(EngineFaultsTest, SpecJsonCarriesThePlan) {
 }
 
 TEST(EngineFaultsTest, WrapForceParksCountersAtStepBoundaries) {
-  sim::ScenarioSpec spec;
-  spec.single_server = sim::SingleServerSpec{};
+  sim::ScenarioSpec spec = testbed_spec();
   FaultRule rule;
   rule.kind = FaultKind::kRaplWrapForce;
   rule.rate = 1.0;
@@ -544,8 +552,7 @@ TEST(EngineFaultsTest, WrapForceParksCountersAtStepBoundaries) {
 }
 
 TEST(EngineFaultsTest, EmptyPlanBuildsNoInjector) {
-  sim::ScenarioSpec spec;
-  spec.single_server = sim::SingleServerSpec{};
+  sim::ScenarioSpec spec = testbed_spec();
   sim::SimEngine engine(spec);
   EXPECT_EQ(engine.fault_injector(), nullptr);
 }

@@ -1,18 +1,18 @@
 // Tests for the scenario engine (src/sim): spec defaults and JSON
-// serialization, the cross-lane determinism contract, and the golden
-// pin of Fig 3's pre-refactor headline numbers.
+// serialization, the cross-lane determinism contract, the pinned testbed
+// host, and the golden pin of Fig 3's pre-refactor headline numbers.
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "fs/pseudo_fs.h"
-#include "obs/metrics.h"
 #include "sim/engine.h"
 #include "sim/scenarios.h"
 #include "util/fnv.h"
-#include "workload/onoff.h"
+#include "workload/profiles.h"
 
 namespace cleaks::sim {
 namespace {
@@ -26,7 +26,7 @@ std::string hexfloat(double value) {
 TEST(ScenarioSpecTest, DefaultsMatchDocumentedContract) {
   ScenarioSpec spec;
   EXPECT_EQ(spec.name, "scenario");
-  EXPECT_FALSE(spec.single_server.has_value());
+  EXPECT_FALSE(spec.datacenter.pinned_host.has_value());
   EXPECT_FALSE(spec.provider.has_value());
   EXPECT_FALSE(spec.warmup.has_value());
   EXPECT_EQ(spec.host_tick, 0);
@@ -75,21 +75,6 @@ TEST(ScenarioSpecTest, SpecJsonCarriesEveryLayer) {
   EXPECT_NE(doc.find("\"placement\": \"one-per-server\""), std::string::npos);
   EXPECT_NE(doc.find("\"strategy\": \"synergistic\""), std::string::npos);
   EXPECT_NE(doc.find("\"defense\""), std::string::npos);
-}
-
-TEST(ScenarioSpecTest, SingleServerJsonOmitsDatacenter) {
-  ScenarioSpec spec;
-  SingleServerSpec host;
-  host.name = "testbed";
-  host.seed = 42;
-  spec.single_server = host;
-  obs::JsonWriter json;
-  append_spec_json(spec, json);
-  json.end_object();
-  const std::string& doc = json.str();
-  EXPECT_NE(doc.find("\"single_server\""), std::string::npos);
-  EXPECT_NE(doc.find("\"testbed\""), std::string::npos);
-  EXPECT_EQ(doc.find("\"datacenter\""), std::string::npos);
 }
 
 TEST(ScenarioResultTest, ResultJsonRoundTripsFields) {
@@ -187,102 +172,53 @@ TEST(SimEngineTest, RunForAdvancesExactlyTotalWithFinalPartialStep) {
   EXPECT_EQ(engine.result().steps, 7u);
 }
 
-// ---------- variable-length stride equivalence ----------
+// ---------- the pinned testbed host ----------
 
-// Everything a run can surface: rendered pseudo-files, the engine's
-// measured-window results, and the full Scope::kSim metrics digest.
-struct StrideOutcome {
-  std::vector<std::string> files;
-  SimTime end = 0;
-  std::uint64_t steps = 0;
-  double sim_seconds = 0.0;
-  double peak_total_w = 0.0;
-  double peak_rack_w = 0.0;
-  std::uint64_t sim_digest = 0;
-
-  bool operator==(const StrideOutcome&) const = default;
-};
-
-// Which run_* wrapper drives the 30 minutes of 1 s steps.
-enum class RunLoop { kSteps, kFor, kUntil };
-
-// A mostly-idle capped facility with one on/off server: strides must end
-// at wheel wakeups AND capping windows. `fixed` pins the per-step path by
-// installing a no-op hook (hooks observe every step, so they disable
-// coalescing); without it the chosen loop takes variable-length strides.
-StrideOutcome run_strided(bool fixed, int num_threads,
-                          RunLoop loop = RunLoop::kFor) {
-  obs::Registry::global().reset();
-  ScenarioSpec spec;
-  spec.name = "stride-eq";
-  spec.datacenter.num_racks = 2;
-  spec.datacenter.servers_per_rack = 4;
-  spec.datacenter.benign_load = false;
-  spec.datacenter.rack_power_cap_w = 1500.0;
-  spec.datacenter.seed = 77;
-  spec.datacenter.num_threads = num_threads;
-  spec.datacenter.sparse = 1;
-  SimEngine engine(spec);
-  workload::OnOffParams params;
-  params.on_duration = 2 * kMinute;
-  params.off_duration = 7 * kMinute;
-  params.phase = 30 * kSecond;
-  params.workers = 4;
-  engine.datacenter().server(0).enable_onoff_load(params);
-  const SimEngine::StepHook hook =
-      fixed ? SimEngine::StepHook([](SimEngine&, const StepContext&) {})
-            : SimEngine::StepHook{};
-  switch (loop) {
-    case RunLoop::kSteps:
-      engine.run_steps(30 * 60, kSecond, hook);
-      break;
-    case RunLoop::kFor:
-      engine.run_for(30 * kMinute, kSecond, hook);
-      break;
-    case RunLoop::kUntil:
-      engine.run_until(engine.now() + 30 * kMinute, kSecond, hook);
-      break;
+// Everything the defense experiments read off their one host: the /proc
+// files the leak channels render, package energy and host power.
+std::string testbed_state(cloud::Server& server) {
+  const fs::ViewContext host_view;
+  std::string blob;
+  for (const char* path :
+       {"/proc/stat", "/proc/interrupts", "/proc/uptime", "/proc/loadavg",
+        "/sys/class/powercap/intel-rapl:0/energy_uj"}) {
+    blob += server.fs().read(path, host_view).value();
   }
-  StrideOutcome out;
-  const fs::ViewContext ctx;
-  for (int i = 0; i < engine.num_servers(); ++i) {
-    cloud::Server& server = engine.server(i);
-    std::string blob = server.fs().read("/proc/stat", ctx).value();
-    blob += server.fs().read("/proc/uptime", ctx).value();
-    blob += server.fs().read("/proc/loadavg", ctx).value();
-    blob += server.fs().read("/proc/interrupts", ctx).value();
-    blob += hexfloat(server.power_w());
-    out.files.push_back(std::move(blob));
-  }
-  out.end = engine.now();
-  const ScenarioResult result = engine.result();
-  out.steps = result.steps;
-  out.sim_seconds = result.sim_seconds;
-  out.peak_total_w = result.peak_total_w;
-  out.peak_rack_w = result.peak_rack_w;
-  out.sim_digest =
-      obs::Registry::global().snapshot().digest(obs::Scope::kSim);
-  return out;
+  return blob + hexfloat(server.power_w());
 }
 
-TEST(SimEngineTest, VariableLengthStridesAreBitwiseEqualToFixedSteps) {
-  auto& coalesced_steps = obs::Registry::global().counter(
-      "sim_engine_coalesced_steps_total",
-      "engine steps absorbed into variable-length idle strides",
-      obs::Scope::kRuntime);
-  const StrideOutcome fixed = run_strided(true, 1);
-  EXPECT_EQ(coalesced_steps.value(), 0u);  // hooks disable coalescing
-  // Every run_* wrapper strides over the same fixed-step outcome.
-  for (const RunLoop loop : {RunLoop::kSteps, RunLoop::kFor, RunLoop::kUntil}) {
-    const StrideOutcome strided = run_strided(false, 1, loop);
-    // The stride path must actually engage (run_strided resets the
-    // registry first), or this test pins nothing.
-    EXPECT_GT(coalesced_steps.value(), 0u) << static_cast<int>(loop);
-    EXPECT_EQ(strided, fixed) << static_cast<int>(loop);
+// Table 3, the ablation stages and the namespace demo run on a pinned 1x1
+// facility. Step for step it must be the bare Server those experiments
+// were written against: same seed and uptime, and no coasting while a
+// container is resident.
+TEST(SimEngineTest, PinnedTestbedEqualsStandaloneServer) {
+  const kernel::TaskBehavior milc = workload::spec_suite()[10].behavior;
+  cloud::Server bare("x", cloud::local_testbed(), 404, 25 * kDay);
+  bare.host().set_tick_duration(100 * kMillisecond);
+  bare.runtime().create(container::ContainerConfig{})->run("433.milc", milc);
+
+  std::vector<std::unique_ptr<SimEngine>> engines;
+  for (const int lanes : {1, 4}) {
+    ScenarioSpec spec;
+    spec.datacenter.servers_per_rack = 1;
+    spec.datacenter.benign_load = false;
+    spec.datacenter.profile = cloud::local_testbed();
+    spec.datacenter.pinned_host =
+        cloud::PinnedHost{.seed = 404, .prior_uptime = 25 * kDay};
+    spec.datacenter.num_threads = lanes;
+    spec.host_tick = 100 * kMillisecond;
+    spec.fleet.placement = FleetSpec::Placement::kDirect;
+    engines.push_back(std::make_unique<SimEngine>(spec));
+    engines.back()->fleet_instance(0).run("433.milc", milc);
   }
-  EXPECT_EQ(run_strided(false, 2), fixed);
-  EXPECT_EQ(run_strided(false, 4), fixed);
-  EXPECT_EQ(run_strided(false, 8), fixed);
+  for (int step = 0; step < 120; ++step) {
+    bare.step(kSecond);
+    const std::string expected = testbed_state(bare);
+    for (auto& engine : engines) {
+      engine->step(kSecond);
+      ASSERT_EQ(testbed_state(engine->server(0)), expected) << "step " << step;
+    }
+  }
 }
 
 // Golden pin of the Fig 3 headline: the refactor onto fig3_fleet must not

@@ -91,28 +91,10 @@ TEST(TimerWheel, SchedulesNearTheClockTopDoNotWrapTheHorizon) {
   const SimTime top = TimerWheel::kNever;
   wheel.schedule(top - kSecond, 42);
   wheel.schedule(top, 7);
-  EXPECT_EQ(wheel.next_due(), top - kSecond);
   EXPECT_TRUE(wheel.pop_due(top - kHour).empty());
   EXPECT_EQ(ids(wheel.pop_due(top - kSecond)), std::vector<std::uint32_t>{42});
   EXPECT_EQ(ids(wheel.pop_due(top)), std::vector<std::uint32_t>{7});
   EXPECT_TRUE(wheel.empty());
-}
-
-TEST(TimerWheel, NextDueReportsEarliestAcrossBucketsAndOverflow) {
-  TimerWheel wheel(kMinute, 16);  // horizon: 16 minutes
-  EXPECT_EQ(wheel.next_due(), TimerWheel::kNever);
-  wheel.schedule(2 * kHour, 9);  // beyond the horizon: overflow list
-  EXPECT_EQ(wheel.next_due(), 2 * kHour);
-  wheel.schedule(5 * kMinute, 3);
-  EXPECT_EQ(wheel.next_due(), 5 * kMinute);
-  wheel.schedule(30 * kSecond, 1);
-  EXPECT_EQ(wheel.next_due(), 30 * kSecond);
-  EXPECT_EQ(ids(wheel.pop_due(kMinute)), std::vector<std::uint32_t>{1});
-  EXPECT_EQ(wheel.next_due(), 5 * kMinute);
-  EXPECT_EQ(ids(wheel.pop_due(kHour)), std::vector<std::uint32_t>{3});
-  EXPECT_EQ(wheel.next_due(), 2 * kHour);
-  EXPECT_EQ(ids(wheel.pop_due(2 * kHour)), std::vector<std::uint32_t>{9});
-  EXPECT_EQ(wheel.next_due(), TimerWheel::kNever);
 }
 
 // ---------- host-level coast equivalence ----------
