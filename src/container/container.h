@@ -103,13 +103,8 @@ class ContainerRuntime {
     return policy_;
   }
   /// Replace the masking policy at runtime (stage-1 defense rollout);
-  /// affects existing and future containers alike. Bumps the filesystem's
-  /// render epoch: the policy decides which renders are restricted, so no
-  /// scan may reuse a render predating the flip.
-  void set_policy(fs::MaskingPolicy policy) {
-    policy_ = std::move(policy);
-    fs_->bump_render_epoch();
-  }
+  /// affects existing and future containers alike.
+  void set_policy(fs::MaskingPolicy policy) { policy_ = std::move(policy); }
   [[nodiscard]] fs::PseudoFs& filesystem() noexcept { return *fs_; }
   [[nodiscard]] kernel::Host& host() noexcept { return *host_; }
 

@@ -71,6 +71,7 @@ void PowerNamespace::enable() {
   enabled_ = true;
   // Establish the counter baseline now so the first tenant read after a
   // step already reports the energy accrued since enablement.
+  std::lock_guard<std::mutex> lock(mu_);
   refresh(host);
 }
 
@@ -227,6 +228,7 @@ std::uint64_t PowerNamespace::energy_uj(const kernel::Host& host,
     return 0;
   }
 
+  std::lock_guard<std::mutex> lock(mu_);
   refresh(host);
   auto it = states_.find(viewer->container_id);
   if (it == states_.end()) return 0;
@@ -251,6 +253,7 @@ std::uint64_t PowerNamespace::energy_uj(const kernel::Host& host,
 
 double PowerNamespace::last_power_w(const std::string& container_id,
                                     hw::RaplDomainKind domain) const {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = states_.find(container_id);
   if (it == states_.end()) return 0.0;
   const auto& state = it->second;

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 
 #include "container/container.h"
@@ -67,6 +68,7 @@ class PowerNamespace final : public fs::RaplViewProvider {
 
   /// Bring all virtual counters up to host.now(): apportion the RAPL
   /// energy accrued since the last refresh across containers per Formula 3.
+  /// The caller holds mu_.
   void refresh(const kernel::Host& host) const;
 
   static PerfDelta to_delta(const kernel::PerfCounters& before,
@@ -79,7 +81,10 @@ class PowerNamespace final : public fs::RaplViewProvider {
   bool root_events_created_ = false;
 
   // Read-path state is logically cache, hence mutable (the RaplViewProvider
-  // read interface is const).
+  // read interface is const). Scan lanes read energy_uj concurrently, so
+  // mu_ guards every refresh and every read of the state below; the first
+  // reader at a new sim time refreshes, and the rest find it current.
+  mutable std::mutex mu_;
   mutable std::map<std::string, ContainerState> states_;
   mutable kernel::PerfCounters last_root_perf_;
   mutable double last_rapl_core_j_ = 0.0;

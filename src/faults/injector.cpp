@@ -99,17 +99,6 @@ StatusCode FaultInjector::read_fault(std::string_view path,
   return StatusCode::kOk;
 }
 
-bool FaultInjector::covers(std::string_view path) const {
-  for (const FaultRule& rule : plan_.rules) {
-    if (rule.kind != FaultKind::kTransientUnavailable &&
-        rule.kind != FaultKind::kPermanentDeny) {
-      continue;
-    }
-    if (glob_match(rule.path_glob, path)) return true;
-  }
-  return false;
-}
-
 bool FaultInjector::rapl_wrap_at_step(std::uint64_t step_index,
                                       SimTime now) const {
   for (std::size_t i = 0; i < plan_.rules.size(); ++i) {

@@ -31,13 +31,6 @@ class FaultInjector {
   [[nodiscard]] StatusCode read_fault(std::string_view path,
                                       SimTime now) const;
 
-  /// True when any read-faulting rule's glob matches `path`, regardless of
-  /// sim time or rate. Deliberately conservative (a rate-0 rule still
-  /// covers): fault draws are keyed by sim-time window, so a covered path
-  /// is never cache_eligible — reusing a classification would skip the
-  /// draw that decides whether this exact read faults.
-  [[nodiscard]] bool covers(std::string_view path) const;
-
   /// True when a kRaplWrapForce rule fires at engine step `step_index`
   /// (a monotonic index that survives measurement resets).
   [[nodiscard]] bool rapl_wrap_at_step(std::uint64_t step_index,

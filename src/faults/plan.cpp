@@ -1,7 +1,10 @@
 #include "faults/plan.h"
 
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <system_error>
 
 namespace cleaks::faults {
 
@@ -24,6 +27,9 @@ Result<FaultKind> fault_kind_from_string(std::string_view text) {
           "unknown fault kind: " + std::string(text)};
 }
 
+// Enough significant digits for a double to read back bit for bit.
+constexpr int kExactDigits = 17;
+
 void append_plan_json(const FaultPlan& plan, obs::JsonWriter& json,
                       std::string_view key) {
   json.begin_object(key);
@@ -33,12 +39,12 @@ void append_plan_json(const FaultPlan& plan, obs::JsonWriter& json,
     json.begin_object()
         .field("kind", to_string(rule.kind))
         .field("path_glob", rule.path_glob)
-        .field("rate", rule.rate)
+        .field("rate", rule.rate, kExactDigits)
         .field("period_ns", rule.period)
         .field("duration_ns", rule.duration)
         .field("start_ns", rule.start)
         .field("end_ns", rule.end)
-        .field("scale", rule.scale)
+        .field("scale", rule.scale, kExactDigits)
         .end_object();
   }
   json.end_array();
@@ -46,6 +52,15 @@ void append_plan_json(const FaultPlan& plan, obs::JsonWriter& json,
 }
 
 namespace {
+
+/// The rule's nanosecond member named `key`, or nullptr.
+std::uint64_t* ns_member(FaultRule& rule, std::string_view key) {
+  if (key == "period_ns") return &rule.period;
+  if (key == "duration_ns") return &rule.duration;
+  if (key == "start_ns") return &rule.start;
+  if (key == "end_ns") return &rule.end;
+  return nullptr;
+}
 
 /// Recursive-descent reader for exactly the document shape
 /// append_plan_json emits. Unknown keys are errors: the round-trip
@@ -99,9 +114,7 @@ class PlanParser {
       if (!consume(':')) return fail("expected ':' after \"" + key + "\"");
       skip_ws();
       if (key == "seed") {
-        double seed = 0.0;
-        if (!parse_number(seed)) return fail("bad seed");
-        plan.seed = static_cast<std::uint64_t>(seed);
+        if (!parse_u64(plan.seed)) return fail("bad seed");
       } else if (key == "rules") {
         const Status rules = parse_rules(plan.rules);
         if (!rules.is_ok()) return rules;
@@ -155,24 +168,13 @@ class PlanParser {
         rule.kind = kind.value();
       } else if (key == "path_glob") {
         if (!parse_string(rule.path_glob)) return fail("bad path_glob");
-      } else {
-        double number = 0.0;
+      } else if (key == "rate" || key == "scale") {
+        double& number = key == "rate" ? rule.rate : rule.scale;
         if (!parse_number(number)) return fail("bad number for " + key);
-        if (key == "rate") {
-          rule.rate = number;
-        } else if (key == "period_ns") {
-          rule.period = static_cast<SimDuration>(number);
-        } else if (key == "duration_ns") {
-          rule.duration = static_cast<SimDuration>(number);
-        } else if (key == "start_ns") {
-          rule.start = static_cast<SimTime>(number);
-        } else if (key == "end_ns") {
-          rule.end = static_cast<SimTime>(number);
-        } else if (key == "scale") {
-          rule.scale = number;
-        } else {
-          return fail("unknown rule member: " + key);
-        }
+      } else if (std::uint64_t* ns = ns_member(rule, key)) {
+        if (!parse_u64(*ns)) return fail("bad integer for " + key);
+      } else {
+        return fail("unknown rule member: " + key);
       }
       skip_ws();
       if (consume(',')) {
@@ -225,7 +227,8 @@ class PlanParser {
     return false;  // unterminated
   }
 
-  bool parse_number(double& out) {
+  /// The characters of a JSON number, consumed as one token.
+  std::string_view number_token() {
     const std::size_t begin = pos_;
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
@@ -236,11 +239,24 @@ class PlanParser {
         break;
       }
     }
-    if (pos_ == begin) return false;
-    const std::string token(text_.substr(begin, pos_ - begin));
+    return text_.substr(begin, pos_ - begin);
+  }
+
+  bool parse_number(double& out) {
+    const std::string token(number_token());
+    if (token.empty()) return false;
     char* parse_end = nullptr;
     out = std::strtod(token.c_str(), &parse_end);
     return parse_end == token.c_str() + token.size();
+  }
+
+  /// An exact unsigned 64-bit integer: digits only. A sign, a fraction, an
+  /// exponent or a value past UINT64_MAX is an error, never a rounding.
+  bool parse_u64(std::uint64_t& out) {
+    const std::string_view token = number_token();
+    const char* end = token.data() + token.size();
+    const auto [stop, error] = std::from_chars(token.data(), end, out);
+    return error == std::errc{} && stop == end;
   }
 
   Status fail(std::string why) const {

@@ -11,7 +11,6 @@
 #include "fs/render.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "util/fnv.h"
 #include "util/strings.h"
 
 namespace cleaks::fs {
@@ -46,7 +45,7 @@ struct FsMetrics {
       "always 0: the pseudo-fs memoizes nothing");
   obs::Counter& viewer_misses = obs::Registry::global().counter(
       "fs_viewer_cache_misses_total",
-      "container-context renders of cacheable files no fault rule covers");
+      "container-context renders of cacheable files");
   obs::Counter& viewer_invalidations = obs::Registry::global().counter(
       "fs_viewer_cache_invalidations_total",
       "always 0: the pseudo-fs memoizes nothing");
@@ -137,7 +136,6 @@ void PseudoFs::register_file(std::string path, Generator generator,
   auto table = std::make_shared<Registry>(*registry_);
   table->register_file(std::move(path), std::move(generator), mode);
   registry_ = std::move(table);
-  ++render_epoch_;
 }
 
 const PseudoFs::FileEntry* PseudoFs::find_entry(std::string_view path) const {
@@ -272,56 +270,16 @@ StatusCode PseudoFs::read_into(std::string_view path, const ViewContext& ctx,
     return fault;
   }
   // Count renders of cacheable files as cache "misses" (see FsMetrics):
-  // host-context reads, and container reads by a PID-namespaced viewer of
-  // a path no fault rule covers.
+  // host-context reads, and container reads by a PID-namespaced viewer.
   if (entry->cacheable) {
     if (render_ctx.viewer == nullptr) {
       FsMetrics::get().cache_misses.inc();
-    } else if (ctx.is_container() && ctx.viewer->ns.pid != nullptr &&
-               (fault_injector_ == nullptr ||
-                !fault_injector_->covers(path))) {
+    } else if (ctx.is_container() && ctx.viewer->ns.pid != nullptr) {
       FsMetrics::get().viewer_misses.inc();
     }
   }
   entry->generator(render_ctx, out);
   return StatusCode::kOk;
-}
-
-bool PseudoFs::cache_eligible(std::string_view path) const {
-  const FileEntry* entry = find_entry(path);
-  if (entry == nullptr || !entry->cacheable) return false;
-  return fault_injector_ == nullptr || !fault_injector_->covers(path);
-}
-
-std::uint64_t PseudoFs::viewer_state_fingerprint(const kernel::Task& viewer) {
-  Fnv64 h;
-  const kernel::NamespaceSet& ns = viewer.ns;
-  h.add_u64(ns.pid != nullptr ? ns.pid->id : 0);
-  h.add_u64(ns.uts != nullptr ? ns.uts->id : 0);
-  h.add_u64(ns.net != nullptr ? ns.net->id : 0);
-  h.add_u64(ns.ipc != nullptr ? ns.ipc->id : 0);
-  h.add_u64(ns.mnt != nullptr ? ns.mnt->id : 0);
-  h.add_u64(ns.user != nullptr ? ns.user->id : 0);
-  h.add_u64(ns.cgroup != nullptr ? ns.cgroup->id : 0);
-  h.add_u64(static_cast<std::uint64_t>(viewer.host_pid));
-  h.add_u64(static_cast<std::uint64_t>(viewer.start_time));
-  if (viewer.cgroup != nullptr) {
-    const kernel::Cgroup& cg = *viewer.cgroup;
-    h.add_string(cg.path());
-    h.add_u64(cg.memory.limit_bytes);
-    h.add_u64(cg.memory.usage_bytes);
-    h.add_double(cg.cpu_quota);
-    h.add_u64(cg.cpuset.cpus.size());
-    for (int cpu : cg.cpuset.cpus) {
-      h.add_u64(static_cast<std::uint64_t>(cpu));
-    }
-    h.add_u64(cg.net_prio.ifpriomap.size());
-    for (const auto& [device, priority] : cg.net_prio.ifpriomap) {
-      h.add_string(device);
-      h.add_u64(static_cast<std::uint64_t>(priority));
-    }
-  }
-  return h.hash;
 }
 
 void PseudoFs::Registry::register_procfs(const FsGeometry& geometry) {
@@ -476,10 +434,8 @@ void PseudoFs::Registry::register_telemetry() {
   // container view is byte-stable under host load, so CrossValidator::scan
   // classifies the file NAMESPACED — the contrast case to Table I.
   //
-  // kUncacheable: the registry mutates without bumping the host state
-  // generation, so a reused classification would go stale. The render must
-  // not touch any counter (see FsMetrics) or two quiescent reads would
-  // disagree.
+  // kUncacheable: the render must not touch any counter (see FsMetrics) or
+  // two quiescent reads would disagree.
   register_file(
       "/proc/containerleaks",
       [](const RenderContext& ctx, std::string& out) {

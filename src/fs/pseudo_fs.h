@@ -15,20 +15,17 @@
 //    per-lookup key allocation);
 //  * generators append into a caller-provided buffer (read_into), so a
 //    scanning worker reuses one buffer for its whole path range;
-//  * nothing is memoized here: every read runs its generator straight into
-//    the caller's buffer. Reuse happens one level up, in CrossValidator,
-//    which skips the renders of cache_eligible() paths while the host
-//    state generation, the render epoch and the probe's
-//    viewer_state_fingerprint() all stand still. A per-file memo keyed on
-//    the host generation cannot pay, since every tick bumps it.
+//  * nothing is memoized: every read runs its generator straight into the
+//    caller's buffer, and every CrossValidator scan renders every path it
+//    classifies.
 //
 // Concurrency: reads are const, generators are pure and a PseudoFs keeps
 // no per-read state, so any number of threads may read concurrently *while
 // the host is quiescent* (nobody is calling Host::advance/spawn_task/etc.).
-// The read path takes no lock.
+// The read path takes no lock; the one stateful render input, the power
+// namespace's RAPL view provider, serializes its own lazy refresh.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -50,12 +47,11 @@ namespace cleaks::fs {
 using Generator =
     std::function<void(const RenderContext&, std::string& out)>;
 
-/// Whether a file's renders may be reused while the host state generation,
-/// the render epoch and the viewer-state fingerprint stand still. Almost
-/// every pseudo file depends only on that state and is kCacheable; files
-/// whose bytes change without a generation bump (e.g. /proc/containerleaks,
-/// which renders the live metrics registry) must be kUncacheable, or a warm
-/// scan would reuse a classification made from stale telemetry.
+/// Whether renders of a file count toward the fs_*_cache_misses_total
+/// counters. Every file is kCacheable except /proc/containerleaks, which
+/// prints those counters: if rendering it bumped them, two reads of it at
+/// one instant would differ (RenderCache.ReadIntoMatchesRead reads every
+/// path twice and needs equal bytes).
 enum class CacheMode { kCacheable, kUncacheable };
 
 class PseudoFs {
@@ -93,7 +89,6 @@ class PseudoFs {
   /// namespace). Null restores the stock leaking behaviour.
   void set_rapl_provider(const RaplViewProvider* provider) noexcept {
     rapl_provider_ = provider;
-    ++render_epoch_;  // the provider changes what renders
   }
   [[nodiscard]] const RaplViewProvider* rapl_provider() const noexcept {
     return rapl_provider_;
@@ -114,40 +109,10 @@ class PseudoFs {
   [[nodiscard]] const kernel::Host& host() const noexcept { return *host_; }
 
   /// Register an extra path (used by tests to model future channels).
-  /// Replaces the generator when the path already exists, and bumps the
-  /// render epoch. The change is private to this host: it edits a copy of
-  /// the shared file table.
+  /// Replaces the generator when the path already exists. The change is
+  /// private to this host: it edits a copy of the shared file table.
   void register_file(std::string path, Generator generator,
                      CacheMode mode = CacheMode::kCacheable);
-
-  /// Monotonic epoch over everything renders depend on besides host state
-  /// and the viewer: the registered generators, the RAPL view provider and
-  /// the masking policy. Incremental consumers (CrossValidator) key their
-  /// reuse on it together with the host state generation.
-  [[nodiscard]] std::uint64_t render_epoch() const noexcept {
-    return render_epoch_;
-  }
-
-  /// Mark every earlier render stale. The container runtime calls this on
-  /// stage-1 mask/unmask (set_policy): the policy decides which renders are
-  /// restricted, so no reuse may carry bytes across the flip.
-  void bump_render_epoch() noexcept { ++render_epoch_; }
-
-  /// True when renders of `path` may be reused while the reuse key
-  /// (generation, epoch, fingerprint) stands still: a registered kCacheable
-  /// static path that no rule of the installed fault plan covers.
-  /// CrossValidator uses it to decide which classifications an
-  /// unchanged-world rescan may reuse.
-  [[nodiscard]] bool cache_eligible(std::string_view path) const;
-
-  /// FNV-1a fingerprint over the viewer-visible mutable state that the
-  /// host generation does *not* track: namespace identities and the
-  /// viewer's cgroup configuration (cpuset, memory limit/usage, cpu quota,
-  /// net_prio map). Restricted renders read exactly this state, so a
-  /// cgroup knob turned between two scans changes the fingerprint and ends
-  /// CrossValidator's reuse of the probe's classifications.
-  [[nodiscard]] static std::uint64_t viewer_state_fingerprint(
-      const kernel::Task& viewer);
 
  private:
   struct FileEntry {
@@ -174,7 +139,6 @@ class PseudoFs {
   const kernel::Host* host_;
   const RaplViewProvider* rapl_provider_ = nullptr;
   const faults::FaultInjector* fault_injector_ = nullptr;
-  std::uint64_t render_epoch_ = 0;
   std::shared_ptr<const Registry> registry_;
 };
 

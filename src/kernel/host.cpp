@@ -366,7 +366,6 @@ void Host::begin_coast_() {
     }
   }
 
-  ++generation_;  // the regime pins above are /proc-visible
   c.expected_generation = generation_;
 }
 
@@ -439,8 +438,6 @@ void Host::materialize_coast_(SimDuration elapsed) {
   }
 
   now_ = c.t0 + elapsed;
-  ++generation_;  // scan reuse must see the new bytes
-  c.expected_generation = generation_;
 }
 
 void Host::advance_idle(SimDuration duration) {

@@ -69,7 +69,7 @@ class Host {
   [[nodiscard]] const hw::HardwareSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] const KernelState& state() const noexcept { return kstate_; }
   [[nodiscard]] KernelState& mutable_state() noexcept {
-    ++generation_;  // caller may change anything /proc-visible
+    ++generation_;  // caller may change anything: ends a coast episode
     return kstate_;
   }
   [[nodiscard]] const hw::ThermalModel& thermal() const noexcept {
@@ -200,14 +200,6 @@ class Host {
     return coast_.active && generation_ == coast_.expected_generation;
   }
 
-  /// Monotonic counter bumped whenever anything /proc- or /sys-visible may
-  /// have changed (tick, task table change, runtime mutation). The scan
-  /// reuse key (CrossValidator) includes it: equal generation, render epoch
-  /// and viewer fingerprint ⇒ identical render bytes.
-  [[nodiscard]] std::uint64_t state_generation() const noexcept {
-    return generation_;
-  }
-
   /// Stable logical id stamped on this host's event-bus emissions
   /// (obs/events.h): the server index in a facility, 0 standalone. Part of
   /// the merged-stream order, so it must be simulated identity — never the
@@ -316,7 +308,9 @@ class Host {
   std::uint64_t nonroot_usage_marker_ = 0;  ///< see nonroot_usage_marker()
   double effective_freq_hz_ = 0.0;
   std::uint64_t ticks_run_ = 0;
-  std::uint64_t generation_ = 0;  ///< see state_generation()
+  /// Bumped by every mutation that can end a coast episode (tick, task
+  /// table change, cap change, mutable_* access); see coast_active().
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace cleaks::kernel

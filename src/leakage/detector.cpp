@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "faults/injector.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
@@ -46,10 +45,7 @@ struct ScanMetrics {
       "transient (EBUSY) reads retried within the sim-time budget");
   obs::Counter& paths_reused = obs::Registry::global().counter(
       "scan_paths_reused_total",
-      "paths whose classification was reused from the incremental cache");
-  obs::Counter& renders_avoided = obs::Registry::global().counter(
-      "scan_renders_avoided_total",
-      "context renders skipped outright by unchanged-world reuse");
+      "always 0: every scan runs the full protocol");
   obs::Counter& channels_degraded = obs::Registry::global().counter(
       "scan_channels_degraded_total",
       "findings marked degraded (retry budget or epochs exhausted)");
@@ -64,28 +60,6 @@ struct ScanMetrics {
     return metrics;
   }
 };
-
-/// Bump the class counter matching a (possibly reused) classification, so
-/// the per-class totals always equal the finding counts — reuse included.
-void count_class(ScanMetrics& metrics, LeakClass cls) {
-  switch (cls) {
-    case LeakClass::kLeaking:
-      metrics.leaking.inc();
-      break;
-    case LeakClass::kPartial:
-      metrics.partial.inc();
-      break;
-    case LeakClass::kNamespaced:
-      metrics.namespaced.inc();
-      break;
-    case LeakClass::kMasked:
-      metrics.masked.inc();
-      break;
-    case LeakClass::kAbsent:
-      metrics.absent.inc();
-      break;
-  }
-}
 
 /// Accumulate per-field absolute drift between two snapshots of one file.
 /// A field-count change is recorded as drift too (structure moved).
@@ -176,7 +150,6 @@ container::Container& CrossValidator::ensure_probe() {
     config.memory_limit_bytes = 4ULL << 30;
   }
   probe_ = server_->runtime().create(config);
-  cache_valid_ = false;  // new incarnation = new viewer key: scan cold
   return *probe_;
 }
 
@@ -187,186 +160,71 @@ std::vector<FileFinding> CrossValidator::scan() {
 
   container::Container& probe = ensure_probe();
   const fs::PseudoFs& pseudo = server_->fs();
-  const kernel::Task& viewer = *probe.init_task();
-  const std::uint64_t viewer_key = viewer.ns.pid->id;
-
   const std::vector<std::string> paths = pseudo.list_paths();
   const std::size_t n = paths.size();
   std::vector<FileFinding> findings(n);
   std::vector<std::uint8_t> undecided(n, 0);
-  std::vector<std::uint8_t> transient(n, 0);
-  std::vector<std::uint8_t> reused(n, 0);
-  std::vector<std::uint8_t> faulted(n, 0);
-  std::vector<std::uint8_t> eligible(n, 0);
-  std::vector<std::uint8_t> digest_ok(n, 0);
-  std::vector<std::uint64_t> container_digest(n, 0);
-  std::vector<std::uint64_t> host_digest(n, 0);
-
-  // Fault-covered paths run the full protocol every scan and are never
-  // cached or reused: fault draws are keyed by sim-time window, and reuse
-  // would skip the draws that decide whether *these* reads fault.
-  const faults::FaultInjector* injector = pseudo.fault_injector();
-  for (std::size_t i = 0; i < n; ++i) {
-    faulted[i] = injector != nullptr && injector->covers(paths[i]) ? 1 : 0;
-    eligible[i] = faulted[i] == 0 && pseudo.cache_eligible(paths[i]) ? 1 : 0;
-  }
-
-  const std::uint64_t start_generation = server_->host().state_generation();
-  const std::uint64_t start_epoch = pseudo.render_epoch();
-  const std::uint64_t start_fingerprint =
-      fs::PseudoFs::viewer_state_fingerprint(viewer);
-  // warm: the cache describes this probe over this exact path list.
-  // unchanged: additionally, nothing any cache-eligible render depends on
-  // has moved since the cache was stored — generation, render epoch and
-  // viewer fingerprint all match, so both context renders of every
-  // eligible path are byte-identical to the cached pass by construction.
-  const bool warm = options_.incremental && cache_valid_ &&
-                    cache_viewer_key_ == viewer_key && cache_paths_ == paths;
-  const bool unchanged = warm && cache_generation_ == start_generation &&
-                         cache_epoch_ == start_epoch &&
-                         cache_fingerprint_ == start_fingerprint;
+  for (std::size_t i = 0; i < n; ++i) findings[i].path = paths[i];
 
   ThreadPool pool(options_.num_threads);
   const fs::ViewContext host_ctx{};  // host context: no viewer, no policy
 
-  // Unchanged-world fast path: reuse every cached eligible classification
-  // outright — zero renders, zero reads, zero sim time for these paths.
-  if (unchanged) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (eligible[i] == 0 || !cache_[i].valid) continue;
-      findings[i].path = paths[i];
-      findings[i].cls = cache_[i].cls;
-      reused[i] = 1;
-      metrics.paths.inc();
-      metrics.paths_reused.inc();
-      metrics.renders_avoided.inc(2);  // container + host render skipped
-      count_class(metrics, cache_[i].cls);
-    }
-  }
-
-  // Phase A: the instant pair-wise differential, fanned across workers.
-  // All reads are pure (the simulation is quiescent here), each worker
-  // reuses two lane-local scratch buffers for its whole range, and every
-  // slot written belongs to exactly one worker — so the phase is race-free
-  // and its results independent of the thread count. The class counters
-  // below are incremented from inside the parallel body: lane-sharded
-  // integer sums, so the merged totals equal the (deterministic) finding
-  // counts. Both renders are FNV-digested as a side effect; on a warm scan
-  // an undecided path whose digest pair matches the cached pair reuses the
-  // cached Phase-B verdict instead of re-probing (hash-first reuse).
+  // Phase A: the instant pair-wise differential over every path, fanned
+  // across workers, then bounded sim-time retry rounds for the transient
+  // (EBUSY) reads. All reads are pure (the simulation is quiescent inside
+  // a round), each worker reuses two lane-local scratch buffers for its
+  // whole range, and every slot written belongs to exactly one worker — so
+  // the phase is race-free and its results independent of the thread
+  // count. The class counters are lane-sharded integer sums, so the merged
+  // totals equal the (deterministic) finding counts. Each retry round
+  // first steps the sim once on this thread, so the fault windows can
+  // close. A fault-free scan has no transient slots and takes zero extra
+  // steps — the golden traces cannot move. Slots still EBUSY after the
+  // budget degrade to kAbsent with the degraded flag set: unknown, never
+  // misclassified.
   const SimTime differential_start = sim_now();
-  pool.parallel_for(n, [&](std::size_t begin, std::size_t end) {
-    std::string& container_buf = pool.scratch(0);
-    std::string& host_buf = pool.scratch(1);
-    for (std::size_t i = begin; i < end; ++i) {
-      if (reused[i] != 0) continue;
-      findings[i].path = paths[i];
-      metrics.paths.inc();
-      const StatusCode code = probe.read_file_into(paths[i], container_buf);
-      if (code == StatusCode::kPermissionDenied) {
-        findings[i].cls = LeakClass::kMasked;
-        metrics.masked.inc();
-        continue;
-      }
-      if (code == StatusCode::kUnavailable) {
-        transient[i] = 1;  // EBUSY: retried below on the sim-time budget
-        continue;
-      }
-      if (code != StatusCode::kOk) {
-        findings[i].cls = LeakClass::kAbsent;
-        metrics.absent.inc();
-        continue;
-      }
-      if (pseudo.read_into(paths[i], host_ctx, host_buf) != StatusCode::kOk) {
-        findings[i].cls = LeakClass::kAbsent;
-        metrics.absent.inc();
-        continue;
-      }
-      container_digest[i] = fnv1a64(container_buf);
-      host_digest[i] = fnv1a64(host_buf);
-      digest_ok[i] = 1;
-      if (container_buf == host_buf) {
-        findings[i].cls = LeakClass::kLeaking;
-        metrics.differential_hits.inc();
-        metrics.leaking.inc();
-      } else if (warm && faulted[i] == 0 && cache_[i].valid &&
-                 cache_[i].has_digests &&
-                 (cache_[i].cls == LeakClass::kPartial ||
-                  cache_[i].cls == LeakClass::kNamespaced) &&
-                 cache_[i].container_digest == container_digest[i] &&
-                 (unchanged || cache_[i].host_digest == host_digest[i])) {
-        // Hash-first reuse of the perturbation verdict. In a changed
-        // world both digests must match (nothing about the pair moved);
-        // in an unchanged world the container digest alone suffices —
-        // that covers kUncacheable files like /proc/containerleaks,
-        // whose host side (the live registry) churns without the world
-        // moving while the container side is exactly what Phase B
-        // measures.
-        findings[i].cls = cache_[i].cls;
-        reused[i] = 1;
-        metrics.paths_reused.inc();
-        count_class(metrics, cache_[i].cls);
-      } else {
-        undecided[i] = 1;  // needs the perturbation probe
-        metrics.undecided.inc();
-      }
+  std::vector<std::size_t> busy(n);
+  for (std::size_t i = 0; i < n; ++i) busy[i] = i;
+  for (int round = 0; !busy.empty(); ++round) {
+    if (round > 0) {
+      if (round > options_.max_read_retries) break;
+      server_->step(options_.retry_backoff);
     }
-  });
-  // Phase A': bounded sim-time retry of the transient reads. Each round
-  // steps the sim once on this thread (so the fault windows can close),
-  // then re-runs the pair-wise differential for just the EBUSY slots in
-  // parallel. A fault-free scan has no transient slots and takes zero
-  // extra steps — the golden traces cannot move. Slots still EBUSY after
-  // the budget degrade to kAbsent with the degraded flag set: unknown,
-  // never misclassified.
-  std::vector<std::size_t> retry;
-  for (std::size_t i = 0; i < transient.size(); ++i) {
-    if (transient[i] != 0) retry.push_back(i);
-  }
-  for (int round = 0; round < options_.max_read_retries && !retry.empty();
-       ++round) {
-    server_->step(options_.retry_backoff);
-    std::vector<std::uint8_t> still_busy(retry.size(), 0);
-    pool.parallel_for(retry.size(), [&](std::size_t begin, std::size_t end) {
+    std::vector<std::uint8_t> still_busy(busy.size(), 0);
+    pool.parallel_for(busy.size(), [&](std::size_t begin, std::size_t end) {
       std::string& container_buf = pool.scratch(0);
       std::string& host_buf = pool.scratch(1);
       for (std::size_t s = begin; s < end; ++s) {
-        const std::size_t i = retry[s];
-        metrics.reads_retried.inc();
+        const std::size_t i = busy[s];
+        (round == 0 ? metrics.paths : metrics.reads_retried).inc();
         const StatusCode code = probe.read_file_into(paths[i], container_buf);
         if (code == StatusCode::kUnavailable) {
-          still_busy[s] = 1;
-          continue;
-        }
-        if (code == StatusCode::kPermissionDenied) {
+          still_busy[s] = 1;  // EBUSY: retried in the next round
+        } else if (code == StatusCode::kPermissionDenied) {
           findings[i].cls = LeakClass::kMasked;
           metrics.masked.inc();
-          continue;
-        }
-        if (code != StatusCode::kOk ||
-            pseudo.read_into(paths[i], host_ctx, host_buf) !=
-                StatusCode::kOk) {
+        } else if (code != StatusCode::kOk ||
+                   pseudo.read_into(paths[i], host_ctx, host_buf) !=
+                       StatusCode::kOk) {
           findings[i].cls = LeakClass::kAbsent;
           metrics.absent.inc();
-          continue;
-        }
-        if (container_buf == host_buf) {
+        } else if (container_buf == host_buf) {
           findings[i].cls = LeakClass::kLeaking;
           metrics.differential_hits.inc();
           metrics.leaking.inc();
         } else {
-          undecided[i] = 1;
+          undecided[i] = 1;  // needs the perturbation probe
           metrics.undecided.inc();
         }
       }
     });
-    std::vector<std::size_t> next_retry;
-    for (std::size_t s = 0; s < retry.size(); ++s) {
-      if (still_busy[s] != 0) next_retry.push_back(retry[s]);
+    std::vector<std::size_t> next;
+    for (std::size_t s = 0; s < busy.size(); ++s) {
+      if (still_busy[s] != 0) next.push_back(busy[s]);
     }
-    retry.swap(next_retry);
+    busy.swap(next);
   }
-  for (const std::size_t i : retry) {
+  for (const std::size_t i : busy) {
     findings[i].cls = LeakClass::kAbsent;
     findings[i].degraded = true;
     metrics.channels_degraded.inc();
@@ -466,63 +324,6 @@ std::vector<FileFinding> CrossValidator::scan() {
         static_cast<std::uint64_t>(sim_now() - perturbation_start));
   }
 
-  // Epilogue: store the cache for the next scan. If the sim moved under
-  // this scan (retry rounds or Phase B stepped it), the Phase-A digests
-  // describe a dead generation — re-render every storeable path at the
-  // settled world so the next warm scan has a matchable key. A scan that
-  // never stepped keeps its Phase-A digests (or, in the unchanged fast
-  // path, carries the still-current cached entries forward).
-  if (options_.incremental) {
-    const std::uint64_t end_generation = server_->host().state_generation();
-    const bool stepped = end_generation != start_generation;
-    if (stepped) {
-      pool.parallel_for(n, [&](std::size_t begin, std::size_t end) {
-        std::string& container_buf = pool.scratch(0);
-        std::string& host_buf = pool.scratch(1);
-        for (std::size_t i = begin; i < end; ++i) {
-          digest_ok[i] = 0;
-          if (faulted[i] != 0 || findings[i].degraded) continue;
-          if (probe.read_file_into(paths[i], container_buf) !=
-              StatusCode::kOk) {
-            continue;
-          }
-          if (pseudo.read_into(paths[i], host_ctx, host_buf) !=
-              StatusCode::kOk) {
-            continue;
-          }
-          container_digest[i] = fnv1a64(container_buf);
-          host_digest[i] = fnv1a64(host_buf);
-          digest_ok[i] = 1;
-        }
-      });
-    }
-    std::vector<PathCache> next(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      PathCache& entry = next[i];
-      entry.cls = findings[i].cls;
-      // Fault-covered and degraded verdicts are never reusable.
-      if (faulted[i] != 0 || findings[i].degraded) continue;
-      if (digest_ok[i] != 0) {
-        entry.container_digest = container_digest[i];
-        entry.host_digest = host_digest[i];
-        entry.has_digests = true;
-        entry.valid = true;
-      } else if (!stepped && reused[i] != 0 && warm && cache_[i].valid) {
-        entry = cache_[i];  // unchanged world, zero reads: still current
-      } else if (findings[i].cls == LeakClass::kMasked) {
-        entry.valid = true;  // no bytes to digest; the epoch key covers it
-      }
-    }
-    cache_ = std::move(next);
-    cache_paths_ = paths;
-    cache_generation_ = end_generation;
-    cache_epoch_ = pseudo.render_epoch();
-    cache_fingerprint_ = fs::PseudoFs::viewer_state_fingerprint(viewer);
-    cache_viewer_key_ = viewer_key;
-    cache_valid_ = true;
-  } else {
-    cache_valid_ = false;
-  }
   // Findings are in fixed path order and this runs on the scan's caller
   // thread, so emission order (and hence the merged stream) is a pure
   // function of the scan outcome, never of the pool's chunking.

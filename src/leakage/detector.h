@@ -13,7 +13,6 @@
 //      partially restricted ones (the CC5-style ◐ of Table I).
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -63,13 +62,6 @@ struct ScanOptions {
   /// fault-free scan takes zero extra steps.
   int max_read_retries = 3;
   SimDuration retry_backoff = 300 * kMillisecond;
-  /// Reuse classifications across repeated scan() calls on the same
-  /// validator (the hash-first incremental pipeline). The first scan on a
-  /// validator is always a full cold pass; a repeat scan re-renders only
-  /// what moved since the stored (generation, epoch, fingerprint) key and
-  /// reuses prior classifications for the rest — paths covered by a fault
-  /// rule always run the full protocol. False forces every scan cold.
-  bool incremental = true;
   /// Probe container configuration for scan(); nullopt = the historical
   /// default (a quarter of the host cores, 4 GiB).
   std::optional<container::ContainerConfig> probe_config;
@@ -96,46 +88,21 @@ class CrossValidator {
   ///      and every undecided path snapshots around it (parallel reads, sim
   ///      stepping on the calling thread), instead of re-running the cycle
   ///      per path.
-  /// The probe container is created on the first scan and retained until
-  /// the validator is destroyed (per-scan create/destroy would bump the
-  /// host generation, defeating generation-keyed reuse). With
-  /// ScanOptions::incremental, repeat scans are hash-first: a scan whose
-  /// (generation, render epoch, viewer fingerprint) key is unchanged
-  /// reuses cached classifications with *zero* re-renders for
-  /// cache-eligible paths and zero sim steps; a scan whose key moved
-  /// re-renders everything but skips Phase B for undecided paths whose
-  /// FNV digests (both contexts) match the cached pair. Fault-covered and
-  /// degraded paths never reuse. Findings come back in list_paths() order
-  /// and are identical for every num_threads value, warm or cold.
+  /// Every call runs both phases in full; a scan's findings depend only on
+  /// the world it reads. The probe container is created on the first scan
+  /// and retained until the validator is destroyed, so repeat scans see the
+  /// same probe pids and namespace ids. Findings come back in list_paths()
+  /// order and are identical for every num_threads value.
   std::vector<FileFinding> scan();
 
  private:
-  /// One cached per-path verdict with the digests that justify reuse.
-  struct PathCache {
-    std::uint64_t container_digest = 0;
-    std::uint64_t host_digest = 0;
-    LeakClass cls = LeakClass::kAbsent;
-    bool has_digests = false;  ///< digests captured at the stored key
-    bool valid = false;        ///< entry may be reused at all
-  };
-
-  /// Create the probe lazily; a fresh incarnation invalidates the cache
-  /// (its viewer key is new, so nothing cached could apply).
+  /// The retained probe container, created on first use (or re-created if
+  /// something destroyed it).
   container::Container& ensure_probe();
 
   cloud::Server* server_;
   ScanOptions options_;
-
-  // Incremental-scan state: retained probe + per-path cache, tagged with
-  // the (generation, epoch, fingerprint, viewer key) it was captured at.
   std::shared_ptr<container::Container> probe_;
-  std::vector<std::string> cache_paths_;
-  std::vector<PathCache> cache_;
-  std::uint64_t cache_generation_ = 0;
-  std::uint64_t cache_epoch_ = 0;
-  std::uint64_t cache_fingerprint_ = 0;
-  std::uint64_t cache_viewer_key_ = 0;
-  bool cache_valid_ = false;
 };
 
 }  // namespace cleaks::leakage

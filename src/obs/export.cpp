@@ -168,9 +168,10 @@ JsonWriter& JsonWriter::field(std::string_view name, std::string_view value) {
   return *this;
 }
 
-JsonWriter& JsonWriter::field(std::string_view name, double value) {
+JsonWriter& JsonWriter::field(std::string_view name, double value,
+                              int significant_digits) {
   key(name);
-  appendf(out_, "%.9g", value);
+  appendf(out_, "%.*g", significant_digits, value);
   return *this;
 }
 

@@ -437,8 +437,7 @@ SimEngine::LeakScanProbe SimEngine::leak_scan_probe(
     scan_validator_ =
         std::make_unique<leakage::CrossValidator>(srv, std::move(options));
   }
-  // One full scan covers every channel path at once; with the incremental
-  // cache a repeat probe on an unmoved world re-renders nothing at all.
+  // One full scan covers every channel path at once.
   const std::vector<leakage::FileFinding> findings = scan_validator_->scan();
   std::map<std::string_view, leakage::LeakClass> by_path;
   for (const auto& finding : findings) {

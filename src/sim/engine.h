@@ -158,11 +158,10 @@ class SimEngine {
     double cpu_hours = 0.0;
   };
   [[nodiscard]] BillingProbe billing_probe(const std::string& tenant) const;
-  /// Table 1 sweep on server 0: one incremental CrossValidator::scan()
-  /// pass (probe container created lazily on first call and retained),
+  /// Table 1 sweep on server 0: one full CrossValidator::scan() pass
+  /// (probe container created lazily on first call and retained),
   /// counting leaking (kLeaking) and functional (not masked/absent)
-  /// channel paths. Repeat probes on a quiescent world reuse cached
-  /// classifications instead of re-running the perturbation protocol.
+  /// channel paths.
   struct LeakScanProbe {
     int leaking = 0;
     int functional = 0;
@@ -245,7 +244,8 @@ class SimEngine {
   std::uint64_t events_digest_ = 0;  ///< seeded in enable_event_stream
   std::uint64_t events_drained_ = 0;
 
-  // Incremental leak-scan validator (leak_scan_probe). Declared last so
+  // Leak-scan validator (leak_scan_probe), kept across probes so every
+  // probe reads through the same probe container. Declared last so
   // it is destroyed first: its destructor tears down the retained probe
   // container, which needs the servers above still alive.
   std::unique_ptr<leakage::CrossValidator> scan_validator_;

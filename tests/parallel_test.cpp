@@ -20,6 +20,8 @@
 #include "cloud/datacenter.h"
 #include "cloud/profiles.h"
 #include "cloud/server.h"
+#include "defense/power_namespace.h"
+#include "defense/trainer.h"
 #include "leakage/detector.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
@@ -207,19 +209,19 @@ TEST(ParallelScan, FindingsIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelScan, WarmIncrementalFindingsIdenticalAcrossThreadCounts) {
-  // The incremental pipeline (hash-first reuse, lane-local scratch) must
-  // keep warm rescans bitwise-identical across lane counts —
-  // including a rescan after the world moved.
+TEST(ParallelScan, RepeatScanFindingsIdenticalAcrossThreadCounts) {
+  // Repeat scans on one validator (retained probe, lane-local scratch)
+  // must stay bitwise-identical across lane counts — including a rescan
+  // after the world moved.
   auto run_scans = [](int num_threads) {
     cloud::Server server("warm-scan", cloud::local_testbed(), 77, 40 * kDay);
     leakage::ScanOptions options;
     options.num_threads = num_threads;
     leakage::CrossValidator validator(server, options);
-    validator.scan();                       // cold
-    auto unchanged = validator.scan();      // warm, unchanged world
+    validator.scan();                       // first scan
+    auto unchanged = validator.scan();      // repeat, idle world
     server.step(kSecond);
-    auto moved = validator.scan();          // warm, world moved
+    auto moved = validator.scan();          // repeat, world moved
     unchanged.insert(unchanged.end(), moved.begin(), moved.end());
     return unchanged;
   };
@@ -233,6 +235,37 @@ TEST(ParallelScan, WarmIncrementalFindingsIdenticalAcrossThreadCounts) {
       ASSERT_EQ(serial[i].degraded, threaded[i].degraded) << serial[i].path;
     }
   }
+}
+
+TEST(ParallelScan, PowerNamespacedScanIdenticalAcrossThreadCounts) {
+  // Under the power-based namespace a container read of energy_uj
+  // refreshes the namespace's per-container counters, and scan lanes issue
+  // those reads concurrently. The refresh must stay race-free (TSan runs
+  // this suite) and the findings lane-invariant.
+  const defense::PowerModel model = defense::train_default_model(7).value();
+  auto run_scan = [&model](int num_threads) {
+    cloud::Server server("ns-scan", cloud::local_testbed(), 77, 40 * kDay);
+    defense::PowerNamespace power_ns(server.runtime(), model);
+    power_ns.enable();
+    leakage::ScanOptions options;
+    options.num_threads = num_threads;
+    leakage::CrossValidator validator(server, options);
+    return validator.scan();
+  };
+  const auto serial = run_scan(1);
+  const auto threaded = run_scan(4);
+  ASSERT_EQ(serial.size(), threaded.size());
+  int rapl_reads = 0;
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    ASSERT_EQ(serial[i].path, threaded[i].path) << "order diverged at " << i;
+    ASSERT_EQ(serial[i].cls, threaded[i].cls) << serial[i].path;
+    ASSERT_EQ(serial[i].degraded, threaded[i].degraded) << serial[i].path;
+    if (serial[i].path.ends_with("/energy_uj")) {
+      ++rapl_reads;
+      EXPECT_NE(serial[i].cls, leakage::LeakClass::kLeaking) << serial[i].path;
+    }
+  }
+  EXPECT_GT(rapl_reads, 1);
 }
 
 // ---------- telemetry rides the same determinism contract ----------
