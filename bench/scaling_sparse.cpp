@@ -1,10 +1,11 @@
 // Sparse-stepping scaling benchmark: visit-all (CLEAKS_SPARSE=0 — every
 // server stays on the active list and coasts per step) vs parked
 // (CLEAKS_SPARSE=1 — coasting servers leave the list and are carried by
-// the rack/facility aggregates + timer wheel) over a fleet-size sweep at
-// a *fixed* active-server count. The active servers run the diurnal
-// benign load (RNG every tick, so they never coast); the rest are pure
-// idle and the parked schedule drops them from the per-step walk.
+// the rack/facility aggregates until a touch wakes them) over a
+// fleet-size sweep at a *fixed* active-server count. The active servers
+// run the diurnal benign load (RNG every tick, so they never coast); the
+// rest are pure idle and the parked schedule drops them from the per-step
+// walk.
 //
 // Three things are checked, not just measured:
 //   * correctness — for every sweep point the visit-all and parked runs
@@ -68,7 +69,7 @@ struct ModeRun {
   std::uint64_t digest = 0;
   std::uint64_t active_steps = 0;   ///< engine_active_server_steps_total delta
   std::uint64_t coasted_s = 0;      ///< engine_idle_coasted_sim_seconds_total delta
-  int slept = 0;                    ///< peak servers parked on the wheel
+  int slept = 0;                    ///< peak servers parked
 };
 
 // Same registrations as the Datacenter's own metrics struct: the registry

@@ -168,13 +168,9 @@ void Datacenter::touch_(std::size_t index) {
 }
 
 void Datacenter::wake_(std::uint32_t index) {
-  Server& server = *servers_[index];
-  const SimTime owed = now_ - parked_at_[index];
-  // A server whose coast episode ended was necessarily touched (episodes
-  // only end through mutations, and every mutation path runs touch_),
-  // which already caught it up — so owed time implies a live episode.
-  assert(owed == 0 || server.coast_active());
-  if (owed > 0) server.defer_idle(owed);
+  // Only the recheck of a touched server wakes it, and touch_ already
+  // caught it up to now_: there is no owed time left to defer.
+  assert(parked_at_[index] == now_);
   sleeping_[index] = 0;
   --parked_count_;
   // Retire the parked aggregates with the identical pinned values park_
@@ -196,42 +192,28 @@ void Datacenter::park_(std::uint32_t index, std::size_t pos) {
   parked_mw_sum_ += mw;
   active_ids_[pos] = active_ids_.back();
   active_ids_.pop_back();
-  const SimTime wake = servers_[index]->next_wake(now_);
-  if (wake != Server::kNoWake) wheel_.schedule(wake, index);
 }
 
 void Datacenter::step(SimDuration dt) {
   auto& metrics = DcMetrics::get();
   if (sparse_) {
-    // Wake phase (serial, deterministic order): first servers touched
-    // while parked — a mutation may have ended their episode (wake) or
-    // moved their next on/off edge (re-arm; the superseded wheel entry
-    // stays behind as a benign stale hint) — then every sleeper whose
-    // wheel time has come. Pops are hints: a stale one costs a real step
-    // that immediately re-parks, never a wrong bit.
+    // Wake phase (serial, deterministic order): servers touched while
+    // parked. A mutation may have ended their coast episode (wake); a
+    // touch that only read leaves them parked.
     for (const std::uint32_t id : recheck_ids_) {
       recheck_pending_[id] = 0;
-      if (sleeping_[id] == 0) continue;
-      if (!servers_[id]->coast_active()) {
-        wake_(id);
-      } else {
-        const SimTime wake = servers_[id]->next_wake(now_);
-        if (wake != Server::kNoWake) wheel_.schedule(wake, id);
-      }
+      if (sleeping_[id] != 0 && !servers_[id]->coast_active()) wake_(id);
     }
     recheck_ids_.clear();
-    for (const TimerWheel::Entry& entry : wheel_.pop_due(now_)) {
-      if (sleeping_[entry.id] != 0) wake_(entry.id);
-    }
   }
   // Step phase: only the active list. Servers are fully independent state
   // machines with per-server RNG streams, so they step concurrently; every
   // cross-server observation (breakers, capper, telemetry aggregation)
   // happens below, on this thread, after the join. Parked servers are not
-  // visited at all — their owed time is deferred in one call at wake (the
-  // same coast episode sees the same elapsed time, so the skip is
-  // invisible to the resulting bits) and their telemetry is carried by the
-  // edge-maintained aggregates.
+  // visited at all — their owed time is deferred in one call at the next
+  // touch (the same coast episode sees the same elapsed time, so the skip
+  // is invisible to the resulting bits) and their telemetry is carried by
+  // the edge-maintained aggregates.
   const std::size_t n_step = active_ids_.size();
   pool_.parallel_for(n_step, [&](std::size_t begin, std::size_t end) {
     for (std::size_t k = begin; k < end; ++k) {

@@ -6,19 +6,19 @@
 // and the facility keeps one scheduler state:
 //
 //   * the *active list* — servers that take a real step every interval;
-//   * *parked* servers — provably idle, sitting on a bucketed TimerWheel
-//     keyed by their next-interesting-time. A parked server is not
-//     visited at all: the clock it owes is deferred in one O(1) call when
-//     it wakes (coast split-invariance makes that bitwise-equal to
+//   * *parked* servers — provably idle, and not visited at all: the clock
+//     a parked server owes is deferred in one O(1) call when it is next
+//     touched (coast split-invariance makes that bitwise-equal to
 //     per-step defers), and its telemetry contributions (power histogram,
 //     coasted-seconds, rack/facility power) are carried by edge-maintained
 //     aggregates updated only on park/wake transitions.
 //
-// A step therefore costs O(stepped servers + racks), not O(N). Wakeups:
-// a wheel pop (on/off phase edge), or an external mutation reaching the
-// server through Datacenter::server(i) — the accessor catches up owed
-// idle time and marks the server for a wake-phase recheck, which unparks
-// it when its coast episode ended (and re-arms its wheel entry when not).
+// A step therefore costs O(stepped servers + racks), not O(N). A parked
+// server wakes only through a *touch*: an external mutation reaching it
+// through Datacenter::server(i) (or the capper enforcing a cap). The
+// accessor catches up owed idle time and queues the server for the next
+// step's wake-phase recheck, which unparks it when its coast episode
+// ended and leaves it parked otherwise.
 // The former dense mode (CLEAKS_SPARSE=0) is now simply the never-park
 // schedule of this same path: every server stays on the active list, so
 // it retains the historical visit-every-server behavior for reference
@@ -35,7 +35,6 @@
 #include "cloud/breaker.h"
 #include "cloud/profiles.h"
 #include "cloud/server.h"
-#include "util/event_core.h"
 #include "util/rng.h"
 #include "util/sim_time.h"
 #include "util/thread_pool.h"
@@ -91,10 +90,11 @@ class Datacenter {
  public:
   explicit Datacenter(DatacenterConfig config);
 
-  /// Advance the whole facility by `dt`: wake due sleepers, step the
-  /// active list (concurrently, see DatacenterConfig::num_threads), then
-  /// let breakers and cappers observe the resulting rack power on the
-  /// calling thread, and finally park every server that is provably idle.
+  /// Advance the whole facility by `dt`: wake touched sleepers whose coast
+  /// episode ended, step the active list (concurrently, see
+  /// DatacenterConfig::num_threads), then let breakers and cappers observe
+  /// the resulting rack power on the calling thread, and finally park
+  /// every server that is provably idle.
   void step(SimDuration dt);
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
@@ -145,7 +145,7 @@ class Datacenter {
   /// Whether this facility parks sleeping servers (resolved from
   /// DatacenterConfig::sparse / CLEAKS_SPARSE via util::env_long).
   [[nodiscard]] bool sparse() const noexcept { return sparse_; }
-  /// Servers currently parked on the wheel. O(1).
+  /// Servers currently parked. O(1).
   [[nodiscard]] int sleeping_servers() const noexcept {
     return static_cast<int>(parked_count_);
   }
@@ -155,12 +155,11 @@ class Datacenter {
   /// Catch up a parked server's owed idle time and flag it for the next
   /// wake-phase recheck; syncs pending coast time either way.
   void touch_(std::size_t index);
-  /// Unpark: defer owed time, retire the parked aggregates, rejoin the
-  /// active list.
+  /// Unpark: retire the parked aggregates, rejoin the active list.
   void wake_(std::uint32_t index);
   /// Park an active server (at position `pos` in the active list): record
-  /// its pinned telemetry into the parked aggregates, swap-remove it from
-  /// the active list, arm its wheel entry.
+  /// its pinned telemetry into the parked aggregates and swap-remove it
+  /// from the active list.
   void park_(std::uint32_t index, std::size_t pos);
   void mark_rack_dirty_(int rack) {
     auto& flag = rack_dirty_[static_cast<std::size_t>(rack)];
@@ -183,9 +182,8 @@ class Datacenter {
   // owns the server during the parallel phase and read serially after the
   // join; the active list and every parked aggregate mutate only in the
   // serial wake/sleep phases, in deterministic order.
-  TimerWheel wheel_;
   std::vector<std::uint32_t> active_ids_;  ///< servers stepped each interval
-  std::vector<std::uint8_t> sleeping_;     ///< parked on the wheel
+  std::vector<std::uint8_t> sleeping_;     ///< parked
   std::vector<std::uint8_t> coasted_;      ///< last step coasted (stepped set)
   std::vector<std::uint8_t> recheck_pending_;  ///< touched while parked
   std::vector<std::uint32_t> recheck_ids_;     ///< wake-phase recheck queue

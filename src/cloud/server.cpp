@@ -20,10 +20,6 @@ void Server::enable_benign_load(std::uint64_t seed,
       std::make_unique<workload::DiurnalLoadGenerator>(*host_, seed, params);
 }
 
-void Server::enable_onoff_load(workload::OnOffParams params) {
-  onoff_load_ = std::make_unique<workload::OnOffLoad>(*host_, params);
-}
-
 bool Server::idle_eligible() const noexcept {
   return benign_load_ == nullptr && runtime_->containers().empty() &&
          host_->coast_eligible();
@@ -32,7 +28,6 @@ bool Server::idle_eligible() const noexcept {
 bool Server::step(SimDuration dt) {
   host_->coast_sync();
   if (benign_load_) benign_load_->apply(host_->now());
-  if (onoff_load_) onoff_load_->apply(host_->now());
   if (idle_eligible()) {
     host_->advance_idle(dt);
     return true;

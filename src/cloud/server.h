@@ -7,13 +7,12 @@
 // analytic idle-coast integrator instead of the per-tick physics loop. In
 // parked mode the Datacenter stops visiting a coasting server altogether:
 // the owed interval is tracked lazily (parked_at_ timestamp) and deferred
-// in one O(1) call at the first touch — wake, capper change, or external
+// in one O(1) call at the first touch — capper change or external
 // accessor (see cloud/datacenter.h). Every non-const accessor that can
 // observe or mutate host state syncs pending deferred time first, so a
 // reader can never see a parked server lag the equivalent visit-all run.
 #pragma once
 
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -23,16 +22,11 @@
 #include "fs/pseudo_fs.h"
 #include "kernel/host.h"
 #include "workload/diurnal.h"
-#include "workload/onoff.h"
 
 namespace cleaks::cloud {
 
 class Server {
  public:
-  /// Sentinel for next_wake(): no scheduled wakeup — the server sleeps
-  /// until an external mutation ends its coast episode.
-  static constexpr SimTime kNoWake = std::numeric_limits<SimTime>::max();
-
   /// `prior_uptime` pre-seeds the host's accumulators as if it had been
   /// running that long before the simulation starts (real cloud servers
   /// rarely reboot — §IV-C exploits exactly this via /proc/uptime).
@@ -63,9 +57,6 @@ class Server {
   /// Attach a diurnal benign-load generator.
   void enable_benign_load(std::uint64_t seed,
                           workload::DiurnalParams params = {});
-  /// Attach a deterministic on/off load: the server is idle between phase
-  /// edges and next_wake() exposes the next edge to the sparse scheduler.
-  void enable_onoff_load(workload::OnOffParams params = {});
 
   /// Opt the host into the idle-coast regime (see kernel/host.h).
   void set_coast_enabled(bool on) noexcept { host_->set_coast_enabled(on); }
@@ -76,10 +67,10 @@ class Server {
   /// signal behind engine_active_server_steps_total).
   bool step(SimDuration dt);
 
-  /// Whether step() would coast right now: no load generator that draws
-  /// RNG, no containers, host-level eligibility. The same predicate at the
-  /// same step boundary whether the server is visited every step
-  /// (CLEAKS_SPARSE=0) or parked — which is the whole equality argument.
+  /// Whether step() would coast right now: no benign load, no containers,
+  /// host-level eligibility. The same predicate at the same step boundary
+  /// whether the server is visited every step (CLEAKS_SPARSE=0) or parked
+  /// — which is the whole equality argument.
   [[nodiscard]] bool idle_eligible() const noexcept;
 
   /// Sparse fast path: account `dt` of idle time without stepping
@@ -89,11 +80,6 @@ class Server {
   void coast_sync() { host_->coast_sync(); }
   [[nodiscard]] bool coast_active() const noexcept {
     return host_->coast_active();
-  }
-  /// Next instant this server needs a real step while sleeping: the next
-  /// on/off phase edge, or kNoWake when nothing is scheduled.
-  [[nodiscard]] SimTime next_wake(SimTime now) const noexcept {
-    return onoff_load_ ? onoff_load_->next_phase_change(now) : kNoWake;
   }
 
   /// Host package power during the last tick (W). Constant during a coast
@@ -108,7 +94,6 @@ class Server {
   std::unique_ptr<fs::PseudoFs> fs_;
   std::unique_ptr<container::ContainerRuntime> runtime_;
   std::unique_ptr<workload::DiurnalLoadGenerator> benign_load_;
-  std::unique_ptr<workload::OnOffLoad> onoff_load_;
 };
 
 }  // namespace cleaks::cloud

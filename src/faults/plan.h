@@ -3,11 +3,11 @@
 // The paper's channels live behind a policy-mediated kernel interface:
 // reads get denied by stage-1 masking (§V), hardware channels vanish when
 // RAPL is absent (§IV), and real procfs returns transient EBUSY under
-// load. A FaultPlan — declared on ScenarioSpec and JSON round-trippable
-// like the rest of the spec — injects exactly those outcomes into a run:
-// bounded kUnavailable windows, permanent kPermissionDenied flips, forced
-// RAPL counter wraps at step boundaries, and perf multiplexing dropout
-// for the defense's calibration sweep.
+// load. A FaultPlan — declared in code on ScenarioSpec and written into
+// the spec's JSON like the rest of it — injects exactly those outcomes
+// into a run: bounded kUnavailable windows, permanent kPermissionDenied
+// flips, forced RAPL counter wraps at step boundaries, and perf
+// multiplexing dropout for the defense's calibration sweep.
 //
 // Determinism contract: every fault is a *pure function* of
 // (plan seed, rule index, path, sim-time window). There is no mutable RNG
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "obs/export.h"
-#include "util/result.h"
 #include "util/sim_time.h"
 
 namespace cleaks::faults {
@@ -34,7 +33,6 @@ enum class FaultKind {
 };
 
 std::string to_string(FaultKind kind);
-Result<FaultKind> fault_kind_from_string(std::string_view text);
 
 /// One fault rule. Time-driven kinds (transient/dropout) divide sim time
 /// into windows of `period`; each window independently faults with
@@ -69,11 +67,5 @@ struct FaultPlan {
 /// Append the plan as an object under `key` to an open JSON object.
 void append_plan_json(const FaultPlan& plan, obs::JsonWriter& json,
                       std::string_view key = "faults");
-
-/// Parse a document produced by append_plan_json (accepts both a bare
-/// plan object and one wrapped under a "faults" key). This is the repo's
-/// only JSON reader, scoped to exactly the plan's own shape so specs can
-/// make the "round-trippable" claim literally true.
-Result<FaultPlan> parse_plan_json(std::string_view text);
 
 }  // namespace cleaks::faults

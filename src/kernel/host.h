@@ -165,8 +165,9 @@ class Host {
   // defer per skipped step, or a single defer of a whole parked stretch —
   // because every materialisation recomputes from the anchor and never
   // moves it. The Datacenter's parked mode leans on the strongest form:
-  // a server parked for k steps gets one defer_idle(k*dt) at wake, not k
-  // calls (split-invariance is pinned by tests/sparse_test.cpp).
+  // a server parked for k steps gets one defer_idle(k*dt) at its next
+  // touch, not k calls (split-invariance is pinned by
+  // tests/sparse_test.cpp).
   //
   // Episodes end only through mutation: every path that can change
   // eligibility (spawn/kill, cap change, mutable_* accessors) bumps

@@ -14,6 +14,20 @@
 namespace cleaks::leakage {
 namespace {
 
+/// Simulated time between paired snapshots in the perturbation probe.
+constexpr SimDuration kProbeWindow = 2 * kSecond;
+/// Perturbation epochs per undecided path (half off, half on).
+constexpr int kProbeEpochs = 4;
+/// Relative change threshold separating "moves with host load" from
+/// background drift.
+constexpr double kSensitivity = 3.0;
+/// Bounded sim-time retry for transient (EBUSY) reads: up to
+/// kMaxReadRetries rounds, stepping the server kRetryBackoff apart. A scan
+/// can stall at most kMaxReadRetries * kRetryBackoff of simulated time,
+/// and a fault-free scan takes zero extra steps.
+constexpr int kMaxReadRetries = 3;
+constexpr SimDuration kRetryBackoff = 300 * kMillisecond;
+
 // Scan telemetry. Classification counters are incremented from inside
 // parallel bodies (lane-sharded, integer merge) and by the verdict loop on
 // the caller thread; either way the totals equal the finding counts, which
@@ -81,11 +95,10 @@ void accumulate_drift(std::string_view before, std::string_view after,
 /// Fields that moved markedly more under host load than at rest mean the
 /// restricted view still tracks host state (the ◐ of Table I).
 LeakClass drift_verdict(const std::vector<double>& off_drift,
-                        const std::vector<double>& on_drift,
-                        double sensitivity) {
+                        const std::vector<double>& on_drift) {
   for (std::size_t i = 0; i < on_drift.size(); ++i) {
     const double off = i < off_drift.size() ? off_drift[i] : 0.0;
-    if (on_drift[i] > sensitivity * off + 1e-9 && on_drift[i] > 1.0) {
+    if (on_drift[i] > kSensitivity * off + 1e-9 && on_drift[i] > 1.0) {
       return LeakClass::kPartial;
     }
   }
@@ -187,8 +200,8 @@ std::vector<FileFinding> CrossValidator::scan() {
   for (std::size_t i = 0; i < n; ++i) busy[i] = i;
   for (int round = 0; !busy.empty(); ++round) {
     if (round > 0) {
-      if (round > options_.max_read_retries) break;
-      server_->step(options_.retry_backoff);
+      if (round > kMaxReadRetries) break;
+      server_->step(kRetryBackoff);
     }
     std::vector<std::uint8_t> still_busy(busy.size(), 0);
     pool.parallel_for(busy.size(), [&](std::size_t begin, std::size_t end) {
@@ -258,7 +271,7 @@ std::vector<FileFinding> CrossValidator::scan() {
       states[s].index = pending[s];
     }
 
-    for (int epoch = 0; epoch < options_.probe_epochs; ++epoch) {
+    for (int epoch = 0; epoch < kProbeEpochs; ++epoch) {
       const bool perturb = epoch % 2 == 1;
       metrics.probe_epochs.inc();
       pool.parallel_for(states.size(),
@@ -273,7 +286,7 @@ std::vector<FileFinding> CrossValidator::scan() {
                         });
       std::vector<kernel::HostPid> noise_pids;
       if (perturb) noise_pids = spawn_perturbation(*server_);
-      server_->step(options_.probe_window);
+      server_->step(kProbeWindow);
       pool.parallel_for(states.size(),
                         [&](std::size_t begin, std::size_t end) {
                           std::string& loaded = pool.scratch(0);
@@ -296,7 +309,7 @@ std::vector<FileFinding> CrossValidator::scan() {
                           }
                         });
       for (auto pid : noise_pids) server_->host().kill_task(pid);
-      server_->step(options_.probe_window);  // settle back to baseline
+      server_->step(kProbeWindow);  // settle back to baseline
     }
     for (const auto& st : states) {
       // Degraded-not-wrong: a path that lost *every* epoch to faults has
@@ -310,8 +323,7 @@ std::vector<FileFinding> CrossValidator::scan() {
         metrics.absent.inc();
         continue;
       }
-      const LeakClass verdict =
-          drift_verdict(st.off_drift, st.on_drift, options_.sensitivity);
+      const LeakClass verdict = drift_verdict(st.off_drift, st.on_drift);
       findings[st.index].cls = verdict;
       if (st.lost > 0) {
         findings[st.index].degraded = true;

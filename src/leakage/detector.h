@@ -43,25 +43,11 @@ struct FileFinding {
 };
 
 struct ScanOptions {
-  /// Simulated time between paired snapshots in the perturbation probe.
-  SimDuration probe_window = 2 * kSecond;
-  /// Perturbation epochs per undecided path (half off, half on).
-  int probe_epochs = 4;
-  /// Relative change threshold separating "moves with host load" from
-  /// background drift.
-  double sensitivity = 3.0;
   /// Execution lanes for scan()'s read phases (0 = ThreadPool default via
   /// CLEAKS_THREADS / the affinity-mask CPU count, 1 = serial). Reads are
   /// pure and statically chunked, so the findings are identical for every
   /// value.
   int num_threads = 0;
-  /// Bounded sim-time retry for transient (EBUSY) reads: up to
-  /// `max_read_retries` rounds, stepping the server `retry_backoff` apart.
-  /// The budget is sim-time-bounded by construction — a scan can stall at
-  /// most max_read_retries * retry_backoff of simulated time, and a
-  /// fault-free scan takes zero extra steps.
-  int max_read_retries = 3;
-  SimDuration retry_backoff = 300 * kMillisecond;
   /// Probe container configuration for scan(); nullopt = the historical
   /// default (a quarter of the host cores, 4 GiB).
   std::optional<container::ContainerConfig> probe_config;

@@ -168,10 +168,9 @@ JsonWriter& JsonWriter::field(std::string_view name, std::string_view value) {
   return *this;
 }
 
-JsonWriter& JsonWriter::field(std::string_view name, double value,
-                              int significant_digits) {
+JsonWriter& JsonWriter::field(std::string_view name, double value) {
   key(name);
-  appendf(out_, "%.*g", significant_digits, value);
+  appendf(out_, "%.9g", value);
   return *this;
 }
 

@@ -58,10 +58,7 @@ class JsonWriter {
   JsonWriter& field(std::string_view key, const char* value) {
     return field(key, std::string_view(value));
   }
-  /// Doubles print with `significant_digits` (%.*g); 17 round-trips every
-  /// finite value exactly.
-  JsonWriter& field(std::string_view key, double value,
-                    int significant_digits = 9);
+  JsonWriter& field(std::string_view key, double value);
   JsonWriter& field(std::string_view key, std::uint64_t value);
   JsonWriter& field(std::string_view key, std::int64_t value);
   JsonWriter& field(std::string_view key, int value) {

@@ -62,14 +62,10 @@ void SimEngine::build() {
     }
   }
 
-  // 2. Defense construction (the namespace must exist before any probe
-  // container when enable_before_fleet is set).
+  // 2. Defense construction.
   if (spec_.defense.model) {
     power_ns_ = std::make_unique<defense::PowerNamespace>(
         server(0).runtime(), *spec_.defense.model);
-    if (spec_.defense.enable && spec_.defense.enable_before_fleet) {
-      power_ns_->enable();
-    }
   }
 
   // 3. Warmup (the deduplicated fast-forward; see WarmupSpec).
@@ -88,16 +84,13 @@ void SimEngine::build() {
   }
   if (spec_.fleet.deploy_on_build) deploy_fleet();
 
-  // 5. Defense enable + stage-1 masking.
-  if (power_ns_ && spec_.defense.enable && !spec_.defense.enable_before_fleet) {
+  // 5. Defense enable.
+  if (power_ns_ && spec_.defense.enable) {
     // The namespace mutates through the runtime reference it captured at
     // construction; after the warmup above server 0 may be parked, so
     // route one access through the accessor to catch it up first.
     (void)server(0);
     power_ns_->enable();
-  }
-  if (spec_.defense.stage1_masking) {
-    defense::apply_stage1_masking(server(0).runtime());
   }
 
   control_ = spec_.fleet.control;

@@ -75,7 +75,6 @@ void append_spec_json(const ScenarioSpec& spec, obs::JsonWriter& json,
   json.begin_object("defense")
       .field("power_namespace", spec.defense.model.has_value())
       .field("enabled", spec.defense.enable)
-      .field("stage1_masking", spec.defense.stage1_masking)
       .end_object();
   if (!spec.faults.empty()) {
     faults::append_plan_json(spec.faults, json);

@@ -122,15 +122,10 @@ struct FleetSpec {
 /// Defense wiring on server 0's runtime.
 struct DefenseSpec {
   /// Trained model => construct a PowerNamespace (§V-B). The namespace is
-  /// always constructed when a model is present; `enable` controls whether
-  /// it is switched on.
+  /// always constructed when a model is present; `enable` switches it on
+  /// once the fleet has deployed.
   std::optional<defense::PowerModel> model;
   bool enable = false;
-  /// Enable before the fleet deploys (so probe containers are born
-  /// namespaced) instead of the default after-fleet enable.
-  bool enable_before_fleet = false;
-  /// Apply the provider's stage-1 path masking (§V-A) after build.
-  bool stage1_masking = false;
 };
 
 /// The complete declarative experiment description.

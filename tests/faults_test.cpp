@@ -1,11 +1,9 @@
 // Tests for the fault-injection subsystem (src/faults): plan defaults and
-// JSON round-trip, the pure-draw determinism contract, graceful
-// degradation in the scanner / monitor / trainer, and the cross-lane
-// digest of a fully faulted scan.
-#include <bit>
+// kind names, the pure-draw determinism contract, graceful degradation in
+// the scanner / monitor / trainer, and the cross-lane digest of a fully
+// faulted scan.
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -43,17 +41,13 @@ TEST(FaultPlanTest, DefaultsMatchDocumentedContract) {
   EXPECT_FALSE(plan.empty());
 }
 
-TEST(FaultPlanTest, KindStringsRoundTrip) {
-  for (FaultKind kind :
-       {FaultKind::kTransientUnavailable, FaultKind::kPermanentDeny,
-        FaultKind::kRaplWrapForce, FaultKind::kPerfDropout}) {
-    const auto parsed = fault_kind_from_string(to_string(kind));
-    ASSERT_TRUE(parsed.is_ok()) << to_string(kind);
-    EXPECT_EQ(parsed.value(), kind);
-  }
-  const auto bad = fault_kind_from_string("quantum-bitflip");
-  EXPECT_TRUE(bad.status().Matches(StatusCode::kInvalidArgument,
-                                   "unknown fault kind"));
+TEST(FaultPlanTest, KindStringsNameEachKind) {
+  // The names append_plan_json writes into spec envelopes.
+  EXPECT_EQ(to_string(FaultKind::kTransientUnavailable),
+            "transient-unavailable");
+  EXPECT_EQ(to_string(FaultKind::kPermanentDeny), "permanent-deny");
+  EXPECT_EQ(to_string(FaultKind::kRaplWrapForce), "rapl-wrap-force");
+  EXPECT_EQ(to_string(FaultKind::kPerfDropout), "perf-dropout");
 }
 
 FaultPlan sample_plan() {
@@ -74,112 +68,6 @@ FaultPlan sample_plan() {
   dropout.scale = 0.75;
   plan.rules.push_back(dropout);
   return plan;
-}
-
-// Values that do not survive a trip through a double or through %.9g.
-FaultPlan edge_plan(std::uint64_t seed) {
-  FaultPlan plan;
-  plan.seed = seed;
-  FaultRule rule;
-  rule.rate = 1.0 / 3.0;
-  rule.scale = 0.1;
-  rule.period = (std::uint64_t{1} << 53) + 1;
-  rule.duration = std::numeric_limits<std::uint64_t>::max();
-  rule.start = std::uint64_t{1} << 60;
-  rule.end = (std::uint64_t{1} << 60) + 3;
-  plan.rules.push_back(rule);
-  return plan;
-}
-
-void expect_plans_equal(const FaultPlan& got, const FaultPlan& want) {
-  EXPECT_EQ(got.seed, want.seed);
-  ASSERT_EQ(got.rules.size(), want.rules.size());
-  for (std::size_t i = 0; i < want.rules.size(); ++i) {
-    const FaultRule& g = got.rules[i];
-    const FaultRule& w = want.rules[i];
-    EXPECT_EQ(g.kind, w.kind) << i;
-    EXPECT_EQ(g.path_glob, w.path_glob) << i;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(g.rate),
-              std::bit_cast<std::uint64_t>(w.rate))
-        << i << ": " << g.rate << " vs " << w.rate;
-    EXPECT_EQ(g.period, w.period) << i;
-    EXPECT_EQ(g.duration, w.duration) << i;
-    EXPECT_EQ(g.start, w.start) << i;
-    EXPECT_EQ(g.end, w.end) << i;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(g.scale),
-              std::bit_cast<std::uint64_t>(w.scale))
-        << i << ": " << g.scale << " vs " << w.scale;
-  }
-}
-
-TEST(FaultPlanTest, JsonRoundTripsThroughTheWriter) {
-  for (const FaultPlan& plan :
-       {sample_plan(), edge_plan((std::uint64_t{1} << 53) + 1),
-        edge_plan(std::numeric_limits<std::uint64_t>::max())}) {
-    SCOPED_TRACE(plan.seed);
-    obs::JsonWriter json;
-    append_plan_json(plan, json);
-    json.end_object();  // balance the root object the writer opened
-    // The writer output is the wrapped form {"faults": {...}}.
-    const auto parsed = parse_plan_json(json.str());
-    ASSERT_TRUE(parsed.is_ok()) << parsed.status().message();
-    expect_plans_equal(parsed.value(), plan);
-  }
-}
-
-TEST(FaultPlanTest, ParsesBareFormAndDefaults) {
-  // A bare plan object with a partially specified rule: every omitted
-  // member keeps its FaultRule default.
-  const auto parsed = parse_plan_json(
-      "{\"seed\": 7, \"rules\": [{\"kind\": \"permanent-deny\","
-      " \"path_glob\": \"/sys/**\"}]}");
-  ASSERT_TRUE(parsed.is_ok()) << parsed.status().message();
-  const FaultPlan& plan = parsed.value();
-  EXPECT_EQ(plan.seed, 7u);
-  ASSERT_EQ(plan.rules.size(), 1u);
-  EXPECT_EQ(plan.rules[0].kind, FaultKind::kPermanentDeny);
-  EXPECT_EQ(plan.rules[0].path_glob, "/sys/**");
-  EXPECT_DOUBLE_EQ(plan.rules[0].rate, 1.0);
-  EXPECT_EQ(plan.rules[0].period, 2 * kSecond);
-}
-
-TEST(FaultPlanTest, ParseRejectsMalformedDocuments) {
-  EXPECT_TRUE(parse_plan_json("{\"seed\": 1, \"bogus\": 2}")
-                  .status()
-                  .Matches(StatusCode::kInvalidArgument,
-                           "unknown plan member: bogus"));
-  EXPECT_TRUE(parse_plan_json("{\"rules\": [{\"kind\": \"nope\"}]}")
-                  .status()
-                  .Matches(StatusCode::kInvalidArgument,
-                           "unknown fault kind"));
-  EXPECT_TRUE(parse_plan_json("{\"seed\": 1} trailing")
-                  .status()
-                  .Matches(StatusCode::kInvalidArgument, "trailing"));
-  EXPECT_TRUE(parse_plan_json("[1, 2]").status().Matches(
-      StatusCode::kInvalidArgument, "expected '{'"));
-  // Integer members are exact unsigned 64-bit values: no sign, fraction,
-  // exponent or overflow is rounded or wrapped into range.
-  for (const char* seed :
-       {"-5", "+5", "1.5", "1e3", "18446744073709551616", "-"}) {
-    EXPECT_TRUE(parse_plan_json(std::string("{\"seed\": ") + seed + "}")
-                    .status()
-                    .Matches(StatusCode::kInvalidArgument, "bad seed"))
-        << seed;
-  }
-  for (const char* member : {"period_ns", "duration_ns", "start_ns", "end_ns"}) {
-    for (const char* value : {"-1", "2.5", "1E9", "99999999999999999999"}) {
-      EXPECT_TRUE(parse_plan_json(std::string("{\"rules\": [{\"") + member +
-                                  "\": " + value + "}]}")
-                      .status()
-                      .Matches(StatusCode::kInvalidArgument,
-                               std::string("bad integer for ") + member))
-          << member << " = " << value;
-    }
-  }
-  // The largest value still parses.
-  const auto max_seed = parse_plan_json("{\"seed\": 18446744073709551615}");
-  ASSERT_TRUE(max_seed.is_ok()) << max_seed.status().message();
-  EXPECT_EQ(max_seed.value().seed, std::numeric_limits<std::uint64_t>::max());
 }
 
 // ---------- injector semantics ----------

@@ -35,7 +35,6 @@ TEST(ScenarioSpecTest, DefaultsMatchDocumentedContract) {
   EXPECT_TRUE(spec.fleet.deploy_on_build);
   EXPECT_FALSE(spec.defense.model.has_value());
   EXPECT_FALSE(spec.defense.enable);
-  EXPECT_FALSE(spec.defense.stage1_masking);
 
   // The spec's facility defaults are DatacenterConfig's: a refactored
   // bench that sets nothing must build the same world the hand-rolled

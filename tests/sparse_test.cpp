@@ -1,12 +1,12 @@
-// Sparse stepping: the discrete-event core (TimerWheel), the analytic
-// idle-coast integrators, and the dense/sparse facility equivalence.
+// Sparse stepping: the analytic idle-coast integrators and the
+// dense/sparse facility equivalence.
 //
 // The load-bearing property is bitwise equality: coasting an idle interval
 // in one closed-form jump must land on exactly the bits the equivalent
 // sequence of per-tick idle materialisations produces, for any split of
 // the interval, across RAPL wrap boundaries, and through episode-ending
 // mutations. The facility-level tests then pin that a sparse Datacenter
-// (servers parked on the wheel, intervals deferred in O(1)) is
+// (servers parked until a touch wakes them, intervals deferred in O(1)) is
 // indistinguishable from the dense reference in every rendered pseudo-file
 // and every Scope::kSim counter.
 #include <gtest/gtest.h>
@@ -22,80 +22,10 @@
 #include "fs/pseudo_fs.h"
 #include "kernel/host.h"
 #include "obs/metrics.h"
-#include "util/event_core.h"
 #include "util/fnv.h"
-#include "workload/onoff.h"
 
 namespace cleaks {
 namespace {
-
-// ---------- timer wheel ----------
-
-std::vector<std::uint32_t> ids(const std::vector<TimerWheel::Entry>& entries) {
-  std::vector<std::uint32_t> out;
-  for (const auto& entry : entries) out.push_back(entry.id);
-  return out;
-}
-
-TEST(TimerWheel, PopsOnlyDueEntriesSortedByTimeThenId) {
-  TimerWheel wheel;
-  wheel.schedule(5 * kMinute, 3);
-  wheel.schedule(1 * kMinute, 7);
-  wheel.schedule(1 * kMinute, 2);
-  EXPECT_EQ(wheel.size(), 3u);
-  EXPECT_EQ(ids(wheel.pop_due(2 * kMinute)),
-            (std::vector<std::uint32_t>{2, 7}));
-  EXPECT_EQ(ids(wheel.pop_due(2 * kMinute)), std::vector<std::uint32_t>{});
-  EXPECT_EQ(ids(wheel.pop_due(10 * kMinute)), std::vector<std::uint32_t>{3});
-  EXPECT_TRUE(wheel.empty());
-}
-
-TEST(TimerWheel, OverflowBeyondHorizonCascadesIn) {
-  TimerWheel wheel(kMinute, 16);  // horizon: 16 minutes
-  wheel.schedule(2 * kHour, 9);
-  wheel.schedule(30 * kSecond, 1);
-  EXPECT_EQ(ids(wheel.pop_due(kMinute)), std::vector<std::uint32_t>{1});
-  EXPECT_EQ(ids(wheel.pop_due(kHour)), std::vector<std::uint32_t>{});
-  EXPECT_EQ(ids(wheel.pop_due(3 * kHour)), std::vector<std::uint32_t>{9});
-  EXPECT_TRUE(wheel.empty());
-}
-
-TEST(TimerWheel, PastDeadlinesAndDuplicatesPopNext) {
-  TimerWheel wheel;
-  EXPECT_TRUE(wheel.pop_due(kHour).empty());  // clock jump on empty wheel
-  wheel.schedule(kMinute, 4);  // already past the wheel clock
-  wheel.schedule(kMinute, 4);
-  EXPECT_EQ(ids(wheel.pop_due(kHour)), (std::vector<std::uint32_t>{4, 4}));
-}
-
-TEST(TimerWheelDeathTest, PopClockGoingBackwardsAssertsAndClamps) {
-  TimerWheel wheel;
-  wheel.schedule(5 * kMinute, 1);
-  EXPECT_TRUE(wheel.pop_due(2 * kMinute).empty());
-  // The contract was always "now must not go backwards"; it is now
-  // enforced: debug builds assert, release builds clamp to the high-water
-  // mark so the confused call degrades to a same-time pop instead of
-  // re-popping drained windows.
-  EXPECT_DEBUG_DEATH((void)wheel.pop_due(kMinute), "clock went backwards");
-  EXPECT_EQ(ids(wheel.pop_due(10 * kMinute)), std::vector<std::uint32_t>{1});
-  EXPECT_TRUE(wheel.empty());
-}
-
-TEST(TimerWheel, SchedulesNearTheClockTopDoNotWrapTheHorizon) {
-  // base + width * buckets can exceed the u64 range once the wheel clock
-  // runs high; a wrapped horizon would classify every future entry as
-  // in-bucket and corrupt the wheel. The horizon saturates at kNever
-  // instead, and overflow entries that can then never cascade drain
-  // directly when due.
-  TimerWheel wheel(kMinute, 16);
-  const SimTime top = TimerWheel::kNever;
-  wheel.schedule(top - kSecond, 42);
-  wheel.schedule(top, 7);
-  EXPECT_TRUE(wheel.pop_due(top - kHour).empty());
-  EXPECT_EQ(ids(wheel.pop_due(top - kSecond)), std::vector<std::uint32_t>{42});
-  EXPECT_EQ(ids(wheel.pop_due(top)), std::vector<std::uint32_t>{7});
-  EXPECT_TRUE(wheel.empty());
-}
 
 // ---------- host-level coast equivalence ----------
 
@@ -273,29 +203,63 @@ cloud::DatacenterConfig facility_config(bool sparse) {
   return config;
 }
 
-workload::OnOffParams bursty() {
-  workload::OnOffParams params;
-  params.on_duration = 2 * kMinute;
-  params.off_duration = 7 * kMinute;
-  params.phase = 30 * kSecond;
-  params.workers = 4;
-  return params;
-}
+// Server 0's tenant load, driven from outside the facility: a square wave
+// (2 min on, 7 min off, phase 30 s) of four 0.6-duty workers. The caller
+// applies it through dc.server(0) before every step, so a parked server 0
+// gets back onto the active list only through the touch that spawns the
+// workers.
+class SquareWave {
+ public:
+  void apply(kernel::Host& host) {
+    const SimDuration cycle = kOn + kOff;
+    const bool want_on = (host.now() + kPhase) % cycle < kOn;
+    if (want_on == !pids_.empty()) return;
+    if (!want_on) {
+      for (const kernel::HostPid pid : pids_) host.kill_task(pid);
+      pids_.clear();
+      return;
+    }
+    for (int i = 0; i < 4; ++i) {
+      kernel::Host::SpawnOptions options;
+      options.comm = "onoff-worker";
+      options.behavior.duty_cycle = 0.6;
+      options.behavior.ipc = 1.2;
+      options.behavior.cache_miss_per_kinst = 4.0;
+      options.behavior.branch_miss_per_kinst = 6.0;
+      options.behavior.io_rate_per_s = 10.0;
+      options.behavior.rss_bytes = 64ULL << 20;
+      pids_.push_back(host.spawn_task(options)->host_pid);
+    }
+  }
+
+ private:
+  static constexpr SimDuration kOn = 2 * kMinute;
+  static constexpr SimDuration kOff = 7 * kMinute;
+  static constexpr SimDuration kPhase = 30 * kSecond;
+  std::vector<kernel::HostPid> pids_;
+};
 
 std::vector<ServerSnapshot> run_facility(bool sparse, int num_threads,
-                                         int* slept = nullptr) {
+                                         int* slept = nullptr,
+                                         int* wakes = nullptr) {
   cloud::DatacenterConfig config = facility_config(sparse);
   config.num_threads = num_threads;
   cloud::Datacenter dc(config);
-  // Server 0 flips between load and idle: its wheel wakeups, coast entries
-  // and exits all happen mid-run. The other seven sleep throughout.
-  dc.server(0).enable_onoff_load(bursty());
+  // Server 0 flips between load and idle: its touch wakeups, coast entries
+  // and exits all happen mid-run. The other seven sleep throughout, so a
+  // step that lowers the sleeping count is a wake of server 0.
+  SquareWave load;
   int max_sleeping = 0;
+  int woken = 0;
   for (int s = 0; s < 30 * 60; ++s) {
+    load.apply(dc.server(0).host());
+    const int before = dc.sleeping_servers();
     dc.step(kSecond);
+    if (dc.sleeping_servers() < before) ++woken;
     max_sleeping = std::max(max_sleeping, dc.sleeping_servers());
   }
   if (slept != nullptr) *slept = max_sleeping;
+  if (wakes != nullptr) *wakes = woken;
   std::vector<ServerSnapshot> snaps;
   for (int i = 0; i < dc.num_servers(); ++i) snaps.push_back(snapshot(dc.server(i)));
   return snaps;
@@ -304,10 +268,16 @@ std::vector<ServerSnapshot> run_facility(bool sparse, int num_threads,
 TEST(SparseFacility, DenseAndSparseProduceIdenticalServerState) {
   int dense_slept = -1;
   int sparse_slept = -1;
-  const auto dense = run_facility(false, 1, &dense_slept);
-  const auto sparse = run_facility(true, 1, &sparse_slept);
-  EXPECT_EQ(dense_slept, 0);   // dense never parks anyone
-  EXPECT_GE(sparse_slept, 7);  // the seven idle servers sleep on the wheel
+  int dense_wakes = -1;
+  int sparse_wakes = -1;
+  const auto dense = run_facility(false, 1, &dense_slept, &dense_wakes);
+  const auto sparse = run_facility(true, 1, &sparse_slept, &sparse_wakes);
+  EXPECT_EQ(dense_slept, 0);  // dense never parks anyone
+  EXPECT_EQ(dense_wakes, 0);
+  // Server 0 parks in every off phase, so all eight sleep at once, and the
+  // touches that start its on phases at 8.5, 17.5 and 26.5 min wake it.
+  EXPECT_EQ(sparse_slept, 8);
+  EXPECT_EQ(sparse_wakes, 3);
   ASSERT_EQ(dense.size(), sparse.size());
   for (std::size_t i = 0; i < dense.size(); ++i) {
     EXPECT_EQ(dense[i], sparse[i]) << "server " << i;
@@ -362,9 +332,10 @@ std::uint64_t facility_trace_digest(bool sparse, int num_threads) {
   cloud::DatacenterConfig config = facility_config(sparse);
   config.num_threads = num_threads;
   cloud::Datacenter dc(config);
-  dc.server(0).enable_onoff_load(bursty());
+  SquareWave load;
   Fnv64 digest;
   for (int s = 0; s < 30 * 60; ++s) {
+    load.apply(dc.server(0).host());
     dc.step(kSecond);
     for (int rack = 0; rack < config.num_racks; ++rack) {
       digest.add_double(dc.rack_power_w(rack));
