@@ -9,7 +9,7 @@
 // median of the per-round throughput ratios, and the quartiles are
 // reported as its spread.
 //
-// A second section exercises the consumer stack end to end on a small
+// A second section exercises the consumers end to end on a small
 // provider workload (container churn + faults would be overkill here:
 // lifecycle + cgroup + per-tick samples suffice) and writes the sample
 // artifacts CI validates: TRACE_event_stream_sample.json (Chrome trace)
@@ -101,8 +101,8 @@ ModeRun run_mode(bool bus_enabled) {
   return run;
 }
 
-/// Drive the consumer stack on a small provider workload and write the
-/// sample artifacts. Returns false on I/O failure.
+/// Drive the flight recorder and the trace export on a small provider
+/// workload and write the sample artifacts. Returns false on I/O failure.
 bool write_sample_artifacts(obs::JsonWriter& json) {
   auto& bus = obs::EventBus::global();
   (void)bus.drain();
@@ -117,13 +117,11 @@ bool write_sample_artifacts(obs::JsonWriter& json) {
   obs::FlightRecorder recorder;
   recorder.set_enabled(true);
   recorder.set_window(60 * kSecond);
-  obs::WindowAggregator aggregator(10 * kSecond);
 
   std::vector<obs::Event> all;
   auto drain_into = [&] {
     const auto batch = bus.drain();
     recorder.feed(batch);
-    aggregator.feed(batch);
     all.insert(all.end(), batch.begin(), batch.end());
   };
 
@@ -136,7 +134,6 @@ bool write_sample_artifacts(obs::JsonWriter& json) {
   }
   provider.terminate(tenant_a->instance_id);
   drain_into();
-  aggregator.flush();
   bus.set_enabled(false);
 
   const std::string trace_path =
@@ -155,12 +152,9 @@ bool write_sample_artifacts(obs::JsonWriter& json) {
   std::printf("wrote %s\n", flight_path.c_str());
 
   json.field("sample_events", static_cast<std::uint64_t>(all.size()));
-  json.field("sample_windows",
-             static_cast<std::uint64_t>(aggregator.windows().size()));
-  json.field("sample_window_digest", aggregator.digest());
   json.field("trace_artifact", "TRACE_event_stream_sample.json");
   json.field("flight_artifact", "FLIGHT_event_stream_sample.json");
-  return !all.empty() && !aggregator.windows().empty();
+  return !all.empty();
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // Fleet-scale control-plane benchmark: the PR 10 provider rewrite
-// (Fenwick/bucket placement index, slab instance table, epoch-batched
-// billing) swept over servers x tenants up to a million live containers.
+// (Fenwick placement index, slab instance table, epoch-batched billing)
+// swept over servers x tenants up to a million live containers.
 //
 // Three claims are checked, not just measured:
 //   * O(log R) launches — the old control plane rebuilt a full occupancy
 //     map per launch (walk every live instance into a std::map), so the
-//     per-launch curve used to be linear in N. The gate: per-launch
+//     per-launch curve used to be linear in N. Every run here places at
+//     random (kRandom, the Fenwick select); kSpread and kBinPack scan the
+//     per-server counts in O(R) and are not swept. The gate: per-launch
 //     *control* cycles must grow sub-linearly in server count (<=
 //     server-growth/2 across the sweep). Literal flatness is not what
 //     happens: measured on a 4-vCPU box, the full sweep peaks at 2.2 GB

@@ -120,10 +120,9 @@ Datacenter::Datacenter(DatacenterConfig config)
   coasted_.assign(count, 0);
   recheck_pending_.assign(count, 0);
   parked_at_.assign(count, 0);
-  parked_slot_.assign(count, 0);
-  parked_mw_.assign(count, 0);
-  parked_power_slots_.assign(
-      DcMetrics::get().server_power.bounds().size() + 1, 0);
+  // Register the facility metrics up front, so a facility that never
+  // steps still carries their keys in its envelope.
+  (void)DcMetrics::get();
   active_ids_.reserve(count);
   for (std::size_t index = 0; index < count; ++index) {
     active_ids_.push_back(static_cast<std::uint32_t>(index));
@@ -173,10 +172,6 @@ void Datacenter::wake_(std::uint32_t index) {
   assert(parked_at_[index] == now_);
   sleeping_[index] = 0;
   --parked_count_;
-  // Retire the parked aggregates with the identical pinned values park_
-  // recorded, so add/remove round-trips are exact.
-  --parked_power_slots_[parked_slot_[index]];
-  parked_mw_sum_ -= parked_mw_[index];
   active_ids_.push_back(index);
 }
 
@@ -184,12 +179,6 @@ void Datacenter::park_(std::uint32_t index, std::size_t pos) {
   sleeping_[index] = 1;
   parked_at_[index] = now_;
   ++parked_count_;
-  const std::uint64_t mw = power_mw_of(power_w_[index]);
-  const std::size_t slot = DcMetrics::get().server_power.bucket_index(mw);
-  parked_slot_[index] = static_cast<std::uint8_t>(slot);
-  parked_mw_[index] = mw;
-  ++parked_power_slots_[slot];
-  parked_mw_sum_ += mw;
   active_ids_[pos] = active_ids_.back();
   active_ids_.pop_back();
 }
@@ -212,8 +201,7 @@ void Datacenter::step(SimDuration dt) {
   // happens below, on this thread, after the join. Parked servers are not
   // visited at all — their owed time is deferred in one call at the next
   // touch (the same coast episode sees the same elapsed time, so the skip
-  // is invisible to the resulting bits) and their telemetry is carried by
-  // the edge-maintained aggregates.
+  // is invisible to the resulting bits).
   const std::size_t n_step = active_ids_.size();
   pool_.parallel_for(n_step, [&](std::size_t begin, std::size_t end) {
     for (std::size_t k = begin; k < end; ++k) {
@@ -227,11 +215,10 @@ void Datacenter::step(SimDuration dt) {
   now_ += dt;
   metrics.steps.inc();
   metrics.step_ns.observe(dt);
-  // Aggregation, O(stepped + racks): stepped servers contribute
-  // individually; the parked population lands as one pre-binned bulk add
-  // per aggregate (integer throughout, so bitwise-equal to visiting each
-  // parked server). Coasted time accrues in ns and flushes to the counter
-  // in whole sim-seconds.
+  // Aggregation, O(stepped + racks). The power histogram observes only
+  // the server-steps that ran physics, so a coasting server counts the
+  // same whether it stepped on the active list or sat parked. Coasted
+  // time accrues in ns and flushes to the counter in whole sim-seconds.
   std::uint64_t active_servers = 0;
   for (std::size_t k = 0; k < n_step; ++k) {
     const std::uint32_t index = active_ids_[k];
@@ -239,13 +226,11 @@ void Datacenter::step(SimDuration dt) {
       coasted_ns_total_ += dt;
     } else {
       ++active_servers;
+      metrics.server_power.observe(power_mw_of(power_w_[index]));
     }
-    metrics.server_power.observe(power_mw_of(power_w_[index]));
     mark_rack_dirty_(rack_of(static_cast<int>(index)));
   }
   coasted_ns_total_ += static_cast<std::uint64_t>(dt) * parked_count_;
-  metrics.server_power.add_bucket_counts(
-      parked_power_slots_.data(), parked_power_slots_.size(), parked_mw_sum_);
   metrics.active_server_steps.inc(active_servers);
   const std::uint64_t coasted_s = coasted_ns_total_ / kSecond;
   metrics.idle_coasted_seconds.inc(coasted_s - coasted_s_flushed_);

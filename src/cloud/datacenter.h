@@ -9,9 +9,10 @@
 //   * *parked* servers — provably idle, and not visited at all: the clock
 //     a parked server owes is deferred in one O(1) call when it is next
 //     touched (coast split-invariance makes that bitwise-equal to
-//     per-step defers), and its telemetry contributions (power histogram,
-//     coasted-seconds, rack/facility power) are carried by edge-maintained
-//     aggregates updated only on park/wake transitions.
+//     per-step defers). Its pinned power stays in the rack sums, and it
+//     adds dt per step to the coasted-seconds count. The per-server power
+//     histogram observes only server-steps that ran physics, so no
+//     coasting server, parked or not, adds to it.
 //
 // A step therefore costs O(stepped servers + racks), not O(N). A parked
 // server wakes only through a *touch*: an external mutation reaching it
@@ -155,11 +156,10 @@ class Datacenter {
   /// Catch up a parked server's owed idle time and flag it for the next
   /// wake-phase recheck; syncs pending coast time either way.
   void touch_(std::size_t index);
-  /// Unpark: retire the parked aggregates, rejoin the active list.
+  /// Unpark: rejoin the active list.
   void wake_(std::uint32_t index);
-  /// Park an active server (at position `pos` in the active list): record
-  /// its pinned telemetry into the parked aggregates and swap-remove it
-  /// from the active list.
+  /// Park an active server (at position `pos` in the active list):
+  /// swap-remove it from the active list.
   void park_(std::uint32_t index, std::size_t pos);
   void mark_rack_dirty_(int rack) {
     auto& flag = rack_dirty_[static_cast<std::size_t>(rack)];
@@ -180,8 +180,8 @@ class Datacenter {
 
   // Scheduler state. Per-server flags are written only by the lane that
   // owns the server during the parallel phase and read serially after the
-  // join; the active list and every parked aggregate mutate only in the
-  // serial wake/sleep phases, in deterministic order.
+  // join; the active list and the parked count mutate only in the serial
+  // wake/sleep phases, in deterministic order.
   std::vector<std::uint32_t> active_ids_;  ///< servers stepped each interval
   std::vector<std::uint8_t> sleeping_;     ///< parked
   std::vector<std::uint8_t> coasted_;      ///< last step coasted (stepped set)
@@ -189,14 +189,6 @@ class Datacenter {
   std::vector<std::uint32_t> recheck_ids_;     ///< wake-phase recheck queue
   std::vector<SimTime> parked_at_;  ///< park / last catch-up instant
   std::uint64_t parked_count_ = 0;
-  // Parked telemetry aggregates: everything a parked server would have
-  // contributed per step, pre-binned. Integer throughout, added and
-  // removed with the identical pinned values, so one bulk apply per step
-  // is bitwise-equal to visiting every parked server.
-  std::vector<std::uint64_t> parked_power_slots_;  ///< histogram slot counts
-  std::vector<std::uint8_t> parked_slot_;  ///< per-server slot at park time
-  std::vector<std::uint64_t> parked_mw_;   ///< per-server mW at park time
-  std::uint64_t parked_mw_sum_ = 0;
   std::uint64_t coasted_ns_total_ = 0;
   std::uint64_t coasted_s_flushed_ = 0;  ///< counter high-water mark
   // Incremental power aggregation: per-rack sums recomputed only for

@@ -2,20 +2,16 @@
 // CloudProvider::pick_server().
 //
 // The pre-PR-10 provider rebuilt a full occupancy vector on every launch
-// (O(servers) per placement). This index maintains the same information
-// under add/remove of one instance and answers the three policy queries
-// in O(log R) or amortized O(1):
+// (O(servers) per placement). This index maintains per-server counts
+// under add/remove of one instance in O(1), plus what kRandom reads:
 //
 //   * kRandom  — a Fenwick tree over the per-server "has room" flag gives
 //     the non-full count and O(log R) selection of the r-th non-full
 //     server *in index order*, which is exactly the candidate array the
 //     old code indexed with its single RNG draw;
-//   * kSpread / kBinPack — per-occupancy-level buckets (exact size
-//     counters + lazy min-heaps of server indices) with two amortized
-//     cursors: the spread floor only rises except when an update drops a
-//     server below it, the pack ceiling only falls except when an update
-//     raises one; stale heap entries are skipped at query time by
-//     checking the live count.
+//   * kSpread / kBinPack — one O(R) scan of the counts per query. Public
+//     clouds place at random, and every fleet-scale workload uses
+//     kRandom, so these two keep no per-update state of their own.
 //
 // Queries return bitwise-identical servers to the historical linear scans
 // (lowest index among minimal / maximal-below-cap occupancy; index-order
@@ -24,8 +20,6 @@
 #pragma once
 
 #include <bit>
-#include <cstdint>
-#include <queue>
 #include <vector>
 
 namespace cleaks::cloud {
@@ -41,19 +35,11 @@ class PlacementIndex {
     for (int server = 0; server < num_servers_; ++server) {
       if (max_per_server_ > 0) fenwick_add_(server, 1);
     }
-    levels_.resize(1);
-    levels_[0].size = static_cast<std::size_t>(num_servers_);
-    std::vector<int> all(static_cast<std::size_t>(num_servers_));
-    for (int server = 0; server < num_servers_; ++server) {
-      all[static_cast<std::size_t>(server)] = server;
-    }
-    levels_[0].heap = MinHeap(std::greater<int>{}, std::move(all));
   }
 
   /// One instance placed on `server`.
   void add(int server) {
     const int level = counts_[static_cast<std::size_t>(server)]++;
-    move_level_(server, level, level + 1);
     if (level < max_per_server_ && level + 1 >= max_per_server_) {
       --non_full_;
       fenwick_add_(server, -1);
@@ -63,7 +49,6 @@ class PlacementIndex {
   /// One instance removed from `server`.
   void remove(int server) {
     const int level = counts_[static_cast<std::size_t>(server)]--;
-    move_level_(server, level, level - 1);
     if (level >= max_per_server_ && level - 1 < max_per_server_) {
       ++non_full_;
       fenwick_add_(server, 1);
@@ -96,63 +81,31 @@ class PlacementIndex {
 
   /// kSpread: lowest-index server among those with the globally minimal
   /// occupancy (over ALL servers — the historical scan ignored the cap).
-  [[nodiscard]] int lowest_min_occupancy() {
-    int level = spread_floor_;
-    while (levels_[static_cast<std::size_t>(level)].size == 0) ++level;
-    spread_floor_ = level;
-    return lowest_at_level_(level);
+  [[nodiscard]] int lowest_min_occupancy() const {
+    int best = 0;
+    for (int server = 1; server < num_servers_; ++server) {
+      if (count(server) < count(best)) best = server;
+    }
+    return best;
   }
 
   /// kBinPack: lowest-index server among those with the maximal occupancy
   /// that still has room; -1 when every server is full.
-  [[nodiscard]] int lowest_max_occupancy_below_cap() {
-    int level = pack_ceil_;
-    if (level > max_per_server_ - 1) level = max_per_server_ - 1;
-    if (level >= static_cast<int>(levels_.size())) {
-      level = static_cast<int>(levels_.size()) - 1;
+  [[nodiscard]] int lowest_max_occupancy_below_cap() const {
+    int best = -1;
+    for (int server = 0; server < num_servers_; ++server) {
+      const int occupancy = count(server);
+      if (occupancy >= max_per_server_) continue;
+      if (best < 0 || occupancy > count(best)) best = server;
     }
-    while (level >= 0 && levels_[static_cast<std::size_t>(level)].size == 0) {
-      --level;
-    }
-    pack_ceil_ = level;
-    return level < 0 ? -1 : lowest_at_level_(level);
+    return best;
   }
 
  private:
-  using MinHeap =
-      std::priority_queue<int, std::vector<int>, std::greater<int>>;
-  struct Level {
-    std::size_t size = 0;  ///< exact population; heaps may hold stale extras
-    MinHeap heap;
-  };
-
   void fenwick_add_(int server, int delta) {
     for (int i = server + 1; i <= num_servers_; i += i & -i) {
       fenwick_[static_cast<std::size_t>(i)] += delta;
     }
-  }
-
-  void move_level_(int server, int from, int to) {
-    --levels_[static_cast<std::size_t>(from)].size;
-    if (to >= static_cast<int>(levels_.size())) {
-      levels_.resize(static_cast<std::size_t>(to) + 1);
-    }
-    auto& dest = levels_[static_cast<std::size_t>(to)];
-    ++dest.size;
-    dest.heap.push(server);
-    if (to < spread_floor_) spread_floor_ = to;
-    if (to < max_per_server_ && to > pack_ceil_) pack_ceil_ = to;
-  }
-
-  /// Lowest live server at `level`. Pops stale heap entries (servers that
-  /// moved on since they were pushed); a hit whose live count matches is
-  /// correct regardless of which era pushed it. Precondition: size > 0.
-  int lowest_at_level_(int level) {
-    auto& bucket = levels_[static_cast<std::size_t>(level)];
-    while (counts_[static_cast<std::size_t>(bucket.heap.top())] != level) {
-      bucket.heap.pop();
-    }
-    return bucket.heap.top();
   }
 
   int num_servers_;
@@ -160,9 +113,6 @@ class PlacementIndex {
   int non_full_;
   std::vector<int> counts_;
   std::vector<int> fenwick_;  ///< 1-based; prefix sums of the room flag
-  std::vector<Level> levels_;  ///< index = occupancy (may exceed the cap)
-  int spread_floor_ = 0;  ///< lower bound on the minimal occupied level
-  int pack_ceil_ = 0;     ///< upper bound on the maximal level below cap
 };
 
 }  // namespace cleaks::cloud

@@ -8,11 +8,9 @@
 namespace cleaks::cloud {
 namespace {
 
-// Control-plane telemetry. Launch/terminate/storm/epoch counts derive
-// from simulated state only (Scope::kSim, lane-count independent); the
-// settle/deferral counters are cost-accounting for the rollup strategy
-// and stay out of the kSim digest, like the facility's allocs-avoided
-// counter.
+// Control-plane telemetry. Launch/terminate/epoch counts derive from
+// simulated state only (Scope::kSim, lane-count independent); the cycle
+// counters measure wall cost and stay out of the kSim digest.
 struct ProviderMetrics {
   obs::Counter& launches = obs::Registry::global().counter(
       "provider_launches_total", "instances launched by the provider");
@@ -21,14 +19,6 @@ struct ProviderMetrics {
   obs::Counter& epoch_settles = obs::Registry::global().counter(
       "provider_billing_epoch_settles_total",
       "billing epochs that settled deferred rollups in step()");
-  obs::Counter& touched_instance_steps = obs::Registry::global().counter(
-      "provider_billing_touched_instance_steps_total",
-      "instance-steps metered eagerly (tenant had usage movement)",
-      obs::Scope::kRuntime);
-  obs::Counter& deferred_tenant_steps = obs::Registry::global().counter(
-      "provider_billing_deferred_tenant_steps_total",
-      "tenant-steps deferred to a pending rollup instead of walked",
-      obs::Scope::kRuntime);
   obs::Counter& control_cycles = obs::Registry::global().counter(
       "provider_step_control_cycles_total",
       "cycles spent in step()'s control plane (metering + epoch rollup), "
@@ -367,7 +357,6 @@ void CloudProvider::settle_all_() {
 }
 
 void CloudProvider::meter_(SimDuration dt) {
-  auto& metrics = ProviderMetrics::get();
   // Pass 1: one usage-marker read per occupied server (peek: no touch, no
   // wake). A changed marker means some container cgroup on that host was
   // charged since we last looked — every tenant with an instance there
@@ -408,7 +397,6 @@ void CloudProvider::meter_(SimDuration dt) {
         billing_.charge_account(*tenant.account, inst.vcpus,
                                 static_cast<double>(delta_ns) / 1e9, dt);
       }
-      metrics.touched_instance_steps.inc();
     }
   }
   // Pass 3: everyone else defers this interval (O(1) per tenant); touched
@@ -423,7 +411,6 @@ void CloudProvider::meter_(SimDuration dt) {
     } else {
       tenant.pending.push_back(PendingRun{dt, 1});
     }
-    metrics.deferred_tenant_steps.inc();
   }
 }
 

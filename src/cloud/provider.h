@@ -10,10 +10,11 @@
 //
 // Control-plane data structures (PR 10) are sized for CC1–CC5 fleets:
 //
-//   * placement — PlacementIndex (Fenwick tree + occupancy-level buckets)
-//     answers every policy in O(log R) / amortized O(1) instead of the
-//     historical O(R) occupancy rebuild, with bitwise-identical choices
-//     and RNG draw structure (placement stays a single sequential stream
+//   * placement — PlacementIndex keeps per-server counts and a Fenwick
+//     tree over the "has room" flag, so kRandom picks in O(log R) instead
+//     of the historical O(R) occupancy rebuild; kSpread and kBinPack scan
+//     the counts in O(R). Choices and RNG draw structure are
+//     bitwise-identical (placement stays a single sequential stream
 //     seeded by the constructor seed; draw bounds per launch are
 //     unchanged, so sequences match the recorded pre-refactor goldens);
 //   * instance table — a slab (std::vector slots + free list) keyed by a

@@ -26,12 +26,12 @@ bool Server::idle_eligible() const noexcept {
 }
 
 bool Server::step(SimDuration dt) {
-  host_->coast_sync();
-  if (benign_load_) benign_load_->apply(host_->now());
   if (idle_eligible()) {
-    host_->advance_idle(dt);
+    host_->defer_idle(dt);
     return true;
   }
+  host_->coast_sync();
+  if (benign_load_) benign_load_->apply(host_->now());
   host_->advance(dt);
   return false;
 }

@@ -3,14 +3,15 @@
 // optional benign tenant load.
 //
 // Sparse stepping: when the host is coast-enabled (the Datacenter turns
-// this on for every server), step() routes provably idle steps through the
-// analytic idle-coast integrator instead of the per-tick physics loop. In
-// parked mode the Datacenter stops visiting a coasting server altogether:
-// the owed interval is tracked lazily (parked_at_ timestamp) and deferred
-// in one O(1) call at the first touch — capper change or external
-// accessor (see cloud/datacenter.h). Every non-const accessor that can
-// observe or mutate host state syncs pending deferred time first, so a
-// reader can never see a parked server lag the equivalent visit-all run.
+// this on for every server), step() defers a provably idle step to the
+// analytic idle-coast integrator in O(1) instead of running the per-tick
+// physics loop. In parked mode the Datacenter stops visiting a coasting
+// server altogether: the owed interval is tracked lazily (parked_at_
+// timestamp) and deferred in one O(1) call at the first touch — capper
+// change or external accessor (see cloud/datacenter.h). Either way the
+// deferred time is materialised only on demand: every non-const accessor
+// that can observe or mutate host state syncs it first, so a reader can
+// never see a coasting server lag the equivalent per-tick run.
 #pragma once
 
 #include <memory>
@@ -61,10 +62,11 @@ class Server {
   /// Opt the host into the idle-coast regime (see kernel/host.h).
   void set_coast_enabled(bool on) noexcept { host_->set_coast_enabled(on); }
 
-  /// Advance this server by `dt`: re-target benign load, then run the
-  /// host — through the analytic idle coast when provably idle, the full
-  /// per-tick physics otherwise. Returns true when the step coasted (the
-  /// signal behind engine_active_server_steps_total).
+  /// Advance this server by `dt`: when provably idle, defer `dt` to the
+  /// analytic idle coast (O(1), materialised at the next sync); otherwise
+  /// sync, re-target benign load and run the full per-tick physics.
+  /// Returns true when the step coasted (the signal behind
+  /// engine_active_server_steps_total).
   bool step(SimDuration dt);
 
   /// Whether step() would coast right now: no benign load, no containers,

@@ -6,16 +6,17 @@
 // materialising at elapsed E always recomputes from the anchor (never from
 // the previous materialisation), evaluating g at E1 < E2 < ... < En leaves
 // bitwise-identical state to evaluating g once at En: split-invariance by
-// construction. That is the property the sparse scheduler leans on — a
-// dense run materialises every tick, a sparse run materialises on demand,
-// and both land on the same bits (tests/sparse_test.cpp).
+// construction. That is the property the facility leans on — both of its
+// schedules defer idle time and materialise it only when a syncing
+// accessor reads the host, and the result equals materialising every tick
+// (the per-tick reference in tests/sparse_test.cpp).
 //
 // These kernels are deliberately RNG-free: the legacy per-tick path draws
 // measurement noise, loadavg samples and VFS jitter from the host RNG, so
 // no closed form could reproduce an arbitrary tick sequence. Coasting is
-// its own regime — entered and left at identical step boundaries in dense
-// and sparse mode — in which an idle machine is exactly as boring as its
-// rate constants say.
+// its own regime — entered and left at identical step boundaries in the
+// never-park and parked schedules — in which an idle machine is exactly
+// as boring as its rate constants say.
 #pragma once
 
 #include <cmath>

@@ -337,9 +337,8 @@ void Host::begin_coast_() {
 
   // Entering the regime pins the per-tick observables that legacy ticks
   // refresh: the runnable count, the sampled VFS table size and the
-  // constant idle power (set here so defer_idle on a freshly eligible
-  // server reads the same power_w() a per-tick advance_idle's first
-  // coast tick would pin).
+  // constant idle power (set here, so power_w() reads the idle power from
+  // the first coasted step on while that time is still deferred).
   kstate_.procs_running = std::max(1, runnable);
   kstate_.procs_blocked = c.io_rate_per_s > 200.0 ? 1 : 0;
   kstate_.file_nr = 900 + 32 * tasks_.size() + 32;
@@ -438,20 +437,6 @@ void Host::materialize_coast_(SimDuration elapsed) {
   }
 
   now_ = c.t0 + elapsed;
-}
-
-void Host::advance_idle(SimDuration duration) {
-  coast_sync();  // no-op unless deferred time pends
-  if (!coast_active()) begin_coast_();
-  // Per-tick reference: one materialisation per tick — the "equivalent
-  // sequence of idle ticks" the deferred paths must match bit-for-bit.
-  SimDuration remaining = duration;
-  while (remaining > 0) {
-    const SimDuration dt = std::min(remaining, tick_duration_);
-    coast_.materialized += dt;
-    materialize_coast_(coast_.materialized);
-    remaining -= dt;
-  }
 }
 
 void Host::defer_idle(SimDuration duration) {

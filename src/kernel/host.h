@@ -158,16 +158,16 @@ class Host {
   // daemons, whose power cap is lifted and whose frequency is nominal may
   // *coast*: park its physics at an anchor snapshot and advance as a pure
   // closed form of elapsed time — zero RNG draws, frozen perf/cpuacct/VFS
-  // jitter, constant noise-free idle power. advance_idle() is the per-tick
-  // reference (one materialisation per tick, the "equivalent sequence of
-  // idle ticks"); defer_idle()+coast_sync() is the deferred fast path. Any
-  // split of the same interval lands on identical bits — per-tick, one
-  // defer per skipped step, or a single defer of a whole parked stretch —
+  // jitter, constant noise-free idle power. defer_idle() accrues idle time
+  // in O(1) and coast_sync() materialises it. Any split of the same
+  // interval lands on identical bits — a sync per tick (the "equivalent
+  // sequence of idle ticks", the reference tests/sparse_test.cpp keeps),
+  // one defer per step, or a single defer of a whole parked stretch —
   // because every materialisation recomputes from the anchor and never
-  // moves it. The Datacenter's parked mode leans on the strongest form:
-  // a server parked for k steps gets one defer_idle(k*dt) at its next
-  // touch, not k calls (split-invariance is pinned by
-  // tests/sparse_test.cpp).
+  // moves it. The Datacenter leans on the strongest form: a coasting
+  // server defers each step it is visited and a parked one gets one
+  // defer_idle(k*dt) at its next touch; either way its state is
+  // materialised only when a syncing accessor reads it.
   //
   // Episodes end only through mutation: every path that can change
   // eligibility (spawn/kill, cap change, mutable_* accessors) bumps
@@ -181,15 +181,12 @@ class Host {
   /// only through generation-bumping paths, so eligibility cannot flip
   /// mid-episode without coast_active() noticing.
   [[nodiscard]] bool coast_eligible() const noexcept;
-  /// Per-tick idle advance: materialise the coast per tick_duration()
-  /// tick (begins an episode if none is live). Equivalent in bits to
-  /// defer_idle(duration) + coast_sync().
-  void advance_idle(SimDuration duration);
   /// Deferred idle advance: accrue pending coast time in O(1) without
   /// touching any observable state (begins an episode if none is live —
   /// entry pins last_tick_power_w() to the constant idle power, so const
   /// power reads match per-tick stepping from the first coasted step).
-  /// The parked scheduler calls this once with a whole parked stretch.
+  /// Server::step calls this once per coasted step, the parked scheduler
+  /// once with a whole parked stretch.
   void defer_idle(SimDuration duration);
   /// Materialise any pending deferred time. The episode stays live — a
   /// sync never re-anchors, so pure reads after a sync cannot diverge

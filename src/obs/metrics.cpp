@@ -22,29 +22,13 @@ Histogram::Histogram(std::string name, std::string help, Scope scope,
 
 void Histogram::observe(std::uint64_t value) noexcept {
   const auto lane = static_cast<std::size_t>(ThreadPool::current_lane());
-  cells_[cell(lane, bucket_index(value))].fetch_add(1,
-                                                    std::memory_order_relaxed);
+  // Bounds are inclusive; a value past the last one lands in the overflow
+  // slot, bounds_.size().
+  const auto slot = static_cast<std::size_t>(
+      std::lower_bound(bounds_.begin(), bounds_.end(), value) -
+      bounds_.begin());
+  cells_[cell(lane, slot)].fetch_add(1, std::memory_order_relaxed);
   cells_[cell(lane, bounds_.size() + 1)].fetch_add(value,
-                                                   std::memory_order_relaxed);
-}
-
-std::size_t Histogram::bucket_index(std::uint64_t value) const noexcept {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
-  return it == bounds_.end()
-             ? bounds_.size()  // overflow
-             : static_cast<std::size_t>(it - bounds_.begin());
-}
-
-void Histogram::add_bucket_counts(const std::uint64_t* slots,
-                                  std::size_t n_slots,
-                                  std::uint64_t sum) noexcept {
-  const auto lane = static_cast<std::size_t>(ThreadPool::current_lane());
-  const std::size_t limit = std::min(n_slots, bounds_.size() + 1);
-  for (std::size_t slot = 0; slot < limit; ++slot) {
-    if (slots[slot] == 0) continue;
-    cells_[cell(lane, slot)].fetch_add(slots[slot], std::memory_order_relaxed);
-  }
-  cells_[cell(lane, bounds_.size() + 1)].fetch_add(sum,
                                                    std::memory_order_relaxed);
 }
 

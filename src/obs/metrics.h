@@ -135,18 +135,6 @@ class Gauge {
 class Histogram {
  public:
   void observe(std::uint64_t value) noexcept;
-  /// The slot observe(value) would increment: a bucket index, or
-  /// bounds().size() for overflow. Callers maintaining external per-slot
-  /// tallies (edge-triggered aggregates) use this to stay bit-compatible.
-  [[nodiscard]] std::size_t bucket_index(std::uint64_t value) const noexcept;
-  /// Fold externally-tallied observations in: `slots[i]` observations per
-  /// slot (bounds().size() + 1 entries, overflow last) and their value
-  /// `sum`. Everything merged is an unsigned integer, so this is bitwise
-  /// indistinguishable from replaying every individual observe() — the
-  /// property the O(active) facility aggregation leans on for
-  /// parked-server telemetry.
-  void add_bucket_counts(const std::uint64_t* slots, std::size_t n_slots,
-                         std::uint64_t sum) noexcept;
 
   [[nodiscard]] const std::vector<std::uint64_t>& bounds() const noexcept {
     return bounds_;

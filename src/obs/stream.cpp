@@ -7,7 +7,6 @@
 
 #include "obs/export.h"
 #include "util/env.h"
-#include "util/fnv.h"
 
 namespace cleaks::obs {
 namespace {
@@ -23,63 +22,6 @@ std::terminate_handler g_previous_terminate = nullptr;
 }
 
 }  // namespace
-
-double WindowSummary::rate_per_s() const {
-  const double seconds = to_seconds(end - start);
-  return seconds > 0.0 ? static_cast<double>(total) / seconds : 0.0;
-}
-
-WindowAggregator::WindowAggregator(SimDuration width)
-    : width_(width > 0 ? width : kSecond) {}
-
-void WindowAggregator::close_current() {
-  if (!open_) return;
-  windows_.push_back(current_);
-  current_ = WindowSummary{};
-  open_ = false;
-}
-
-void WindowAggregator::feed(const std::vector<Event>& merged) {
-  for (const Event& event : merged) {
-    const std::uint64_t index = event.time / width_;
-    if (open_ && index != current_index_) close_current();
-    if (!open_) {
-      open_ = true;
-      current_index_ = index;
-      current_.start = index * width_;
-      current_.end = (index + 1) * width_;
-    }
-    ++current_.total;
-    ++current_.by_kind[static_cast<std::size_t>(event.kind)];
-    auto it = std::lower_bound(
-        current_.by_source.begin(), current_.by_source.end(), event.source,
-        [](const auto& entry, std::uint32_t source) {
-          return entry.first < source;
-        });
-    if (it != current_.by_source.end() && it->first == event.source) {
-      ++it->second;
-    } else {
-      current_.by_source.insert(it, {event.source, 1});
-    }
-  }
-}
-
-void WindowAggregator::flush() { close_current(); }
-
-std::uint64_t WindowAggregator::digest() const {
-  Fnv64 hash;
-  for (const WindowSummary& window : windows_) {
-    hash.add_u64(window.start);
-    hash.add_u64(window.end);
-    hash.add_u64(window.total);
-    for (const std::uint64_t count : window.by_kind) hash.add_u64(count);
-    for (const auto& [source, count] : window.by_source) {
-      hash.add_u64(source);
-      hash.add_u64(count);
-    }
-  }
-  return hash.hash;
-}
 
 void FlightRecorder::feed(const std::vector<Event>& merged) {
   for (const Event& event : merged) {

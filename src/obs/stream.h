@@ -1,10 +1,5 @@
 // Streaming consumers of the event bus (obs/events.h):
 //
-//  * WindowAggregator — tumbling sim-time windows over the merged stream,
-//    producing per-source event-rate/kind-histogram summaries: the input
-//    shape an online behavior IDS (n-gram trainer) consumes. Windows are
-//    half-open [k·W, (k+1)·W): an event exactly on a tumbling edge belongs
-//    to the *next* window, and only that one.
 //  * FlightRecorder — keeps the last N sim-seconds of merged events and
 //    dumps them as a `cleaks-events-v1` JSON document on demand, on a
 //    failed bench_check(), or from a std::terminate handler when enabled
@@ -19,12 +14,10 @@
 // structure.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "obs/events.h"
@@ -33,48 +26,6 @@
 namespace cleaks::obs {
 
 inline constexpr std::string_view kEventsSchema = "cleaks-events-v1";
-
-/// One closed tumbling window over the merged stream.
-struct WindowSummary {
-  SimTime start = 0;  ///< inclusive
-  SimTime end = 0;    ///< exclusive
-  std::uint64_t total = 0;
-  std::array<std::uint64_t, kNumEventKinds> by_kind{};
-  /// Per-source event counts, sorted by source id (the per-container /
-  /// per-server rate breakdown).
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> by_source;
-
-  [[nodiscard]] double rate_per_s() const;
-};
-
-class WindowAggregator {
- public:
-  explicit WindowAggregator(SimDuration width);
-
-  /// Consume one drained (merged, time-sorted) batch. Batches must arrive
-  /// in stream order across calls; windows older than the current one are
-  /// closed as later events arrive. Empty windows are not materialized.
-  void feed(const std::vector<Event>& merged);
-  /// Close the currently open window (call once, after the last feed).
-  void flush();
-
-  [[nodiscard]] const std::vector<WindowSummary>& windows() const noexcept {
-    return windows_;
-  }
-  [[nodiscard]] SimDuration width() const noexcept { return width_; }
-  /// FNV over every closed window — lane-count-independent because the
-  /// merged stream is.
-  [[nodiscard]] std::uint64_t digest() const;
-
- private:
-  void close_current();
-
-  SimDuration width_;
-  bool open_ = false;
-  std::uint64_t current_index_ = 0;  ///< window ordinal = start / width
-  WindowSummary current_;
-  std::vector<WindowSummary> windows_;
-};
 
 class FlightRecorder {
  public:

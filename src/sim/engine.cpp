@@ -347,19 +347,15 @@ void SimEngine::drain_event_stream_() {
     const std::vector<obs::Event> batch = obs::EventBus::global().drain();
     events_drained_ += batch.size();
     events_digest_ = obs::EventBus::digest(batch, events_digest_);
-    if (aggregator_) aggregator_->feed(batch);
     auto& recorder = obs::FlightRecorder::global();
     if (recorder.enabled()) recorder.feed(batch);
   }
 }
 
-void SimEngine::enable_event_stream(SimDuration window_width) {
+void SimEngine::enable_event_stream() {
   obs::EventBus::global().set_enabled(true);
   drain_events_ = true;
   events_digest_ = kDigestSeed;
-  if (window_width > 0 && !aggregator_) {
-    aggregator_ = std::make_unique<obs::WindowAggregator>(window_width);
-  }
 }
 
 void SimEngine::run_loop_(std::uint64_t full_steps, SimDuration dt,

@@ -30,10 +30,6 @@ namespace cleaks::leakage {
 class CrossValidator;
 }  // namespace cleaks::leakage
 
-namespace cleaks::obs {
-class WindowAggregator;
-}  // namespace cleaks::obs
-
 namespace cleaks::sim {
 
 /// Snapshot passed to step hooks after physics + control + measurement.
@@ -114,21 +110,16 @@ class SimEngine {
 
   // ---- event stream ----
   /// Turn on the global event bus and drain it in this engine's
-  /// measurement phase every step (merged stream fed to the window
-  /// aggregator when `window_width` > 0, and to the global flight
-  /// recorder when that is enabled). The accumulated stream digest is
-  /// lane-count-independent: same contract as the metrics registry.
-  void enable_event_stream(SimDuration window_width = 0);
+  /// measurement phase every step (the merged stream feeds the digest,
+  /// and the global flight recorder when that is enabled). The
+  /// accumulated stream digest is lane-count-independent: same contract
+  /// as the metrics registry.
+  void enable_event_stream();
   [[nodiscard]] std::uint64_t event_stream_digest() const noexcept {
     return events_digest_;
   }
   [[nodiscard]] std::uint64_t events_drained() const noexcept {
     return events_drained_;
-  }
-  /// Closed tumbling windows so far (nullptr unless enable_event_stream
-  /// was called with a window width).
-  [[nodiscard]] obs::WindowAggregator* window_aggregator() noexcept {
-    return aggregator_.get();
   }
 
   // ---- loop ----
@@ -240,7 +231,6 @@ class SimEngine {
 
   // Event-stream consumers (enable_event_stream).
   bool drain_events_ = false;
-  std::unique_ptr<obs::WindowAggregator> aggregator_;
   std::uint64_t events_digest_ = 0;  ///< seeded in enable_event_stream
   std::uint64_t events_drained_ = 0;
 

@@ -359,41 +359,6 @@ TEST(EventBus, MergedStreamAndDigestIdenticalAcrossLaneCounts) {
   }
 }
 
-// ---------- windowed aggregation ----------
-
-TEST(WindowAggregator, EdgeEventBelongsToNextWindowOnly) {
-  WindowAggregator agg(10 * kSecond);
-  std::vector<Event> batch;
-  batch.push_back({5 * kSecond, EventKind::kRaplSample, 1, 0, 0});
-  batch.push_back({10 * kSecond, EventKind::kRaplSample, 1, 0, 0});  // edge
-  agg.feed(batch);
-  agg.flush();
-  ASSERT_EQ(agg.windows().size(), 2u);
-  EXPECT_EQ(agg.windows()[0].start, 0);
-  EXPECT_EQ(agg.windows()[0].end, 10 * kSecond);
-  EXPECT_EQ(agg.windows()[0].total, 1u);  // only the 5 s event
-  EXPECT_EQ(agg.windows()[1].start, 10 * kSecond);
-  EXPECT_EQ(agg.windows()[1].total, 1u);  // the edge event, exactly once
-}
-
-TEST(WindowAggregator, SkipsEmptyWindowsAndCountsByKindAndSource) {
-  WindowAggregator agg(kSecond);
-  std::vector<Event> batch;
-  batch.push_back({100, EventKind::kCtxSwitch, 3, 0, 0});
-  batch.push_back({200, EventKind::kCtxSwitch, 5, 0, 0});
-  batch.push_back({5 * kSecond + 1, EventKind::kFaultInjected, 3, 0, 0});
-  agg.feed(batch);
-  agg.flush();
-  ASSERT_EQ(agg.windows().size(), 2u);  // [0,1s) and [5s,6s); gaps skipped
-  const auto& first = agg.windows()[0];
-  EXPECT_EQ(first.total, 2u);
-  EXPECT_EQ(first.by_kind[static_cast<std::size_t>(EventKind::kCtxSwitch)],
-            2u);
-  ASSERT_EQ(first.by_source.size(), 2u);
-  EXPECT_EQ(first.by_source[0], (std::pair<std::uint32_t, std::uint64_t>{3, 1}));
-  EXPECT_EQ(agg.windows()[1].start, 5 * kSecond);
-}
-
 // ---------- flight recorder ----------
 
 TEST(FlightRecorder, EvictsOutsideWindowAndDumpsSchema) {
@@ -475,7 +440,6 @@ sim::ScenarioSpec faulted_facility(int lanes) {
 
 struct StreamRun {
   std::uint64_t stream_digest = 0;
-  std::uint64_t window_digest = 0;
   std::uint64_t drained = 0;
   std::uint64_t dropped = 0;
   std::uint64_t sim_digest = 0;
@@ -490,14 +454,10 @@ StreamRun run_faulted_facility(int lanes, bool with_stream) {
   // launches, cgroup setup) land in the stream's first drained batch.
   if (with_stream) bus.set_enabled(true);
   sim::SimEngine engine(faulted_facility(lanes));
-  if (with_stream) engine.enable_event_stream(25 * kSecond);
+  if (with_stream) engine.enable_event_stream();
   engine.run_steps(200, kSecond);
   StreamRun run;
   run.stream_digest = engine.event_stream_digest();
-  if (auto* agg = engine.window_aggregator()) {
-    agg->flush();
-    run.window_digest = agg->digest();
-  }
   run.drained = engine.events_drained();
   run.dropped = bus.dropped();
   run.sim_digest = Registry::global().snapshot().digest(Scope::kSim);
@@ -507,8 +467,8 @@ StreamRun run_faulted_facility(int lanes, bool with_stream) {
   return run;
 }
 
-// Recorded from the 3-rack faulted facility above (200 steps, window
-// 25 s). The merged stream is a pure function of the scenario, so this
+// Recorded from the 3-rack faulted facility above (200 steps). The
+// merged stream is a pure function of the scenario, so this
 // digest — like the sim_test scenario digests — must never move.
 constexpr std::uint64_t kStreamGoldenDigest = 0x263ca36d48318514ull;
 
@@ -520,8 +480,6 @@ TEST(EventStream, FacilityDigestPinnedAndIdenticalAcrossLanes) {
     const StreamRun run = run_faulted_facility(lanes, true);
     EXPECT_EQ(run.stream_digest, reference.stream_digest)
         << lanes << " lanes";
-    EXPECT_EQ(run.window_digest, reference.window_digest) << lanes
-                                                          << " lanes";
     EXPECT_EQ(run.drained, reference.drained) << lanes << " lanes";
     EXPECT_EQ(run.dropped, 0u) << lanes << " lanes";
   }

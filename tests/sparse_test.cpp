@@ -11,6 +11,7 @@
 // and every Scope::kSim counter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -35,6 +36,17 @@ std::unique_ptr<kernel::Host> make_idle_host(std::uint64_t seed = 11) {
   host->set_tick_duration(kSecond);
   host->set_coast_enabled(true);
   return host;
+}
+
+// The per-tick reference every deferred path must match bit for bit: one
+// materialisation per host tick, the "equivalent sequence of idle ticks".
+void coast_per_tick(kernel::Host& host, SimDuration duration) {
+  while (duration > 0) {
+    const SimDuration tick = std::min(duration, host.tick_duration());
+    host.defer_idle(tick);
+    host.coast_sync();
+    duration -= tick;
+  }
 }
 
 // Full-surface equality: every pseudo-file byte plus the raw hardware
@@ -87,7 +99,7 @@ TEST(CoastEquivalence, OneShotCoastMatchesIdleTickSequenceAcrossRaplWrap) {
   // the closed form must carry residual microjoules and wrap counts
   // exactly as 14400 one-second materialisations do.
   const SimDuration interval = 4 * kHour;
-  dense->advance_idle(interval);
+  coast_per_tick(*dense, interval);
   sparse->defer_idle(interval);
   sparse->coast_sync();
   EXPECT_GE(sparse->rapl()[0].package().state().wrap_count, 3u);
@@ -113,7 +125,7 @@ TEST(CoastEquivalence, ArbitrarySplitsOfTheIntervalAreInvariant) {
   }
   ragged->defer_idle(total - spent);
   ragged->coast_sync();
-  ticked->advance_idle(total);
+  coast_per_tick(*ticked, total);
   expect_hosts_identical(*one_shot, *ragged);
   expect_hosts_identical(*one_shot, *ticked);
 }
@@ -132,11 +144,11 @@ TEST(CoastEquivalence, MutationMidIntervalSplitsTheEpisodeIdentically) {
     const auto pid = host.spawn_task(options)->host_pid;
     host.kill_task(pid);
   };
-  dense->advance_idle(30 * kMinute);
+  coast_per_tick(*dense, 30 * kMinute);
   EXPECT_TRUE(dense->coast_active());
   mutate(*dense);
   EXPECT_FALSE(dense->coast_active());
-  dense->advance_idle(30 * kMinute);
+  coast_per_tick(*dense, 30 * kMinute);
 
   sparse->defer_idle(30 * kMinute);
   sparse->coast_sync();
@@ -281,6 +293,25 @@ TEST(SparseFacility, DenseAndSparseProduceIdenticalServerState) {
   ASSERT_EQ(dense.size(), sparse.size());
   for (std::size_t i = 0; i < dense.size(); ++i) {
     EXPECT_EQ(dense[i], sparse[i]) << "server " << i;
+  }
+}
+
+TEST(SparseFacility, PowerHistogramObservesOnlyStepsThatRanPhysics) {
+  // Constructing a facility registers its metrics.
+  (void)cloud::Datacenter(facility_config(true));
+  auto& registry = obs::Registry::global();
+  auto& active = registry.counter("engine_active_server_steps_total");
+  auto& power = registry.histogram("dc_server_power_mw", {});
+  for (const bool sparse : {false, true}) {
+    const std::uint64_t active_0 = active.value();
+    const std::uint64_t power_0 = power.total_count();
+    (void)run_facility(sparse, 1);
+    const std::uint64_t active_steps = active.value() - active_0;
+    // Server 0's on phases run physics; every other server-step coasts.
+    EXPECT_GT(active_steps, 0u);
+    EXPECT_LT(active_steps, 8u * 30u * 60u);
+    EXPECT_EQ(power.total_count() - power_0, active_steps)
+        << (sparse ? "parked" : "never-park") << " schedule";
   }
 }
 
