@@ -7,7 +7,10 @@
 // never perturbs it. Timing runs a fixed number of interleaved A/B rounds
 // (one run per mode, alternating which mode goes first); the gate is the
 // median of the per-round throughput ratios, and the quartiles are
-// reported as its spread.
+// reported as its spread. Rounds are timed on the wall clock: on a shared
+// 4-vCPU VM the stepping thread's CPU clock gave the same round-ratio
+// quartiles, alone and beside another bench process, so the spread is not
+// time spent preempted.
 //
 // A second section exercises the consumers end to end on a small
 // provider workload (container churn + faults would be overkill here:

@@ -1,6 +1,6 @@
 // Fleet-scale control-plane benchmark: the PR 10 provider rewrite
-// (Fenwick placement index, slab instance table, epoch-batched billing)
-// swept over servers x tenants up to a million live containers.
+// (Fenwick placement index, slab instance table, deferred billing
+// rollups) swept over servers x tenants up to a million live containers.
 //
 // Three claims are checked, not just measured:
 //   * O(log R) launches — the old control plane rebuilt a full occupancy
@@ -21,18 +21,18 @@
 //     (<= 1.3x) across a 256x growth in instances — it falls ~4x, since
 //     each server carries 16x more containers at the top of the sweep.
 //     The per-(server+tenant) normalization is reported alongside.
-//   * determinism — a mixed idle/busy fleet with a short billing epoch is
-//     run at 1/2/4/8 datacenter lanes; the digest over every (uid,
-//     server) placement, per-tenant billing bits, and facility power
-//     must be bitwise-identical. (Equality against the *pre-refactor*
+//   * determinism — a mixed idle/busy fleet is run at 1/2/4/8
+//     datacenter lanes; the digest over every (uid, server) placement,
+//     per-tenant billing bits (settled by the final query), and facility
+//     power must be bitwise-identical. (Equality against the *pre-refactor*
 //     provider is pinned separately by tests/provider_test.cpp goldens.)
 //
 // The timing fleet is fully idle so the deferred-rollup path dominates:
 // that is the control plane's steady state, and it keeps the eager
 // metering walk (which is O(instances of touched tenants) whenever a
 // tenant has usage movement) out of the flatness denominator. The digest
-// runs do the opposite — busy containers, eager metering, mid-run epoch
-// settles — to pin the full math across lane counts.
+// runs do the opposite — busy containers, eager metering, settles of the
+// touched tenant's backlog — to pin the full math across lane counts.
 // CLEAKS_BENCH_QUICK=1 shrinks the sweep for sanitizer CI and gates the
 // two timing assertions off (digest equality always applies).
 //
@@ -165,13 +165,13 @@ PointRun run_point(const SweepPoint& point) {
   return run;
 }
 
-/// Lane-count determinism run: mixed idle/busy fleet, 2 s billing epoch
-/// (so rollups settle mid-run), digest over placement + billing + power.
+/// Lane-count determinism run: mixed idle/busy fleet, digest over
+/// placement + billing + power.
 std::uint64_t run_digest(const SweepPoint& point, int lanes) {
   cloud::Datacenter dc(fleet_config(point.servers, lanes));
   cloud::CloudProvider provider(dc, 4242, cloud::BillingRates{},
                                 cloud::PlacementPolicy::kRandom,
-                                point.max_per_server, 2 * kSecond);
+                                point.max_per_server);
   const container::ContainerConfig cc = fleet_container();
   const int per_tenant = point.instances() / point.tenants;
   std::vector<std::uint64_t> uids;

@@ -110,11 +110,6 @@ Datacenter::Datacenter(DatacenterConfig config)
     servers_[index]->host().set_event_source(
         static_cast<std::uint32_t>(index));
   }
-  // Coast semantics are on in BOTH modes: the never-park schedule's
-  // Server::step coast path and the parked schedule's deferred catch-up
-  // enter the coast regime at the same step boundaries, which is what
-  // makes the two modes bitwise-comparable.
-  for (auto& server : servers_) server->set_coast_enabled(true);
   const auto count = static_cast<std::size_t>(total);
   sleeping_.assign(count, 0);
   coasted_.assign(count, 0);

@@ -2,7 +2,7 @@
 // power oversubscription and (optionally) a minute-granularity rack power
 // capper — the §II-C environment the synergistic power attack targets.
 //
-// Event-driven stepping: every server runs coast-enabled (kernel/host.h)
+// Event-driven stepping: every server coasts when idle (kernel/host.h),
 // and the facility keeps one scheduler state:
 //
 //   * the *active list* — servers that take a real step every interval;
@@ -47,8 +47,8 @@ namespace cleaks::cloud {
 /// stages, the namespace demo) run on a 1x1 facility with
 /// benign_load = false and this set. Server 0 takes these values in place
 /// of its rack-derived draws; the draws still run, so every other server
-/// is unchanged. A pinned server is still a facility server: it coasts
-/// like any other whenever it holds no container and no load.
+/// is unchanged. A pinned server coasts like any other server whenever it
+/// holds no container and no load.
 struct PinnedHost {
   std::uint64_t seed = 1;
   SimDuration prior_uptime = 0;

@@ -8,21 +8,18 @@
 namespace cleaks::cloud {
 namespace {
 
-// Control-plane telemetry. Launch/terminate/epoch counts derive from
-// simulated state only (Scope::kSim, lane-count independent); the cycle
-// counters measure wall cost and stay out of the kSim digest.
+// Control-plane telemetry. Launch/terminate counts derive from simulated
+// state only (Scope::kSim, lane-count independent); the cycle counters
+// measure wall cost and stay out of the kSim digest.
 struct ProviderMetrics {
   obs::Counter& launches = obs::Registry::global().counter(
       "provider_launches_total", "instances launched by the provider");
   obs::Counter& terminates = obs::Registry::global().counter(
       "provider_terminates_total", "instances terminated by the provider");
-  obs::Counter& epoch_settles = obs::Registry::global().counter(
-      "provider_billing_epoch_settles_total",
-      "billing epochs that settled deferred rollups in step()");
   obs::Counter& control_cycles = obs::Registry::global().counter(
       "provider_step_control_cycles_total",
-      "cycles spent in step()'s control plane (metering + epoch rollup), "
-      "excluding datacenter physics; unit = util/cycle_timer.h source",
+      "cycles spent in step()'s control plane (metering), excluding "
+      "datacenter physics; unit = util/cycle_timer.h source",
       obs::Scope::kRuntime);
   obs::Counter& launch_control_cycles = obs::Registry::global().counter(
       "provider_launch_control_cycles_total",
@@ -59,15 +56,12 @@ std::string to_string(PlacementPolicy policy) {
 
 CloudProvider::CloudProvider(Datacenter& datacenter, std::uint64_t seed,
                              BillingRates rates, PlacementPolicy placement,
-                             int max_instances_per_server,
-                             SimDuration billing_epoch)
+                             int max_instances_per_server)
     : datacenter_(&datacenter),
       placement_rng_(seed),
       billing_(rates),
       placement_(placement),
       max_instances_per_server_(max_instances_per_server),
-      billing_epoch_(billing_epoch),
-      next_epoch_(datacenter.now() + billing_epoch),
       index_(datacenter.num_servers(), max_instances_per_server),
       server_slots_(static_cast<std::size_t>(datacenter.num_servers())),
       last_marker_(static_cast<std::size_t>(datacenter.num_servers()), 0) {
@@ -338,18 +332,16 @@ int CloudProvider::server_of(const std::string& instance_id) const {
 }
 
 void CloudProvider::settle_tenant_(Tenant& tenant) {
-  if (tenant.pending.empty()) return;
   // Step-major replay in launch order: exactly the per-step fold the
   // historical meter ran, minus the +0.0 usage identities (cloud/billing.h).
-  for (const PendingRun& run : tenant.pending) {
-    for (std::uint64_t step = 0; step < run.steps; ++step) {
-      for (std::uint32_t slot = tenant.head; slot != kNil;
-           slot = slab_[slot].next) {
-        billing_.charge_reserve(*tenant.account, slab_[slot].vcpus, run.dt);
-      }
+  const PendingRun& run = tenant.pending;
+  for (std::uint64_t step = 0; step < run.steps; ++step) {
+    for (std::uint32_t slot = tenant.head; slot != kNil;
+         slot = slab_[slot].next) {
+      billing_.charge_reserve(*tenant.account, slab_[slot].vcpus, run.dt);
     }
   }
-  tenant.pending.clear();
+  tenant.pending.steps = 0;
 }
 
 void CloudProvider::settle_all_() {
@@ -406,11 +398,10 @@ void CloudProvider::meter_(SimDuration dt) {
       tenant.touched = 0;
       continue;
     }
-    if (!tenant.pending.empty() && tenant.pending.back().dt == dt) {
-      ++tenant.pending.back().steps;
-    } else {
-      tenant.pending.push_back(PendingRun{dt, 1});
-    }
+    // One run holds steps of one length: settle before another joins.
+    if (tenant.pending.dt != dt) settle_tenant_(tenant);
+    tenant.pending.dt = dt;
+    ++tenant.pending.steps;
   }
 }
 
@@ -421,11 +412,6 @@ void CloudProvider::step(SimDuration dt) {
   // design and grows with the fleet no matter what the control plane does.
   const std::uint64_t t0 = read_cycle_counter();
   meter_(dt);
-  if (datacenter_->now() >= next_epoch_) {
-    settle_all_();
-    ProviderMetrics::get().epoch_settles.inc();
-    while (next_epoch_ <= datacenter_->now()) next_epoch_ += billing_epoch_;
-  }
   ProviderMetrics::get().control_cycles.inc(read_cycle_counter() - t0);
 }
 

@@ -23,18 +23,19 @@
 //     per-server slot vectors (swap-remove): launch and terminate are
 //     O(log R) + O(1) bookkeeping, no shared_ptr allocation on the batch
 //     path, and tenant handles stay valid across arbitrary churn;
-//   * billing rollups — per-tenant epoch-batched metering. Each step the
+//   * billing rollups — per-tenant deferred metering. Each step the
 //     provider compares one usage marker per occupied server
 //     (kernel::Host::nonroot_usage_marker via Datacenter::peek — no
 //     wake/touch) to find *touched* tenants; only those walk their
-//     instances. Untouched tenants accrue a deferred (dt × steps) run
+//     instances. Untouched tenants accrue one deferred (dt × steps) run
 //     that is settled — replayed reserve-charge by reserve-charge in
-//     launch order — at the billing epoch, on any launch/terminate for
-//     that tenant, or on a billing() query. Settling is bitwise-equal to
-//     the historical every-instance-every-step walk because an idle
-//     interval's usage terms are +0.0 identities (see cloud/billing.h).
-//     Provider::step therefore costs O(servers + tenants + touched
-//     instances), not O(instances).
+//     launch order — before a step of another length joins it, when the
+//     tenant is touched, on any launch/terminate for that tenant, or on a
+//     billing() query. Settling is bitwise-equal to the historical
+//     every-instance-every-step walk because each account sees the same
+//     charges in the same order and an idle interval's usage terms are
+//     +0.0 identities (see cloud/billing.h). Provider::step therefore
+//     costs O(servers + tenants + touched instances), not O(instances).
 #pragma once
 
 #include <cstdint>
@@ -99,8 +100,7 @@ class CloudProvider {
   CloudProvider(Datacenter& datacenter, std::uint64_t seed,
                 BillingRates rates = BillingRates{},
                 PlacementPolicy placement = PlacementPolicy::kRandom,
-                int max_instances_per_server = 8,
-                SimDuration billing_epoch = kHour);
+                int max_instances_per_server = 8);
 
   /// Launch a container for `tenant` on a provider-chosen server. Both
   /// overloads route through one implementation; the default-config form
@@ -129,7 +129,7 @@ class CloudProvider {
 
   [[nodiscard]] Datacenter& datacenter() noexcept { return *datacenter_; }
   /// Billing readout. Settles every pending rollup first so queries are
-  /// exact at any instant, mid-epoch included.
+  /// exact at any instant.
   [[nodiscard]] BillingMeter& billing() {
     settle_all_();
     return billing_;
@@ -162,8 +162,8 @@ class CloudProvider {
     std::uint32_t tail = kNil;
     std::uint32_t count = 0;
     BillingMeter::Account* account = nullptr;
-    std::vector<PendingRun> pending;  ///< deferred idle billing intervals
-    std::uint8_t touched = 0;         ///< scratch flag for the current step
+    PendingRun pending;        ///< deferred idle steps, all of one length
+    std::uint8_t touched = 0;  ///< scratch flag for the current step
   };
 
   [[nodiscard]] int pick_server();
@@ -172,8 +172,8 @@ class CloudProvider {
                              const container::ContainerConfig& config);
   void terminate_slot_(std::uint32_t slot);
   [[nodiscard]] container::ContainerConfig default_config_() const;
-  /// Replay the tenant's deferred idle intervals (reserve charges in
-  /// launch order, step-major — the historical fold order).
+  /// Replay the tenant's deferred idle steps (reserve charges in launch
+  /// order, step-major — the historical fold order).
   void settle_tenant_(Tenant& tenant);
   void settle_all_();
   /// Per-step metering: marker scan -> eager walk for touched tenants,
@@ -185,8 +185,6 @@ class CloudProvider {
   BillingMeter billing_;
   PlacementPolicy placement_;
   int max_instances_per_server_;
-  SimDuration billing_epoch_;
-  SimTime next_epoch_;
 
   PlacementIndex index_;
   std::vector<Instance> slab_;

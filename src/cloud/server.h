@@ -2,16 +2,16 @@
 // filesystems, container runtime (with the provider's masking policy) and
 // optional benign tenant load.
 //
-// Sparse stepping: when the host is coast-enabled (the Datacenter turns
-// this on for every server), step() defers a provably idle step to the
-// analytic idle-coast integrator in O(1) instead of running the per-tick
-// physics loop. In parked mode the Datacenter stops visiting a coasting
-// server altogether: the owed interval is tracked lazily (parked_at_
-// timestamp) and deferred in one O(1) call at the first touch — capper
-// change or external accessor (see cloud/datacenter.h). Either way the
-// deferred time is materialised only on demand: every non-const accessor
-// that can observe or mutate host state syncs it first, so a reader can
-// never see a coasting server lag the equivalent per-tick run.
+// Sparse stepping: step() defers a provably idle step to the analytic
+// idle-coast integrator in O(1) instead of running the per-tick physics
+// loop, on every server, in a facility or standalone. In parked mode the
+// Datacenter stops visiting a coasting server altogether: the owed
+// interval is tracked lazily (parked_at_ timestamp) and deferred in one
+// O(1) call at the first touch — capper change or external accessor (see
+// cloud/datacenter.h). Either way the deferred time is materialised only
+// on demand: every non-const accessor that can observe or mutate host
+// state syncs it first, so a reader can never see a coasting server lag
+// the equivalent per-tick run.
 #pragma once
 
 #include <memory>
@@ -58,9 +58,6 @@ class Server {
   /// Attach a diurnal benign-load generator.
   void enable_benign_load(std::uint64_t seed,
                           workload::DiurnalParams params = {});
-
-  /// Opt the host into the idle-coast regime (see kernel/host.h).
-  void set_coast_enabled(bool on) noexcept { host_->set_coast_enabled(on); }
 
   /// Advance this server by `dt`: when provably idle, defer `dt` to the
   /// analytic idle coast (O(1), materialised at the next sync); otherwise

@@ -20,7 +20,6 @@
 namespace cleaks::container {
 
 struct ContainerConfig {
-  std::string image = "ubuntu:16.04";
   /// Number of cores in the container's cpuset (0 = all host cores).
   int num_cpus = 0;
   /// Memory limit in bytes (0 = unlimited).

@@ -285,7 +285,7 @@ void Host::advance(SimDuration duration) {
 // --- analytic idle coasting ---------------------------------------------
 
 bool Host::coast_eligible() const noexcept {
-  return coast_on_ && tasks_.size() == baseline_task_count_ &&
+  return tasks_.size() == baseline_task_count_ &&
          spec_.rapl_power_cap_w == 0.0 &&
          effective_freq_hz_ == spec_.freq_ghz * 1e9;
 }

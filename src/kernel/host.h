@@ -154,11 +154,11 @@ class Host {
 
   // --- analytic idle coasting (hw/idle_coast.h) ---
   //
-  // A coast-enabled host whose task table is exactly the baseline system
-  // daemons, whose power cap is lifted and whose frequency is nominal may
-  // *coast*: park its physics at an anchor snapshot and advance as a pure
-  // closed form of elapsed time — zero RNG draws, frozen perf/cpuacct/VFS
-  // jitter, constant noise-free idle power. defer_idle() accrues idle time
+  // A host whose task table is exactly the baseline system daemons, whose
+  // power cap is lifted and whose frequency is nominal may *coast*: park
+  // its physics at an anchor snapshot and advance as a pure closed form of
+  // elapsed time — zero RNG draws, frozen perf/cpuacct/VFS jitter,
+  // constant noise-free idle power. defer_idle() accrues idle time
   // in O(1) and coast_sync() materialises it. Any split of the same
   // interval lands on identical bits — a sync per tick (the "equivalent
   // sequence of idle ticks", the reference tests/sparse_test.cpp keeps),
@@ -172,14 +172,12 @@ class Host {
   // Episodes end only through mutation: every path that can change
   // eligibility (spawn/kill, cap change, mutable_* accessors) bumps
   // generation_, which coast_active() checks against the anchor.
-  // Default off: standalone hosts keep the legacy per-tick regime
-  // bit-for-bit; the Datacenter enables coasting on every server in both
-  // never-park (CLEAKS_SPARSE=0) and parked mode.
-  void set_coast_enabled(bool on) noexcept { coast_on_ = on; }
-  /// True when the host may coast *now*: coast enabled, only the baseline
-  /// system tasks, no power cap, frequency at nominal. Every input changes
-  /// only through generation-bumping paths, so eligibility cannot flip
-  /// mid-episode without coast_active() noticing.
+  // advance() never coasts: only a caller that defers idle time (every
+  // cloud::Server's step(), in a facility or standalone) enters the regime.
+  /// True when the host may coast *now*: only the baseline system tasks,
+  /// no power cap, frequency at nominal. Every input changes only through
+  /// generation-bumping paths, so eligibility cannot flip mid-episode
+  /// without coast_active() noticing.
   [[nodiscard]] bool coast_eligible() const noexcept;
   /// Deferred idle advance: accrue pending coast time in O(1) without
   /// touching any observable state (begins an episode if none is live —
@@ -295,7 +293,6 @@ class Host {
   std::vector<std::shared_ptr<Task>> tasks_;
   HostPid next_pid_ = 300;  ///< early pids belong to kernel threads
 
-  bool coast_on_ = false;  ///< see set_coast_enabled()
   /// Size of the task table right after construction (the baseline system
   /// daemons); coast eligibility requires the table to still match it.
   std::size_t baseline_task_count_ = 0;

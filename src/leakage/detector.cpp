@@ -185,11 +185,11 @@ std::vector<FileFinding> CrossValidator::scan() {
   // Phase A: the instant pair-wise differential over every path, fanned
   // across workers, then bounded sim-time retry rounds for the transient
   // (EBUSY) reads. All reads are pure (the simulation is quiescent inside
-  // a round), each worker reuses two lane-local scratch buffers for its
-  // whole range, and every slot written belongs to exactly one worker — so
-  // the phase is race-free and its results independent of the thread
-  // count. The class counters are lane-sharded integer sums, so the merged
-  // totals equal the (deterministic) finding counts. Each retry round
+  // a round), each chunk reuses two local buffers for its whole range,
+  // and every slot written belongs to exactly one worker — so the phase
+  // is race-free and its results independent of the thread count. The
+  // class counters are lane-sharded integer sums, so the merged totals
+  // equal the (deterministic) finding counts. Each retry round
   // first steps the sim once on this thread, so the fault windows can
   // close. A fault-free scan has no transient slots and takes zero extra
   // steps — the golden traces cannot move. Slots still EBUSY after the
@@ -205,8 +205,8 @@ std::vector<FileFinding> CrossValidator::scan() {
     }
     std::vector<std::uint8_t> still_busy(busy.size(), 0);
     pool.parallel_for(busy.size(), [&](std::size_t begin, std::size_t end) {
-      std::string& container_buf = pool.scratch(0);
-      std::string& host_buf = pool.scratch(1);
+      std::string container_buf;
+      std::string host_buf;
       for (std::size_t s = begin; s < end; ++s) {
         const std::size_t i = busy[s];
         (round == 0 ? metrics.paths : metrics.reads_retried).inc();
@@ -289,7 +289,7 @@ std::vector<FileFinding> CrossValidator::scan() {
       server_->step(kProbeWindow);
       pool.parallel_for(states.size(),
                         [&](std::size_t begin, std::size_t end) {
-                          std::string& loaded = pool.scratch(0);
+                          std::string loaded;
                           for (std::size_t s = begin; s < end; ++s) {
                             auto& st = states[s];
                             if (!st.baseline_ok) {

@@ -10,10 +10,22 @@
 #include "workload/profiles.h"
 
 namespace cleaks::leakage {
+namespace {
 
-UvmAnalyzer::UvmAnalyzer(cloud::Server& server_a, cloud::Server& server_b,
-                         UvmOptions options)
-    : server_a_(&server_a), server_b_(&server_b), options_(options) {
+// §III-C sampling: two variation windows, then a 60-sample trace at 1 s
+// binned 16 ways for the entropy estimate.
+constexpr SimDuration kVariationWindow = 5 * kSecond;
+constexpr int kEntropySamples = 60;
+constexpr SimDuration kEntropyInterval = kSecond;
+constexpr int kEntropyBins = 16;
+/// Cross-host distance must exceed this multiple of same-host temporal
+/// drift for a field to count as a dynamic unique identifier.
+constexpr double kUniquenessRatio = 50.0;
+
+}  // namespace
+
+UvmAnalyzer::UvmAnalyzer(cloud::Server& server_a, cloud::Server& server_b)
+    : server_a_(&server_a), server_b_(&server_b) {
   container::ContainerConfig config;
   config.num_cpus = std::max(1, server_a.host().spec().num_cores / 4);
   config.memory_limit_bytes = 4ULL << 30;
@@ -114,9 +126,9 @@ UvmMetrics UvmAnalyzer::analyze(const std::string& channel_glob) {
   // --- snapshots for uniqueness and variation (two windows) ---
   const auto a_t0 = probe_a_->read_file(path);
   const auto b_t0 = probe_b_->read_file(path);
-  advance_both(options_.variation_window);
+  advance_both(kVariationWindow);
   const auto a_t1 = probe_a_->read_file(path);
-  advance_both(options_.variation_window);
+  advance_both(kVariationWindow);
   const auto a_t2 = probe_a_->read_file(path);
   const auto b_t2 = probe_b_->read_file(path);
   if (!a_t0.is_ok() || !a_t1.is_ok() || !a_t2.is_ok()) return metrics;
@@ -150,7 +162,7 @@ UvmMetrics UvmAnalyzer::analyze(const std::string& channel_glob) {
     const auto vb2 = extract_numbers(b_t2.value());
     const std::size_t n =
         std::min({va0.size(), va1.size(), va2.size(), vb0.size(), vb2.size()});
-    const double window_sec = to_seconds(options_.variation_window);
+    const double window_sec = to_seconds(kVariationWindow);
     for (std::size_t i = 0; i < n; ++i) {
       const bool monotone = va1[i] > va0[i] && va2[i] > va1[i];
       if (!monotone) continue;
@@ -159,7 +171,7 @@ UvmMetrics UvmAnalyzer::analyze(const std::string& channel_glob) {
       const double cross2 = std::fabs(vb2[i] - va2[i]);
       const bool offset_stable =
           std::fabs(cross2 - cross0) < 0.3 * cross0 + 1.0;
-      if (cross0 > options_.uniqueness_ratio * temporal / 2.0 &&
+      if (cross0 > kUniquenessRatio * temporal / 2.0 &&
           cross0 > 10.0 && offset_stable) {
         metrics.unique = true;
         metrics.unique_kind = UniqueKind::kDynamicId;
@@ -178,7 +190,7 @@ UvmMetrics UvmAnalyzer::analyze(const std::string& channel_glob) {
   // --- entropy of a sampled trace (Formula 1) ---
   if (metrics.variation) {
     std::vector<std::vector<double>> fields;
-    for (int sample = 0; sample < options_.entropy_samples; ++sample) {
+    for (int sample = 0; sample < kEntropySamples; ++sample) {
       const auto view = probe_a_->read_file(path);
       if (view.is_ok()) {
         const auto nums = extract_numbers(view.value());
@@ -187,10 +199,10 @@ UvmMetrics UvmAnalyzer::analyze(const std::string& channel_glob) {
           fields[i].push_back(nums[i]);
         }
       }
-      advance_both(options_.entropy_interval);
+      advance_both(kEntropyInterval);
     }
     for (const auto& field : fields) {
-      metrics.entropy_bits += binned_entropy(field, options_.entropy_bins);
+      metrics.entropy_bits += binned_entropy(field, kEntropyBins);
     }
   }
   return metrics;

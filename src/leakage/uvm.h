@@ -17,6 +17,8 @@
 //     (Formula 1) over a sampled trace.
 //   M (manipulation)  — can a tenant implant data directly (●) or influence
 //     it indirectly through resource consumption (◐)?
+// The sampling windows, entropy trace and uniqueness ratio are fixed
+// constants in uvm.cpp: every caller measures Table II the same way.
 #pragma once
 
 #include <string>
@@ -40,23 +42,12 @@ struct UvmMetrics {
   double growth_per_sec = 0.0; ///< max accumulator growth rate (group 3 rank)
 };
 
-struct UvmOptions {
-  SimDuration variation_window = 5 * kSecond;
-  int entropy_samples = 60;
-  SimDuration entropy_interval = kSecond;
-  int entropy_bins = 16;
-  /// Cross-host distance must exceed this multiple of same-host temporal
-  /// drift for a field to count as a dynamic unique identifier.
-  double uniqueness_ratio = 50.0;
-};
-
 class UvmAnalyzer {
  public:
   /// `server_a` and `server_b` must be two distinct machines of the same
   /// cloud profile (both should run benign background load so variation is
   /// realistic). Both are advanced in lock-step by the analyzer.
-  UvmAnalyzer(cloud::Server& server_a, cloud::Server& server_b,
-              UvmOptions options = UvmOptions{});
+  UvmAnalyzer(cloud::Server& server_a, cloud::Server& server_b);
 
   /// Analyze one channel (glob over pseudo-fs paths; the first matching
   /// path is measured).
@@ -74,7 +65,6 @@ class UvmAnalyzer {
 
   cloud::Server* server_a_;
   cloud::Server* server_b_;
-  UvmOptions options_;
   std::shared_ptr<container::Container> probe_a_;   ///< observer on host A
   std::shared_ptr<container::Container> probe_a2_;  ///< sibling on host A
   std::shared_ptr<container::Container> probe_b_;   ///< observer on host B

@@ -24,12 +24,6 @@ struct EventMetrics {
   }
 };
 
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 }  // namespace
 
 std::string_view to_string(EventKind kind) noexcept {
@@ -62,25 +56,13 @@ bool event_less(const Event& x, const Event& y) noexcept {
   return x.b < y.b;
 }
 
-void EventBus::set_capacity(std::size_t per_lane) {
-  capacity_ = round_up_pow2(
-      per_lane > 0 ? std::min(per_lane, kMaxCapacity) : kDefaultCapacity);
-  for (auto& lane : lanes_) {
-    lane.ring.clear();
-    lane.ring.shrink_to_fit();
-    lane.size = 0;
-    lane.next = 0;
-    lane.dropped = 0;
-  }
-}
-
 void EventBus::emit(EventKind kind, SimTime time, std::uint32_t source,
                     std::uint64_t a, std::uint64_t b) {
   auto& lane = lanes_[static_cast<std::size_t>(ThreadPool::current_lane())];
-  if (lane.ring.empty()) lane.ring.resize(capacity_);
+  if (lane.ring.empty()) lane.ring.resize(kCapacity);
   lane.ring[lane.next] = Event{time, kind, source, a, b};
-  lane.next = (lane.next + 1) & (capacity_ - 1);
-  if (lane.size < capacity_) {
+  lane.next = (lane.next + 1) & (kCapacity - 1);
+  if (lane.size < kCapacity) {
     ++lane.size;
   } else {
     ++lane.dropped;
@@ -93,10 +75,9 @@ std::vector<Event> EventBus::drain() {
   for (auto& lane : lanes_) {
     if (lane.size == 0) continue;
     // Oldest-first within the lane: a full ring starts at the cursor.
-    const std::size_t start =
-        lane.size < capacity_ ? 0 : lane.next;
+    const std::size_t start = lane.size < kCapacity ? 0 : lane.next;
     for (std::size_t i = 0; i < lane.size; ++i) {
-      events.push_back(lane.ring[(start + i) & (capacity_ - 1)]);
+      events.push_back(lane.ring[(start + i) & (kCapacity - 1)]);
     }
     lane.size = 0;
     lane.next = 0;
@@ -128,10 +109,7 @@ std::uint64_t EventBus::digest(const std::vector<Event>& events,
 EventBus& EventBus::global() {
   static EventBus* instance = [] {
     auto* bus = new EventBus();
-    if (const long parsed = env_long_or("CLEAKS_EVENTS", 0); parsed > 0) {
-      if (parsed > 1) bus->set_capacity(static_cast<std::size_t>(parsed));
-      bus->set_enabled(true);
-    }
+    if (env_long_or("CLEAKS_EVENTS", 0) > 0) bus->set_enabled(true);
     return bus;
   }();
   return *instance;

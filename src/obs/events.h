@@ -2,8 +2,7 @@
 //
 // The metrics registry answers "how much happened"; this bus answers "what
 // happened, when, to whom" — the streaming substrate for online consumers
-// (windowed IDS aggregation, flight recording, Chrome-trace export; see
-// obs/stream.h).
+// (flight recording, Chrome-trace export; see obs/stream.h).
 //
 // Determinism contract (same as the metrics registry): every event is a pure
 // function of simulated state — its timestamp is the sim clock and its
@@ -14,17 +13,17 @@
 // are interchangeable, so the merged order — and its FNV digest — is
 // bitwise-identical at every CLEAKS_THREADS count.
 //
-// Rings are power-of-two capacity and overwrite-oldest when full; drops
-// are counted, never silent (`events_dropped_total`, Scope::kSim). The
-// drop counter is lane-count-independent under the supported drain
-// cadence: a consumer that drains at least once per ring capacity keeps it
-// at zero, and single-lane producers (the throughput bench) wrap
-// deterministically. Multi-lane emission *with* wraps splits drops by
-// scheduling luck — don't run that configuration under a digest pin.
+// Each lane's ring holds a fixed kCapacity (2^16) events and overwrites
+// the oldest when full; drops are counted, never silent
+// (`events_dropped_total`, Scope::kSim). The drop counter is
+// lane-count-independent under the supported drain cadence: a consumer
+// that drains at least once per ring capacity keeps it at zero, and
+// single-lane producers (the throughput bench) wrap deterministically.
+// Multi-lane emission *with* wraps splits drops by scheduling luck — don't
+// run that configuration under a digest pin.
 //
-// Enabled via CLEAKS_EVENTS ("0"/unset = off, "1" = on with the default
-// capacity, N>1 = on with per-lane capacity N, clamped to kMaxCapacity and
-// rounded up to a power of two) or programmatically with set_enabled().
+// Enabled via CLEAKS_EVENTS ("0"/unset = off, any positive number = on) or
+// programmatically with set_enabled().
 #pragma once
 
 #include <array>
@@ -82,11 +81,8 @@ struct Event {
 
 class EventBus {
  public:
-  static constexpr std::size_t kDefaultCapacity = 1 << 16;  ///< per lane
-  /// Ceiling on the per-lane capacity (512 MiB of events per lane): an
-  /// outsized CLEAKS_EVENTS value is clamped rather than failing the first
-  /// emit's allocation.
-  static constexpr std::size_t kMaxCapacity = 1 << 24;
+  /// Events per lane ring; a power of two, so the cursor wraps with a mask.
+  static constexpr std::size_t kCapacity = 1 << 16;
 
   EventBus() = default;
   EventBus(const EventBus&) = delete;
@@ -98,12 +94,6 @@ class EventBus {
   [[nodiscard]] bool enabled() const noexcept {
     return enabled_.load(std::memory_order_relaxed);
   }
-
-  /// Per-lane ring capacity, clamped to kMaxCapacity and rounded up to a
-  /// power of two (the cursor wraps with a mask, not a divide). Call while
-  /// no events are in flight; discards buffered events.
-  void set_capacity(std::size_t per_lane);
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   /// Record one event into the calling lane's ring. Wait-free with respect
   /// to other lanes (each lane owns its ring); overwrites the oldest entry
@@ -137,7 +127,6 @@ class EventBus {
   };
 
   std::atomic<bool> enabled_{false};
-  std::size_t capacity_ = kDefaultCapacity;  ///< always a power of two
   std::array<Lane, ThreadPool::kMaxLanes> lanes_;
 };
 

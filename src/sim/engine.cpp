@@ -1,8 +1,8 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
+#include <stdexcept>
 
 #include "leakage/channels.h"
 #include "leakage/detector.h"
@@ -13,6 +13,20 @@
 
 namespace cleaks::sim {
 namespace {
+
+// Host ticks of the warmup fast-forward and of the measured phase after it.
+constexpr SimDuration kWarmupTick = 5 * kSecond;
+constexpr SimDuration kMeasuredTick = kSecond;
+
+// Fig 3's coordinated crest trigger: a high-water mark over the aggregate
+// RAPL sample decays by kCrestDecay per step, and the whole fleet fires
+// when a sample comes within the 0.5% band below it — at most
+// kCrestMaxSpikes times, each for kCrestSpike, kCrestCooldown apart.
+constexpr double kCrestDecay = 0.99999;
+constexpr double kCrestTriggerRatio = 0.995;
+constexpr int kCrestMaxSpikes = 2;
+constexpr SimDuration kCrestSpike = 15 * kSecond;
+constexpr SimDuration kCrestCooldown = 600 * kSecond;
 
 // Engine telemetry rides the same Scope::kSim registry as the layers it
 // orchestrates: step counts depend only on the scenario, never on lanes.
@@ -25,15 +39,18 @@ struct SimMetrics {
       "sim_engine_epochs_total", "completed run_* phases");
   obs::Counter& crest_triggers = obs::Registry::global().counter(
       "sim_crest_triggers_total", "coordinated fleet-wide spike launches");
-  obs::Counter& churn_storms = obs::Registry::global().counter(
-      "sim_churn_storms_total",
-      "provider create/destroy storms fired (ChurnSpec)");
 
   static SimMetrics& get() {
     static SimMetrics metrics;
     return metrics;
   }
 };
+
+// run_for and run_until divide by the step length, and a zero step never
+// advances the clock.
+void require_step_length(SimDuration dt) {
+  if (dt == 0) throw std::invalid_argument("SimEngine: zero step length");
+}
 
 }  // namespace
 
@@ -45,10 +62,9 @@ void SimEngine::build() {
   // 1. Facility.
   dc_ = std::make_unique<cloud::Datacenter>(spec_.datacenter);
   if (spec_.provider) {
-    const auto& p = *spec_.provider;
     provider_ = std::make_unique<cloud::CloudProvider>(
-        *dc_, p.seed, p.rates, p.placement, p.max_instances_per_server,
-        p.billing_epoch);
+        *dc_, spec_.provider->seed, cloud::BillingRates{},
+        spec_.provider->placement);
   }
   if (spec_.host_tick != 0) set_host_tick(spec_.host_tick);
 
@@ -70,16 +86,15 @@ void SimEngine::build() {
 
   // 3. Warmup (the deduplicated fast-forward; see WarmupSpec).
   if (spec_.warmup) {
-    const auto& w = *spec_.warmup;
-    if (w.tick != 0) set_host_tick(w.tick);
-    run_until(w.until, w.step);
-    if (w.tick_after != 0) set_host_tick(w.tick_after);
+    set_host_tick(kWarmupTick);
+    run_until(spec_.warmup->until, kWarmupStep);
+    set_host_tick(kMeasuredTick);
   }
 
   // 4. Background tenants, then the fleet.
   if (provider_ && spec_.provider->background_tenants > 0) {
     for (int i = 0; i < spec_.provider->background_tenants; ++i) {
-      provider_->launch(spec_.provider->background_prefix + std::to_string(i));
+      provider_->launch("background-" + std::to_string(i));
     }
   }
   if (spec_.fleet.deploy_on_build) deploy_fleet();
@@ -94,42 +109,7 @@ void SimEngine::build() {
   }
 
   control_ = spec_.fleet.control;
-  // Churn storms are scheduled relative to the end of build, so warmup
-  // length never shifts which steps they land on.
-  if (provider_ && spec_.provider->churn.storms > 0) {
-    next_churn_at_ = now() + spec_.provider->churn.interval;
-  }
   SimMetrics::get().scenarios.inc();
-}
-
-void SimEngine::step_churn_() {
-  if (!provider_ || !spec_.provider ||
-      churn_storms_done_ >= spec_.provider->churn.storms) {
-    return;
-  }
-  const ChurnSpec& churn = spec_.provider->churn;
-  while (churn_storms_done_ < churn.storms && now() >= next_churn_at_) {
-    const int ordinal = churn_storms_done_;
-    // Every storm draw is a pure function of (seed, ordinal): lane counts
-    // and step granularity cannot move the schedule.
-    Rng draw = Rng(churn.seed).fork(static_cast<std::uint64_t>(ordinal));
-    const std::string tenant =
-        churn.tenant_prefix +
-        std::to_string(churn.tenants > 0 ? ordinal % churn.tenants : 0);
-    int launches = churn.launches_per_storm;
-    if (churn.launch_jitter > 0) {
-      launches += static_cast<int>(draw.uniform_u64(
-          0, static_cast<std::uint64_t>(churn.launch_jitter)));
-    }
-    provider_->launch_batch(tenant, launches);
-    const int live = provider_->live_instances(tenant);
-    const int terminates =
-        static_cast<int>(static_cast<double>(live) * churn.terminate_fraction);
-    provider_->terminate_oldest(tenant, terminates);
-    ++churn_storms_done_;
-    next_churn_at_ += churn.interval;
-    SimMetrics::get().churn_storms.inc();
-  }
 }
 
 void SimEngine::set_host_tick(SimDuration tick) {
@@ -262,31 +242,29 @@ void SimEngine::step_fleet(SimDuration dt) {
       for (auto& attacker : attackers_) attacker->step(now(), dt);
       break;
     case FleetSpec::Control::kMonitor:
-      high_water_w_ = std::max(high_water_w_ * spec_.fleet.crest.decay,
-                               fleet_sample_w(dt));
+      high_water_w_ = std::max(high_water_w_ * kCrestDecay, fleet_sample_w(dt));
       crest_monitor_seconds_ += to_seconds(dt);
       break;
     case FleetSpec::Control::kCoordinated: {
-      const CoordinatedCrestSpec& crest = spec_.fleet.crest;
       const double sample = fleet_sample_w(dt);
       if (crest_attacking_) {
         if (now() >= crest_spike_end_) {
           fleet_stop_virus();
           crest_attacking_ = false;
-          crest_cooldown_until_ = now() + crest.cooldown;
+          crest_cooldown_until_ = now() + kCrestCooldown;
         }
         // The fleet burned CPU this whole interval (including the step
         // on which the spike ends).
         crest_attack_seconds_ += fleet_size() * to_seconds(dt);
       } else {
-        high_water_w_ = std::max(high_water_w_ * crest.decay, sample);
+        high_water_w_ = std::max(high_water_w_ * kCrestDecay, sample);
         crest_monitor_seconds_ += to_seconds(dt);
         if (now() >= crest_cooldown_until_ &&
-            crest_spikes_ < crest.max_spikes &&
-            sample >= high_water_w_ * crest.trigger_ratio) {
+            crest_spikes_ < kCrestMaxSpikes &&
+            sample >= high_water_w_ * kCrestTriggerRatio) {
           fleet_start_virus();
           crest_attacking_ = true;
-          crest_spike_end_ = now() + crest.spike_duration;
+          crest_spike_end_ = now() + kCrestSpike;
           ++crest_spikes_;
           SimMetrics::get().crest_triggers.inc();
         }
@@ -321,7 +299,6 @@ void SimEngine::step(SimDuration dt) {
     dc_->step(dt);
   }
 
-  step_churn_();
   step_fleet(dt);
 
   peak_total_w_ = std::max(peak_total_w_, total_power_w());
@@ -375,7 +352,7 @@ void SimEngine::run_loop_(std::uint64_t full_steps, SimDuration dt,
 }
 
 void SimEngine::run_steps(int steps, SimDuration dt, const StepHook& hook) {
-  assert(dt > 0);
+  require_step_length(dt);
   run_loop_(steps > 0 ? static_cast<std::uint64_t>(steps) : 0, dt, 0, hook);
 }
 
@@ -384,14 +361,14 @@ void SimEngine::run_for(SimDuration total, SimDuration dt,
   // Contract: advance the clock by exactly `total`. A total that is not a
   // multiple of `dt` ends with one final partial step of the remainder
   // (the old truncation silently under-ran; tests/sim_test.cpp pins this).
-  assert(dt > 0);
+  require_step_length(dt);
   run_loop_(total / dt, dt, total % dt, hook);
 }
 
 void SimEngine::run_until(SimTime target, SimDuration dt,
                           const StepHook& hook) {
   // ceil(remaining / dt) steps; the last one may overshoot `target`.
-  assert(dt > 0);
+  require_step_length(dt);
   const SimTime start = now();
   run_loop_(target > start ? (target - start - 1) / dt + 1 : 0, dt, 0, hook);
 }

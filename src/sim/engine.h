@@ -1,9 +1,11 @@
 // SimEngine: builds a world from a ScenarioSpec and owns the step loop.
 //
 // Build order is fixed (facility -> provider -> defense construct ->
-// warmup -> background tenants -> fleet -> defense enable -> masking) so
-// every experiment draws the same RNG streams as the hand-rolled benches
-// it replaced. step() advances physics first, then fleet control, then
+// warmup -> background tenants -> fleet -> defense enable) so every
+// experiment draws the same RNG streams as the hand-rolled benches it
+// replaced. The paper's fixed experiment constants (Fig 3's crest trigger,
+// the warmup's host ticks) are named constants in engine.cpp, not spec
+// fields. step() advances physics first, then fleet control, then
 // measurement; a run_* hook fires after each step — hooks observe a
 // settled world and may mutate it (start/stop viruses, switch control
 // mode) for the *next* step, but must not step the engine themselves.
@@ -126,8 +128,8 @@ class SimEngine {
   void step(SimDuration dt);
   /// Run `steps` steps of `dt`; `hook` fires after each.
   ///
-  /// Every run_* call requires `dt` > 0 (asserted) and is a thin wrapper
-  /// over one counted loop of step() calls.
+  /// Every run_* call throws std::invalid_argument when `dt` is 0 and is a
+  /// thin wrapper over one counted loop of step() calls.
   void run_steps(int steps, SimDuration dt, const StepHook& hook = {});
   /// Advance the sim clock by exactly `total`: steps of `dt`, ending with
   /// one final partial step when `total` is not a multiple of `dt` (no
@@ -179,9 +181,6 @@ class SimEngine {
  private:
   void build();
   void step_fleet(SimDuration dt);
-  /// Fire due churn storms (ProviderSpec::churn) — part of the fleet
-  /// control phase, right after physics.
-  void step_churn_();
   /// Measurement-phase event drain.
   void drain_event_stream_();
   /// The one run loop behind run_steps/run_for/run_until: `full_steps`
@@ -208,10 +207,6 @@ class SimEngine {
   std::vector<std::unique_ptr<attack::RaplMonitor>> monitors_;
   bool fleet_deployed_ = false;
   FleetSpec::Control control_ = FleetSpec::Control::kIdle;
-
-  // Churn engine state (ProviderSpec::churn).
-  int churn_storms_done_ = 0;
-  SimTime next_churn_at_ = 0;
 
   // Coordinated-crest state (Fig 3 synergistic window).
   double high_water_w_ = 0.0;

@@ -42,25 +42,12 @@ void append_spec_json(const ScenarioSpec& spec, obs::JsonWriter& json,
         .field("seed", spec.provider->seed)
         .field("placement", cloud::to_string(spec.provider->placement))
         .field("background_tenants", spec.provider->background_tenants)
-        .field("billing_epoch_s", to_seconds(spec.provider->billing_epoch));
-    if (spec.provider->churn.storms > 0) {
-      const auto& churn = spec.provider->churn;
-      json.begin_object("churn")
-          .field("storms", churn.storms)
-          .field("interval_s", to_seconds(churn.interval))
-          .field("launches_per_storm", churn.launches_per_storm)
-          .field("launch_jitter", churn.launch_jitter)
-          .field("terminate_fraction", churn.terminate_fraction)
-          .field("tenants", churn.tenants)
-          .field("seed", churn.seed)
-          .end_object();
-    }
-    json.end_object();
+        .end_object();
   }
   if (spec.warmup) {
     json.begin_object("warmup")
         .field("until_s", to_seconds(spec.warmup->until))
-        .field("step_s", to_seconds(spec.warmup->step))
+        .field("step_s", to_seconds(kWarmupStep))
         .end_object();
   }
   json.begin_object("fleet")

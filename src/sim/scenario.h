@@ -15,7 +15,6 @@
 #include <string>
 
 #include "attack/strategy.h"
-#include "cloud/billing.h"
 #include "faults/plan.h"
 #include "cloud/datacenter.h"
 #include "cloud/provider.h"
@@ -26,62 +25,28 @@
 
 namespace cleaks::sim {
 
-/// Deterministic create/destroy storms driven through the provider's
-/// batch API — the §IV-C amortized probe loop as a background workload.
-/// Storm `k` fires once the sim clock reaches build-time + (k+1) ×
-/// `interval`, launches a batch for tenant `prefix + (k % tenants)` and
-/// terminates a fraction of that tenant's oldest instances. Every draw is
-/// a pure function of (seed, storm ordinal) via Rng::fork, so the
-/// schedule is bitwise lane-count independent.
-struct ChurnSpec {
-  int storms = 0;  ///< total storms; 0 disables churn
-  SimDuration interval = kMinute;
-  int launches_per_storm = 8;
-  /// Up to this many extra launches per storm (forked-RNG jitter).
-  int launch_jitter = 0;
-  /// Fraction of the tenant's live fleet terminated, oldest first.
-  double terminate_fraction = 0.5;
-  int tenants = 4;
-  std::string tenant_prefix = "churn-";
-  std::uint64_t seed = 99;
-};
-
-/// Provider fronting the datacenter (billing + placement + launch API).
+/// Provider fronting the datacenter (billing + placement + launch API),
+/// built with the default rates and 8 instances per server.
 struct ProviderSpec {
   std::uint64_t seed = 0;
-  cloud::BillingRates rates;
   cloud::PlacementPolicy placement = cloud::PlacementPolicy::kRandom;
-  int max_instances_per_server = 8;
-  /// Billing rollup epoch (see CloudProvider: deferred idle metering is
-  /// settled at least this often).
-  SimDuration billing_epoch = kHour;
-  /// Benign tenants launched (1-arg launch) before the fleet deploys.
+  /// Benign tenants launched (1-arg launch) before the fleet deploys, named
+  /// "background-<i>".
   int background_tenants = 0;
-  std::string background_prefix = "background-";
-  ChurnSpec churn;
 };
 
-/// The shared "fast-forward to the morning ramp" warmup: step coarsely at
-/// `tick` host granularity until `until`, then drop to `tick_after` for
-/// the measured phase. Benches used to hand-roll this loop with silently
-/// diverging lengths; SimEngine::run_until is now the single copy.
+/// Step length of the warmup fast-forward (written to the spec JSON as
+/// `step_s`). Hosts tick every 5 s during the warmup and every 1 s in the
+/// measured phase after it (SimEngine's constants).
+inline constexpr SimDuration kWarmupStep = 30 * kSecond;
+
+/// The shared "fast-forward to the morning demand ramp" warmup (simulated
+/// t=0 is midnight; crests only exist where load moves): coarse steps of
+/// kWarmupStep until `until`, then the measured phase. Benches used to
+/// hand-roll this loop with silently diverging lengths;
+/// SimEngine::run_until is now the single copy.
 struct WarmupSpec {
   SimTime until = 9 * kHour;
-  SimDuration step = 30 * kSecond;
-  SimDuration tick = 5 * kSecond;        ///< host tick during warmup (0 = leave)
-  SimDuration tick_after = kSecond;      ///< host tick after warmup (0 = leave)
-};
-
-/// Fleet-wide crest trigger used by Control::kCoordinated (Fig 3's
-/// synergistic window): a decaying high-water mark over the aggregate
-/// RAPL sample; when the sample crests the mark, every attacker fires at
-/// once. Defaults are Fig 3's constants.
-struct CoordinatedCrestSpec {
-  double decay = 0.99999;          ///< high-water decay per step
-  double trigger_ratio = 0.995;    ///< fire when sample >= high_water * ratio
-  int max_spikes = 2;              ///< trial budget for the measured window
-  SimDuration spike_duration = 15 * kSecond;
-  SimDuration cooldown = 600 * kSecond;
 };
 
 /// The attacker-controlled containers: how they are placed and how they
@@ -98,7 +63,7 @@ struct FleetSpec {
     kIdle,         ///< fleet exists but is not driven
     kAutonomous,   ///< each PowerAttacker steps itself (its own strategy)
     kMonitor,      ///< observe only: maintain the coordinated high-water
-    kCoordinated,  ///< fleet-wide crest trigger (CoordinatedCrestSpec)
+    kCoordinated,  ///< fleet-wide crest trigger (Fig 3's, in engine.cpp)
   };
 
   Placement placement = Placement::kNone;
@@ -113,7 +78,6 @@ struct FleetSpec {
   attack::AttackConfig attack;
   bool monitors = false;           ///< attach a RaplMonitor per instance
   Control control = Control::kIdle;
-  CoordinatedCrestSpec crest;
   /// Deploy during SimEngine construction (after warmup). Clear it for
   /// scenarios that place the fleet mid-run (capping_window).
   bool deploy_on_build = true;

@@ -2,15 +2,6 @@
 
 namespace cleaks::sim {
 
-WarmupSpec morning_ramp_warmup() {
-  WarmupSpec warmup;
-  warmup.until = 9 * kHour;
-  warmup.step = 30 * kSecond;
-  warmup.tick = 5 * kSecond;
-  warmup.tick_after = kSecond;
-  return warmup;
-}
-
 ScenarioSpec fig3_fleet(attack::StrategyKind kind) {
   ScenarioSpec spec;
   spec.name = "fig3-" + attack::to_string(kind);
@@ -18,7 +9,7 @@ ScenarioSpec fig3_fleet(attack::StrategyKind kind) {
   spec.datacenter.servers_per_rack = 8;
   spec.datacenter.benign_load = true;
   spec.datacenter.seed = 4248;  // identical background for both strategies
-  spec.warmup = morning_ramp_warmup();
+  spec.warmup = WarmupSpec{};
 
   container::ContainerConfig cc;
   cc.num_cpus = 8;
@@ -31,7 +22,6 @@ ScenarioSpec fig3_fleet(attack::StrategyKind kind) {
   spec.fleet.attack.period = 300 * kSecond;
   spec.fleet.attack.spike_duration = 15 * kSecond;
   spec.fleet.control = FleetSpec::Control::kIdle;
-  // CoordinatedCrestSpec defaults *are* Fig 3's constants.
   return spec;
 }
 

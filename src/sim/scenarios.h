@@ -8,16 +8,11 @@
 
 namespace cleaks::sim {
 
-/// The standard "fast-forward to the morning demand ramp" warmup
-/// (simulated t=0 is midnight; crests only exist where load moves):
-/// coarse 5 s host ticks, 30 s steps until 09:00, then 1 s ticks.
-WarmupSpec morning_ramp_warmup();
-
 /// Fig 3 fleet: 8 servers behind one breaker, identical benign background
-/// (seed 4248) for every strategy, one 8-vCPU attacker container + RAPL
-/// monitor per server. Crest constants are Fig 3's (0.5% trigger band,
-/// two-trial budget, 15 s spikes, 600 s cooldown). Control starts kIdle;
-/// the bench switches to kMonitor / kCoordinated / kAutonomous per phase.
+/// (seed 4248) for every strategy, the morning-ramp warmup to 09:00, one
+/// 8-vCPU attacker container + RAPL monitor per server. Control starts
+/// kIdle; the bench switches to kMonitor / kCoordinated / kAutonomous per
+/// phase, and kCoordinated uses SimEngine's Fig 3 crest constants.
 ScenarioSpec fig3_fleet(attack::StrategyKind kind);
 
 }  // namespace cleaks::sim

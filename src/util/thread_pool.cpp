@@ -69,16 +69,6 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-std::string& ThreadPool::scratch(std::size_t slot) {
-  auto& lane = scratch_[static_cast<std::size_t>(current_lane())];
-  while (lane.slots.size() <= slot) {
-    lane.slots.push_back(std::make_unique<std::string>());
-  }
-  std::string& buffer = *lane.slots[slot];
-  buffer.clear();  // capacity survives: the whole point of the pool
-  return buffer;
-}
-
 void ThreadPool::parallel_for(std::size_t n, const ChunkBody& body) {
   if (n == 0) return;
   jobs_counter().inc();

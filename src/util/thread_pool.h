@@ -9,13 +9,10 @@
 // for every thread count.
 #pragma once
 
-#include <array>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -63,29 +60,10 @@ class ThreadPool {
   /// reentrant from inside a body.
   void parallel_for(std::size_t n, const ChunkBody& body);
 
-  /// Lane-local scratch buffer `slot`, owned by the calling thread's lane:
-  /// returned cleared but with its capacity retained, so parallel_for read
-  /// bodies that render hundreds of paths reuse one allocation per lane
-  /// instead of growing a fresh std::string per chunk. Each lane only ever
-  /// touches its own buffers (the same ownership rule as slot-indexed
-  /// results), so there is no locking on this path. Call only from this
-  /// pool's caller thread or from inside its bodies; references stay valid
-  /// for the current chunk (the next scratch(slot) call on the same lane
-  /// clears the bytes but never reallocates the string object itself).
-  [[nodiscard]] std::string& scratch(std::size_t slot);
-
  private:
   void worker_loop();
 
   static inline thread_local int tls_lane_ = 0;
-
-  /// Per-lane scratch storage. Buffers are heap-boxed so handing out a
-  /// reference survives the slots vector growing; padded to a cache line
-  /// so neighbouring lanes never false-share.
-  struct alignas(64) LaneScratch {
-    std::vector<std::unique_ptr<std::string>> slots;
-  };
-  std::array<LaneScratch, kMaxLanes> scratch_;
 
   std::vector<std::thread> workers_;
 

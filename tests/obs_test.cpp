@@ -5,7 +5,6 @@
 // identical for every thread-pool lane count.
 #include <gtest/gtest.h>
 
-#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -300,34 +299,18 @@ TEST(ContainerLeaksFile, ScanClassifiesAsNamespaced) {
 
 // ---------- event bus ----------
 
-TEST(EventBus, CapacityRoundsUpToPowerOfTwo) {
-  EventBus bus;
-  bus.set_capacity(3);
-  EXPECT_EQ(bus.capacity(), 4u);
-  bus.set_capacity(4);
-  EXPECT_EQ(bus.capacity(), 4u);
-  bus.set_capacity(65);
-  EXPECT_EQ(bus.capacity(), 128u);
-  // Outsized CLEAKS_EVENTS values clamp instead of looping in the rounding
-  // (SIZE_MAX) or failing the first emit's allocation (LONG_MAX).
-  bus.set_capacity(static_cast<std::size_t>(LONG_MAX));
-  EXPECT_EQ(bus.capacity(), EventBus::kMaxCapacity);
-  bus.set_capacity(SIZE_MAX);
-  EXPECT_EQ(bus.capacity(), EventBus::kMaxCapacity);
-}
-
 TEST(EventBus, TinyRingOverwritesOldestAndCountsDrops) {
   EventBus bus;
-  bus.set_capacity(4);
   bus.set_enabled(true);
-  for (std::uint64_t i = 0; i < 7; ++i) {
+  constexpr std::uint64_t kCapacity = EventBus::kCapacity;
+  for (std::uint64_t i = 0; i < kCapacity + 3; ++i) {
     bus.emit(EventKind::kRaplSample, static_cast<SimTime>(i), /*source=*/0, i);
   }
   EXPECT_EQ(bus.dropped(), 3u);  // counted, never silent
   const auto events = bus.drain();
-  ASSERT_EQ(events.size(), 4u);  // the 4 newest survive, oldest-first
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(events[i].a, i + 3);
+  ASSERT_EQ(events.size(), kCapacity);  // the newest survive, oldest-first
+  for (std::uint64_t i = 0; i < kCapacity; ++i) {
+    ASSERT_EQ(events[i].a, i + 3);
   }
   EXPECT_EQ(bus.dropped(), 0u);  // drain resets the wrap accounting
   EXPECT_TRUE(bus.drain().empty());

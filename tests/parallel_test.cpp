@@ -125,42 +125,6 @@ TEST(ThreadPool, RunsManySequentialJobs) {
   for (auto value : values) ASSERT_EQ(value, 50u);
 }
 
-TEST(ThreadPool, ScratchBuffersKeepCapacityAcrossJobs) {
-  ThreadPool pool(3);
-  // Fill each lane's slot-0 scratch with a large payload, remember where
-  // its storage lives, then check a later job sees cleared-but-reserved
-  // buffers at the same addresses (the pool's whole purpose). Chunks are
-  // claimed dynamically, so a lane may run zero, one or several chunks of
-  // a job: only lanes that filled a buffer in the first job are checked.
-  std::array<const char*, ThreadPool::kMaxLanes> data{};
-  pool.parallel_for(3, [&](std::size_t begin, std::size_t) {
-    std::string& buffer = pool.scratch(0);
-    buffer.assign(1 << 16, static_cast<char>('a' + begin));
-    data[static_cast<std::size_t>(pool.current_lane())] = buffer.data();
-  });
-  ASSERT_TRUE(std::any_of(data.begin(), data.end(),
-                          [](const char* p) { return p != nullptr; }));
-  pool.parallel_for(3, [&](std::size_t, std::size_t) {
-    std::string& buffer = pool.scratch(0);
-    const auto lane = static_cast<std::size_t>(pool.current_lane());
-    EXPECT_TRUE(buffer.empty());
-    if (data[lane] == nullptr) return;  // lane ran no chunk of the first job
-    EXPECT_GE(buffer.capacity(), static_cast<std::size_t>(1 << 16));
-    EXPECT_EQ(buffer.data(), data[lane]);  // no reallocation happened
-  });
-}
-
-TEST(ThreadPool, ScratchSlotsAreIndependent) {
-  ThreadPool pool(1);
-  std::string& first = pool.scratch(0);
-  first = "one";
-  std::string& second = pool.scratch(1);
-  second = "two";
-  EXPECT_NE(&first, &second);
-  EXPECT_EQ(first, "one");  // asking for slot 1 did not clear slot 0
-  EXPECT_EQ(pool.scratch(0), "");  // re-requesting a slot clears it
-}
-
 // ---------- Datacenter: parallel stepping is bitwise deterministic ----------
 
 cloud::DatacenterConfig small_dc(int num_threads) {

@@ -1,12 +1,13 @@
 // Provider control-plane determinism (PR 10).
 //
-// The fleet-scale rewrite (PlacementIndex, slab instance table, epoch-
-// batched billing) must be *bitwise* invisible: every golden below was
+// The fleet-scale rewrite (PlacementIndex, slab instance table, deferred
+// billing rollups) must be *bitwise* invisible: every golden below was
 // recorded against the pre-refactor provider (O(R) occupancy rebuild,
 // shared_ptr vector, every-instance-every-step metering) and is asserted
 // here against the new control plane, at 1/2/4/8 datacenter lanes.
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,7 +15,8 @@
 #include "cloud/datacenter.h"
 #include "cloud/provider.h"
 #include "kernel/task.h"
-#include "sim/engine.h"
+#include "obs/events.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 
 namespace cleaks::cloud {
@@ -264,8 +266,12 @@ TEST(ProviderBilling, HexfloatGoldensSurviveEpochRollup) {
   }
 }
 
-TEST(ProviderBilling, EpochLengthCannotMoveTheBits) {
-  auto run = [](SimDuration epoch) {
+TEST(ProviderBilling, StepLengthChangeSettlesToTheSameBits) {
+  // An idle tenant's deferred run holds steps of one length, so alternating
+  // 1 s and 0.5 s steps settles it before every step; a billing() query
+  // after every step settles it too. Both must land on the bits of one
+  // query at the end, which are the per-step fold's.
+  auto run = [](bool query_every_step) {
     DatacenterConfig config;
     config.num_racks = 1;
     config.servers_per_rack = 4;
@@ -273,22 +279,26 @@ TEST(ProviderBilling, EpochLengthCannotMoveTheBits) {
     config.seed = 42;
     Datacenter dc(config);
     CloudProvider provider(dc, 7, BillingRates{}, PlacementPolicy::kSpread,
-                           /*max_instances_per_server=*/8, epoch);
+                           /*max_instances_per_server=*/8);
     container::ContainerConfig cc;
     cc.num_cpus = 2;
     provider.launch("idle", cc);
     provider.launch("idle", cc);
-    auto busy = provider.launch("busy", cc);
-    kernel::TaskBehavior burn;
-    burn.duty_cycle = 1.0;
-    busy->handle->run("burn", burn);
-    for (int i = 0; i < 45; ++i) provider.step(kSecond);
-    return std::pair{provider.billing().total_cost("idle"),
-                     provider.billing().total_cost("busy")};
+    for (int i = 0; i < 40; ++i) {
+      provider.step(i % 2 == 0 ? kSecond : kSecond / 2);
+      if (query_every_step) (void)provider.billing().total_cost("idle");
+    }
+    return provider.billing().total_cost("idle");
   };
-  // A 7 s epoch settles mid-run many times; an hour epoch settles only on
-  // the final query. Both must reproduce the per-step fold exactly.
-  EXPECT_EQ(run(7 * kSecond), run(kHour));
+  BillingMeter per_step;
+  for (int i = 0; i < 40; ++i) {
+    for (int instance = 0; instance < 2; ++instance) {
+      per_step.charge("idle", 2, 0.0, i % 2 == 0 ? kSecond : kSecond / 2);
+    }
+  }
+  const double once = run(false);
+  EXPECT_EQ(once, per_step.total_cost("idle"));
+  EXPECT_EQ(run(true), once);
 }
 
 // ---------- batch API ----------
@@ -354,30 +364,49 @@ TEST(ProviderBatch, TerminateOldestFollowsLaunchOrder) {
 // ---------- churn workload ----------
 
 TEST(ProviderChurn, StormsAreLaneCountInvariantAndEmitLifecycle) {
+  // Six create/destroy storms through the batch API, one every 5 s: storm
+  // k launches a jittered batch of 6-10 for tenant churn-(k % 2), then
+  // terminates half of that tenant's live instances, oldest first. The
+  // event bus is drained after every step, so nothing wraps.
   auto run = [](int lanes) {
-    sim::ScenarioSpec spec;
-    spec.name = "churn";
-    spec.datacenter.num_racks = 1;
-    spec.datacenter.servers_per_rack = 8;
-    spec.datacenter.benign_load = false;
-    spec.datacenter.num_threads = lanes;
-    sim::ProviderSpec provider;
-    provider.seed = 11;
-    provider.churn.storms = 6;
-    provider.churn.interval = 5 * kSecond;
-    provider.churn.launches_per_storm = 6;
-    provider.churn.launch_jitter = 4;
-    provider.churn.terminate_fraction = 0.5;
-    provider.churn.tenants = 2;
-    spec.provider = provider;
-    sim::SimEngine engine(spec);
-    engine.enable_event_stream();
-    engine.run_steps(40, kSecond);
-    return std::tuple{engine.event_stream_digest(), engine.events_drained(),
-                      engine.provider().instance_count()};
+    DatacenterConfig config;
+    config.num_racks = 1;
+    config.servers_per_rack = 8;
+    config.benign_load = false;
+    config.num_threads = lanes;
+    Datacenter dc(config);
+    CloudProvider provider(dc, 11);
+    auto& bus = obs::EventBus::global();
+    (void)bus.drain();
+    bus.set_enabled(true);
+    Rng jitter(99);
+    std::uint64_t digest = kDigestSeed;
+    int lifecycle_ops = 0;
+    int lifecycle_events = 0;
+    for (int step = 1; step <= 40; ++step) {
+      provider.step(kSecond);
+      if (step % 5 == 0 && step <= 30) {
+        const std::string tenant = "churn-" + std::to_string(step / 5 % 2);
+        const int launches = 6 + static_cast<int>(jitter.uniform_u64(0, 4));
+        provider.launch_batch(tenant, launches);
+        lifecycle_ops += launches + provider.terminate_oldest(
+                                        tenant,
+                                        provider.live_instances(tenant) / 2);
+      }
+      const std::vector<obs::Event> batch = bus.drain();
+      for (const obs::Event& event : batch) {
+        if (event.kind == obs::EventKind::kContainerLifecycle) {
+          ++lifecycle_events;
+        }
+      }
+      digest = obs::EventBus::digest(batch, digest);
+    }
+    bus.set_enabled(false);
+    EXPECT_EQ(lifecycle_events, lifecycle_ops) << "lanes=" << lanes;
+    return std::tuple{digest, lifecycle_events, provider.instance_count()};
   };
   const auto reference = run(1);
-  EXPECT_GT(std::get<1>(reference), 0u);  // lifecycle events flowed
+  EXPECT_GT(std::get<1>(reference), 0);   // lifecycle events flowed
   EXPECT_GT(std::get<2>(reference), 0u);  // storms left live instances
   for (const int lanes : {2, 4, 8}) {
     EXPECT_EQ(run(lanes), reference) << "lanes=" << lanes;

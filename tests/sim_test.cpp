@@ -3,6 +3,7 @@
 // host, and the golden pin of Fig 3's pre-refactor headline numbers.
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -48,16 +49,6 @@ TEST(ScenarioSpecTest, DefaultsMatchDocumentedContract) {
 
   WarmupSpec warmup;
   EXPECT_EQ(warmup.until, 9 * kHour);
-  EXPECT_EQ(warmup.step, 30 * kSecond);
-  EXPECT_EQ(warmup.tick, 5 * kSecond);
-  EXPECT_EQ(warmup.tick_after, kSecond);
-
-  CoordinatedCrestSpec crest;
-  EXPECT_DOUBLE_EQ(crest.decay, 0.99999);
-  EXPECT_DOUBLE_EQ(crest.trigger_ratio, 0.995);
-  EXPECT_EQ(crest.max_spikes, 2);
-  EXPECT_EQ(crest.spike_duration, 15 * kSecond);
-  EXPECT_EQ(crest.cooldown, 600 * kSecond);
 }
 
 TEST(ScenarioSpecTest, SpecJsonCarriesEveryLayer) {
@@ -169,6 +160,19 @@ TEST(SimEngineTest, RunForAdvancesExactlyTotalWithFinalPartialStep) {
   engine.run_for(kSecond, 30 * kSecond);
   EXPECT_EQ(engine.now(), 96 * kSecond + kMinute);
   EXPECT_EQ(engine.result().steps, 7u);
+}
+
+TEST(SimEngineTest, ZeroStepLengthThrowsInEveryRunLoop) {
+  ScenarioSpec spec;
+  spec.datacenter.servers_per_rack = 2;
+  spec.datacenter.seed = 5;
+  SimEngine engine(spec);
+  EXPECT_THROW(engine.run_steps(3, 0), std::invalid_argument);
+  EXPECT_THROW(engine.run_for(kSecond, 0), std::invalid_argument);
+  EXPECT_THROW(engine.run_until(kMinute, 0), std::invalid_argument);
+  // A rejected call runs no step.
+  EXPECT_EQ(engine.now(), 0u);
+  EXPECT_EQ(engine.result().steps, 0u);
 }
 
 // ---------- the pinned testbed host ----------

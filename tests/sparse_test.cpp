@@ -34,7 +34,6 @@ std::unique_ptr<kernel::Host> make_idle_host(std::uint64_t seed = 11) {
   auto host = std::make_unique<kernel::Host>("coast", cloud::cc1().hardware,
                                              seed, /*boot_time=*/0);
   host->set_tick_duration(kSecond);
-  host->set_coast_enabled(true);
   return host;
 }
 
@@ -173,6 +172,18 @@ TEST(CoastEligibility, EndsWithCapAndResumesWhenLifted) {
   host->defer_idle(kMinute);
   host->set_power_cap_w(0.0);
   EXPECT_TRUE(host->coast_active());
+}
+
+TEST(CoastEligibility, IdleStandaloneServerCoastsAfterStep) {
+  // Every idle server coasts, not only a facility's: a bare Server with no
+  // container and no benign load defers its step, and a tenant ends that.
+  cloud::Server server("standalone", cloud::cc1(), 11, 40 * kDay);
+  EXPECT_TRUE(server.idle_eligible());
+  EXPECT_TRUE(server.step(kSecond));
+  EXPECT_TRUE(server.coast_active());
+  auto tenant = server.runtime().create({});
+  EXPECT_FALSE(server.step(kSecond));
+  EXPECT_FALSE(server.coast_active());
 }
 
 // ---------- facility-level dense vs sparse ----------
