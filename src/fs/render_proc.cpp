@@ -79,23 +79,27 @@ void version(const RenderContext& ctx, std::string& out) {
 
 void stat(const RenderContext& ctx, std::string& out) {
   const auto& ks = ctx.host.state();
+  const auto& lockstep = ks.lockstep;
   const auto cores = visible_cores(ctx, ctx.restricted);
   CpuTimes total;
   for (int core : cores) {
     total = total + ks.cpu_times[static_cast<std::size_t>(core)];
   }
-  auto cpu_line = [&out](const char* label, const CpuTimes& t) {
+  auto cpu_line = [&out](const char* label, const CpuTimes& t,
+                         std::uint64_t irq, std::uint64_t softirq) {
     strappendf(out, "%s %llu %llu %llu %llu %llu %llu %llu %llu 0 0\n", label,
                (unsigned long long)t.user, (unsigned long long)t.nice,
                (unsigned long long)t.system, (unsigned long long)t.idle,
-               (unsigned long long)t.iowait, (unsigned long long)t.irq,
-               (unsigned long long)t.softirq, (unsigned long long)t.steal);
+               (unsigned long long)t.iowait, (unsigned long long)irq,
+               (unsigned long long)softirq, (unsigned long long)t.steal);
   };
-  cpu_line("cpu ", total);
+  cpu_line("cpu ", total, lockstep.irq_jiffies * cores.size(),
+           lockstep.softirq_jiffies * cores.size());
   for (int core : cores) {
     char label[16];
     std::snprintf(label, sizeof label, "cpu%d", core);
-    cpu_line(label, ks.cpu_times[static_cast<std::size_t>(core)]);
+    cpu_line(label, ks.cpu_times[static_cast<std::size_t>(core)],
+             lockstep.irq_jiffies, lockstep.softirq_jiffies);
   }
   strappendf(out, "intr %llu\n", (unsigned long long)ks.total_interrupts);
   strappendf(out, "ctxt %llu\n", (unsigned long long)ks.total_ctxt_switches);
@@ -174,13 +178,14 @@ void interrupts(const RenderContext& ctx, std::string& out) {
     strappendf(out, "%10s", cpu_label);
   }
   out += '\n';
-  for (const auto& line : ks.irqs) {
-    strappendf(out, "%4s: ", line.label.c_str());
-    for (auto count : line.per_cpu) {
-      strappendf(out, "%10llu", (unsigned long long)count);
+  for (std::size_t i = 0; i < kernel::kIrqLines.size(); ++i) {
+    strappendf(out, "%4s: ", kernel::kIrqLines[i].label);
+    for (int core = 0; core < cores; ++core) {
+      strappendf(out, "%10llu",
+                 (unsigned long long)ks.lockstep.irqs[i].on_cpu(core));
     }
     out += "  ";
-    out += line.description;
+    out += kernel::kIrqLines[i].description;
     out += '\n';
   }
 }
@@ -197,8 +202,9 @@ void softirqs(const RenderContext& ctx, std::string& out) {
   out += '\n';
   for (std::size_t type = 0; type < kernel::kSoftirqNames.size(); ++type) {
     strappendf(out, "%10s:", kernel::kSoftirqNames[type]);
-    for (auto count : ks.softirqs[type]) {
-      strappendf(out, "%12llu", (unsigned long long)count);
+    for (int core = 0; core < cores; ++core) {
+      strappendf(out, "%12llu",
+                 (unsigned long long)ks.lockstep.softirqs[type].on_cpu(core));
     }
     out += '\n';
   }
@@ -234,7 +240,7 @@ void schedstat(const RenderContext& ctx, std::string& out) {
     const auto& s = ks.schedstat[static_cast<std::size_t>(core)];
     strappendf(out, "cpu%d %llu 0 %llu %llu %llu %llu %llu %llu %llu\n", core,
                (unsigned long long)s.sched_yield,
-               (unsigned long long)s.schedule_called,
+               (unsigned long long)ks.lockstep.schedule_called,
                (unsigned long long)s.sched_goidle,
                (unsigned long long)s.ttwu_count,
                (unsigned long long)s.ttwu_local,

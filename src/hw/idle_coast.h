@@ -1,8 +1,10 @@
 // Closed-form idle-interval integrators ("coasting").
 //
 // A coast-eligible host parks its physics at an *anchor* — a snapshot of
-// every accumulator plus the constant rates in force while nothing runs —
-// and any later state is a pure function g(anchor, elapsed). Because
+// exactly the accumulators a coast advances, plus the constant rates in
+// force while nothing runs — and any later state is a pure function
+// g(anchor, elapsed). Everything else stays put: any change to it bumps the
+// host generation and ends the episode (kernel/host.h CoastEpisode). Because
 // materialising at elapsed E always recomputes from the anchor (never from
 // the previous materialisation), evaluating g at E1 < E2 < ... < En leaves
 // bitwise-identical state to evaluating g once at En: split-invariance by

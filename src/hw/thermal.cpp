@@ -21,9 +21,7 @@ void ThermalModel::advance(const std::vector<double>& core_power_w,
 void ThermalModel::advance_with_decay(const double* core_power_w,
                                       std::size_t n, double decay) noexcept {
   for (std::size_t i = 0; i < temps_c_.size(); ++i) {
-    const double power = i < n ? core_power_w[i] : 0.0;
-    const double target = params_.ambient_c + params_.theta_c_per_w * power;
-    temps_c_[i] += (target - temps_c_[i]) * decay;
+    step_core(i, i < n ? core_power_w[i] : 0.0, decay);
   }
 }
 

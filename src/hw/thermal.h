@@ -38,6 +38,13 @@ class ThermalModel {
   void advance_with_decay(const double* core_power_w, std::size_t n,
                           double decay) noexcept;
 
+  /// One core's share of that step: relax toward ambient + theta *
+  /// `power_w`. Host steps each core inside its one pass over the cores.
+  void step_core(std::size_t core, double power_w, double decay) noexcept {
+    const double target = params_.ambient_c + params_.theta_c_per_w * power_w;
+    temps_c_[core] += (target - temps_c_[core]) * decay;
+  }
+
   [[nodiscard]] const ThermalParams& params() const noexcept {
     return params_;
   }

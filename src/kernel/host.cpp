@@ -33,7 +33,6 @@ Host::Host(std::string name, hw::HardwareSpec spec, std::uint64_t seed,
       sched_(spec_.num_cores),
       kstate_() {
   effective_freq_hz_ = spec_.freq_ghz * 1e9;
-  core_power_w_.resize(static_cast<std::size_t>(spec_.num_cores), 0.0);
   pkg_core_j_.resize(static_cast<std::size_t>(spec_.num_packages), 0.0);
   pkg_dram_j_.resize(static_cast<std::size_t>(spec_.num_packages), 0.0);
 
@@ -53,34 +52,9 @@ Host::Host(std::string name, hw::HardwareSpec spec, std::uint64_t seed,
       KernelState::default_modules(spec_.has_rapl, spec_.has_coretemp);
   kstate_.cpu_times.resize(static_cast<std::size_t>(spec_.num_cores));
   kstate_.schedstat.resize(static_cast<std::size_t>(spec_.num_cores));
-  kstate_.softirqs.assign(kSoftirqNames.size(),
-                          std::vector<std::uint64_t>(
-                              static_cast<std::size_t>(spec_.num_cores), 0));
   kstate_.numa.resize(static_cast<std::size_t>(std::max(1, spec_.numa_nodes)));
   kstate_.mem_total_kb = spec_.memory_bytes >> 10;
   kstate_.mem_free_kb = kstate_.mem_total_kb;
-  // Interrupt table: timer, NICs, disk, rescheduling + local timer lines.
-  // The behavioural kind is fixed here once so the tick loop dispatches on
-  // it instead of re-matching labels.
-  auto make_line = [&](std::string label, std::string desc, IrqKind kind) {
-    IrqLine line;
-    line.label = std::move(label);
-    line.description = std::move(desc);
-    line.per_cpu.assign(static_cast<std::size_t>(spec_.num_cores), 0);
-    line.kind = kind;
-    return line;
-  };
-  kstate_.irqs.push_back(make_line("0", "IO-APIC timer", IrqKind::kLocalTimer));
-  kstate_.irqs.push_back(make_line("16", "IO-APIC ehci_hcd", IrqKind::kOther));
-  kstate_.irqs.push_back(make_line("25", "PCI-MSI eth0", IrqKind::kNic));
-  kstate_.irqs.push_back(make_line("27", "PCI-MSI ahci", IrqKind::kDisk));
-  kstate_.irqs.push_back(
-      make_line("LOC", "Local timer interrupts", IrqKind::kLocalTimer));
-  kstate_.irqs.push_back(
-      make_line("RES", "Rescheduling interrupts", IrqKind::kResched));
-  kstate_.irqs.push_back(
-      make_line("CAL", "Function call interrupts", IrqKind::kOther));
-  kstate_.irqs.push_back(make_line("TLB", "TLB shootdowns", IrqKind::kOther));
   // ext4 block groups on the root disk (free blocks per group).
   Rng fs_rng = rng_base_.fork("ext4");
   kstate_.ext4_group_free_blocks.resize(64);
@@ -204,20 +178,18 @@ void Host::seed_prior_uptime(SimDuration prior_uptime) {
     times.iowait = static_cast<std::uint64_t>(prior_sec * 0.5);
   }
   const auto jiffies = static_cast<std::uint64_t>(prior_sec * 100.0);
-  for (auto& line : ks.irqs) {
-    if (line.label == "LOC" || line.label == "0") {
-      for (auto& count : line.per_cpu) count = jiffies;
+  for (std::size_t i = 0; i < kIrqLines.size(); ++i) {
+    if (kIrqLines[i].kind == IrqKind::kLocalTimer) {
+      ks.lockstep.irqs[i] = {jiffies, 0};
     }
   }
   ks.total_interrupts =
       jiffies * static_cast<std::uint64_t>(2 * spec_.num_cores);
   ks.total_ctxt_switches = static_cast<std::uint64_t>(prior_sec * 1800.0);
   ks.processes_forked = static_cast<std::uint64_t>(prior_sec / 2.5);
-  for (auto& per_cpu : ks.softirqs) {
-    for (auto& count : per_cpu) count = jiffies;
-  }
+  for (auto& row : ks.lockstep.softirqs) row = {jiffies, 0};
+  ks.lockstep.schedule_called = static_cast<std::uint64_t>(prior_sec * 120.0);
   for (auto& sstat : ks.schedstat) {
-    sstat.schedule_called = static_cast<std::uint64_t>(prior_sec * 120.0);
     sstat.run_time_ns =
         static_cast<std::uint64_t>(prior_sec * avg_util * 1e9);
     sstat.timeslices = static_cast<std::uint64_t>(prior_sec * 25.0);
@@ -344,24 +316,32 @@ void Host::begin_coast_() {
   kstate_.file_nr = 900 + 32 * tasks_.size() + 32;
   last_tick_power_w_ = total_w;
 
-  // Snapshots, after the pins above so restoring them is stable.
-  c.kstate = kstate_;
+  // Snapshots of what materialize_coast_() advances.
+  const auto& ks = kstate_;
+  c.uptime_ns = ks.uptime_ns;
+  c.idle_time_ns = ks.idle_time_ns;
+  c.lockstep = ks.lockstep;
+  c.total_interrupts = ks.total_interrupts;
+  c.total_ctxt_switches = ks.total_ctxt_switches;
+  c.load1 = ks.load1;
+  c.load5 = ks.load5;
+  c.load15 = ks.load15;
   c.rapl.clear();
   for (auto& pkg : rapl_) {
     c.rapl.push_back(pkg.package().state());
     c.rapl.push_back(pkg.core().state());
     c.rapl.push_back(pkg.dram().state());
   }
-  c.temps_c.assign(static_cast<std::size_t>(spec_.num_cores), 0.0);
-  for (int core = 0; core < spec_.num_cores; ++core) {
-    c.temps_c[static_cast<std::size_t>(core)] = thermal_.temp_c(core);
-  }
   const int deepest = cpuidle_.num_states() - 1;
-  c.deep_idle.assign(static_cast<std::size_t>(spec_.num_cores), {});
-  if (deepest >= 0) {
-    for (int core = 0; core < spec_.num_cores; ++core) {
-      c.deep_idle[static_cast<std::size_t>(core)] = {
-          cpuidle_.usage(core, deepest), cpuidle_.time_us(core, deepest)};
+  c.cores.assign(static_cast<std::size_t>(spec_.num_cores), {});
+  for (int core = 0; core < spec_.num_cores; ++core) {
+    const auto i = static_cast<std::size_t>(core);
+    c.cores[i].idle_jiffies = ks.cpu_times[i].idle;
+    c.cores[i].sched_goidle = ks.schedstat[i].sched_goidle;
+    c.cores[i].temp_c = thermal_.temp_c(core);
+    if (deepest >= 0) {
+      c.cores[i].deep_idle = {cpuidle_.usage(core, deepest),
+                              cpuidle_.time_us(core, deepest)};
     }
   }
 
@@ -369,40 +349,37 @@ void Host::begin_coast_() {
 }
 
 void Host::materialize_coast_(SimDuration elapsed) {
-  CoastEpisode& c = coast_;
+  const CoastEpisode& c = coast_;
   const double e_sec = to_seconds(elapsed);
   const std::uint64_t jiffies = elapsed / (kSecond / 100);
-  const std::uint64_t secs = elapsed / kSecond;
 
-  // Restore the anchor, then apply deltas that are pure functions of
+  // Write every anchored field as the anchor plus a pure function of
   // `elapsed`; state(E) never depends on earlier materialisations, which
   // is what makes any tick split of the interval bitwise-equivalent.
-  kstate_ = c.kstate;
   auto& ks = kstate_;
-  ks.uptime_ns += elapsed;
-  ks.idle_time_ns += elapsed * static_cast<std::uint64_t>(spec_.num_cores);
-  for (auto& times : ks.cpu_times) {
-    times.idle += jiffies;
-    times.irq += secs;
-    times.softirq += secs;
+  ks.uptime_ns = c.uptime_ns + elapsed;
+  ks.idle_time_ns =
+      c.idle_time_ns + elapsed * static_cast<std::uint64_t>(spec_.num_cores);
+  for (std::size_t i = 0; i < c.cores.size(); ++i) {
+    ks.cpu_times[i].idle = c.cores[i].idle_jiffies + jiffies;
+    ks.schedstat[i].sched_goidle = c.cores[i].sched_goidle + jiffies;
   }
-  for (auto& sstat : ks.schedstat) {
-    sstat.schedule_called += jiffies;
-    sstat.sched_goidle += jiffies;
-  }
+  ks.lockstep = c.lockstep;
+  ks.total_interrupts = c.total_interrupts;
   // Nothing migrates while nothing runs.
-  advance_interrupts_(jiffies, c.io_rate_per_s, e_sec, /*migrations=*/0);
-  ks.total_ctxt_switches +=
+  advance_interrupts_(jiffies, elapsed / kSecond, c.io_rate_per_s, e_sec,
+                      /*migrations=*/0);
+  ks.total_ctxt_switches = c.total_ctxt_switches +
       static_cast<std::uint64_t>(c.ctxt_rate_per_s * e_sec);
   // loadavg: the closed-form solution of the kernel's per-tick decay
   // toward a constant target (sum of duty cycles — the expectation the
   // legacy path samples with Bernoulli draws).
   ks.load1 = c.load_target +
-             (ks.load1 - c.load_target) * std::exp(-e_sec / 60.0);
+             (c.load1 - c.load_target) * std::exp(-e_sec / 60.0);
   ks.load5 = c.load_target +
-             (ks.load5 - c.load_target) * std::exp(-e_sec / 300.0);
+             (c.load5 - c.load_target) * std::exp(-e_sec / 300.0);
   ks.load15 = c.load_target +
-              (ks.load15 - c.load_target) * std::exp(-e_sec / 900.0);
+              (c.load15 - c.load_target) * std::exp(-e_sec / 900.0);
 
   for (std::size_t i = 0; i < rapl_.size(); ++i) {
     auto& pkg = rapl_[i];
@@ -420,17 +397,15 @@ void Host::materialize_coast_(SimDuration elapsed) {
         hw::thermal_coast_retention(e_sec, thermal_.params());
     const double ambient = thermal_.params().ambient_c;
     double* temps = thermal_.mutable_temps();
-    for (int core = 0; core < spec_.num_cores; ++core) {
-      temps[core] = ambient +
-                    (c.temps_c[static_cast<std::size_t>(core)] - ambient) *
-                        retention;
+    for (std::size_t i = 0; i < c.cores.size(); ++i) {
+      temps[i] = ambient + (c.cores[i].temp_c - ambient) * retention;
     }
   }
   const int deepest = cpuidle_.num_states() - 1;
   if (deepest >= 0) {
     const hw::CpuIdleCoastDelta idle = hw::cpuidle_coast(elapsed, e_sec);
     for (int core = 0; core < spec_.num_cores; ++core) {
-      const auto& anchor = c.deep_idle[static_cast<std::size_t>(core)];
+      const auto& anchor = c.cores[static_cast<std::size_t>(core)].deep_idle;
       cpuidle_.seed(core, deepest, anchor.usage + idle.usage,
                     anchor.time_us + idle.time_us);
     }
@@ -473,20 +448,18 @@ void Host::run_tick(SimDuration dt) {
     PerfEventSubsystem::charge(cgroup, task.cpu, share.sample);
   }
 
-  integrate_energy(dt);
-  // Same RC step as ThermalModel::advance; the exp() inside the decay
-  // factor is computed once per distinct dt instead of every tick
-  // (identical inputs, identical bits).
-  thermal_.advance_with_decay(core_power_w_.data(), core_power_w_.size(),
-                              factors_for(dt).thermal_decay);
-  for (int core = 0; core < spec_.num_cores; ++core) {
-    const auto idle_us = static_cast<std::uint64_t>(
-        sched_.core_activity()[static_cast<std::size_t>(core)].idle_seconds *
-        1e6);
-    cpuidle_.record_idle(core, idle_us);
-  }
-
-  update_kernel_counters(dt, ctx_before, mig_before);
+  const double dt_sec = to_seconds(dt);
+  // The core pass needs the IO rate (iowait); the loadavg draws in
+  // update_kernel_counters must still follow the RAPL noise draws.
+  double total_io_rate = 0.0;
+  for (const auto& task : tasks_) total_io_rate += task->behavior.io_rate_per_s;
+  // The thermal step's exp() is computed once per distinct dt instead of
+  // every tick (identical inputs, identical bits).
+  const hw::TickActivity total =
+      step_cores_(dt_sec, total_io_rate, factors_for(dt).thermal_decay);
+  integrate_energy(dt_sec);
+  update_kernel_counters(dt, total_io_rate, total.instructions, ctx_before,
+                         mig_before);
   apply_power_capping();
 
   // Behavior telemetry: one aggregate event per stream per tick, stamped
@@ -495,18 +468,12 @@ void Host::run_tick(SimDuration dt) {
   // closed-form shortcut or the per-quantum hook loop on any given core.
   if (auto& bus = obs::EventBus::global(); bus.enabled()) {
     const SimTime t = now_ + dt;
-    double instructions = 0.0;
-    double busy_seconds = 0.0;
-    for (const auto& activity : sched_.core_activity()) {
-      instructions += activity.instructions;
-      busy_seconds += activity.active_seconds;
-    }
     bus.emit(obs::EventKind::kCtxSwitch, t, event_source_,
              sched_.total_context_switches() - ctx_before,
              sched_.total_migrations() - mig_before);
     bus.emit(obs::EventKind::kPerfEvent, t, event_source_,
-             static_cast<std::uint64_t>(instructions),
-             static_cast<std::uint64_t>(busy_seconds * 1e6));
+             static_cast<std::uint64_t>(total.instructions),
+             static_cast<std::uint64_t>(total.active_seconds * 1e6));
     bus.emit(obs::EventKind::kRaplSample, t, event_source_,
              static_cast<std::uint64_t>(last_tick_power_w_ * 1000.0),
              rapl_.empty() ? 0 : rapl_[0].package().energy_uj());
@@ -525,7 +492,7 @@ void Host::run_tick(SimDuration dt) {
              static_cast<std::uint64_t>(coolest * 1000.0));
   }
 
-  if (ticks_run_ % 10 == 9) sched_.rebalance(tasks_);
+  if (ticks_run_ % 10 == 9) sched_.rebalance();
   now_ += dt;
   ++ticks_run_;
   ++generation_;
@@ -536,36 +503,81 @@ int Host::package_of_core(int core) const noexcept {
   return std::min(core / per_pkg, spec_.num_packages - 1);
 }
 
-void Host::integrate_energy(SimDuration dt) {
-  const double dt_sec = to_seconds(dt);
-  double total_package_j = 0.0;
+Host::CoreTick Host::core_tick_(const hw::TickActivity& activity,
+                                double dt_sec,
+                                double total_io_rate) const noexcept {
+  CoreTick t;
+  t.energy = energy_model_.core_activity_energy(activity);
+  t.power_w = dt_sec > 0 ? t.energy.core_j / dt_sec : 0.0;
+  t.idle_us = static_cast<std::uint64_t>(activity.idle_seconds * 1e6);
+  t.idle_ns = static_cast<std::uint64_t>(activity.idle_seconds * 1e9);
+  const auto busy_jiffies =
+      static_cast<std::uint64_t>(activity.active_seconds * kUserHz);
+  t.jiffies.user = busy_jiffies * 9 / 10;
+  t.jiffies.system = busy_jiffies / 10;
+  const double iowait_share =
+      std::min(0.3, total_io_rate / 4000.0) * activity.idle_seconds;
+  t.jiffies.iowait = static_cast<std::uint64_t>(iowait_share * kUserHz);
+  t.jiffies.idle = static_cast<std::uint64_t>(
+      (activity.idle_seconds - iowait_share) * kUserHz);
+  t.sched_goidle = activity.idle_seconds > 0.0 ? 1 : 0;
+  t.run_time_ns = static_cast<std::uint64_t>(activity.active_seconds * 1e9);
+  t.wait_time_ns = static_cast<std::uint64_t>(
+      activity.active_seconds * 1e8);  // ~10% queueing
+  t.timeslices = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(activity.active_seconds * kUserHz));
+  return t;
+}
+
+hw::TickActivity Host::step_cores_(double dt_sec, double total_io_rate,
+                                   double decay) {
   // Member scratch, zeroed in place: no heap allocation per tick.
   pkg_core_j_.assign(pkg_core_j_.size(), 0.0);
   pkg_dram_j_.assign(pkg_dram_j_.size(), 0.0);
-  double* pkg_core_j = pkg_core_j_.data();
-  double* pkg_dram_j = pkg_dram_j_.data();
-
+  // A core with an empty runqueue idled the whole tick (Scheduler::tick),
+  // so every idle core shares one set of deltas.
+  const CoreTick idle = core_tick_(hw::TickActivity{.idle_seconds = dt_sec},
+                                  dt_sec, total_io_rate);
+  CoreTick busy;
+  auto& ks = kstate_;
+  hw::TickActivity total;
   for (int core = 0; core < spec_.num_cores; ++core) {
-    const auto& activity =
-        sched_.core_activity()[static_cast<std::size_t>(core)];
-    const hw::TickEnergy e = energy_model_.core_activity_energy(activity);
-    core_power_w_[static_cast<std::size_t>(core)] =
-        dt_sec > 0 ? e.core_j / dt_sec : 0.0;
+    const auto i = static_cast<std::size_t>(core);
+    const hw::TickActivity& activity = sched_.core_activity()[i];
+    const CoreTick& t =
+        sched_.runnable_per_core()[i] == 0
+            ? idle
+            : (busy = core_tick_(activity, dt_sec, total_io_rate));
     const auto pkg = static_cast<std::size_t>(package_of_core(core));
-    pkg_core_j[pkg] += e.core_j;
-    pkg_dram_j[pkg] += e.dram_j;
+    pkg_core_j_[pkg] += t.energy.core_j;
+    pkg_dram_j_[pkg] += t.energy.dram_j;
+    thermal_.step_core(i, t.power_w, decay);
+    cpuidle_.record_idle(core, t.idle_us);
+    ks.cpu_times[i] = ks.cpu_times[i] + t.jiffies;
+    ks.idle_time_ns += t.idle_ns;
+    auto& sstat = ks.schedstat[i];
+    sstat.sched_goidle += t.sched_goidle;
+    sstat.run_time_ns += t.run_time_ns;
+    sstat.wait_time_ns += t.wait_time_ns;
+    sstat.timeslices += t.timeslices;
+    total.instructions += activity.instructions;
+    total.active_seconds += activity.active_seconds;
   }
+  return total;
+}
 
+void Host::integrate_energy(double dt_sec) {
+  double total_package_j = 0.0;
   const hw::TickEnergy bg = energy_model_.background_energy(dt_sec);
   for (int pkg = 0; pkg < spec_.num_packages; ++pkg) {
     const auto i = static_cast<std::size_t>(pkg);
     // RAPL measurement noise: small multiplicative error per integration.
     const double noise = std::clamp(
         rng_.gaussian(1.0, spec_.energy.measurement_noise), 0.9, 1.1);
-    const double core_j = pkg_core_j[i] * noise;
-    const double dram_j = (pkg_dram_j[i] + bg.dram_j) * noise;
+    const double core_j = pkg_core_j_[i] * noise;
+    const double dram_j = (pkg_dram_j_[i] + bg.dram_j) * noise;
     const double package_j =
-        (pkg_core_j[i] + pkg_dram_j[i] + bg.package_j) * noise;
+        (pkg_core_j_[i] + pkg_dram_j_[i] + bg.package_j) * noise;
     if (spec_.has_rapl && i < rapl_.size()) {
       rapl_[i].core().add_energy_j(core_j);
       if (spec_.has_dram_rapl) rapl_[i].dram().add_energy_j(dram_j);
@@ -599,108 +611,79 @@ void Host::apply_power_capping() {
   }
 }
 
-void Host::advance_interrupts_(std::uint64_t jiffies, double io_rate_per_s,
-                               double seconds, std::uint64_t migrations) {
-  // Local timer per cpu per jiffy, device interrupts from IO, reschedule
-  // IPIs per migration. Dispatch on the precomputed line kind, and resolve
-  // each softirq type's increment once, outside the per-core loop.
+void Host::advance_interrupts_(std::uint64_t jiffies,
+                               std::uint64_t whole_seconds,
+                               double io_rate_per_s, double seconds,
+                               std::uint64_t migrations) {
+  // Local timer per cpu per jiffy, device interrupts from IO on cpu0,
+  // reschedule IPIs per migration on every cpu. Lines dispatch on their
+  // kind and softirq rows by index.
   auto& ks = kstate_;
+  auto& lockstep = ks.lockstep;
+  const auto cpus = static_cast<std::uint64_t>(spec_.num_cores);
   const auto nic_events =
       static_cast<std::uint64_t>((40.0 + io_rate_per_s * 0.4) * seconds);
   const auto disk_events =
       static_cast<std::uint64_t>(io_rate_per_s * 0.6 * seconds);
-  for (auto& line : ks.irqs) {
-    switch (line.kind) {
+  for (std::size_t i = 0; i < kIrqLines.size(); ++i) {
+    auto& line = lockstep.irqs[i];
+    switch (kIrqLines[i].kind) {
       case IrqKind::kLocalTimer:
-        for (auto& count : line.per_cpu) count += jiffies;
-        ks.total_interrupts += jiffies * line.per_cpu.size();
+        line.every_cpu += jiffies;
+        ks.total_interrupts += jiffies * cpus;
         break;
       case IrqKind::kNic:
-        line.per_cpu[0] += nic_events;
+        line.cpu0_extra += nic_events;
         ks.total_interrupts += nic_events;
         break;
       case IrqKind::kDisk:
-        line.per_cpu[0] += disk_events;
+        line.cpu0_extra += disk_events;
         ks.total_interrupts += disk_events;
         break;
       case IrqKind::kResched:
-        for (auto& count : line.per_cpu) count += migrations;
-        ks.total_interrupts += migrations * line.per_cpu.size();
+        line.every_cpu += migrations;
+        ks.total_interrupts += migrations * cpus;
         break;
       case IrqKind::kOther:
         break;
     }
   }
-  for (std::size_t type = 0; type < kSoftirqNames.size(); ++type) {
-    auto& per_cpu = ks.softirqs[type];
-    const std::string_view name = kSoftirqNames[type];
-    if (name == "TIMER" || name == "SCHED") {
-      for (auto& count : per_cpu) count += jiffies;
-    } else if (name == "RCU") {
-      for (auto& count : per_cpu) count += jiffies / 2;
-    } else if (name == "HRTIMER") {
-      for (auto& count : per_cpu) count += jiffies / 10;
-    } else if (name == "NET_RX" && !per_cpu.empty()) {
-      per_cpu[0] += nic_events;
-    } else if (name == "BLOCK" && !per_cpu.empty()) {
-      per_cpu[0] += disk_events;
-    }
-  }
+  auto& softirqs = lockstep.softirqs;
+  softirqs[softirq::kTimer].every_cpu += jiffies;
+  softirqs[softirq::kSched].every_cpu += jiffies;
+  softirqs[softirq::kRcu].every_cpu += jiffies / 2;
+  softirqs[softirq::kHrtimer].every_cpu += jiffies / 10;
+  softirqs[softirq::kNetRx].cpu0_extra += nic_events;
+  softirqs[softirq::kBlock].cpu0_extra += disk_events;
+  lockstep.irq_jiffies += whole_seconds;  // ~1 jiffy/100s of irq
+  lockstep.softirq_jiffies += whole_seconds;
+  lockstep.schedule_called += jiffies;
 }
 
-void Host::update_kernel_counters(SimDuration dt, std::uint64_t ctx_before,
+void Host::update_kernel_counters(SimDuration dt, double total_io_rate,
+                                  double instructions,
+                                  std::uint64_t ctx_before,
                                   std::uint64_t migrations_before) {
   const double dt_sec = to_seconds(dt);
   auto& ks = kstate_;
   ks.uptime_ns += dt;
 
-  double total_io_rate = 0.0;
   int runnable = 0;
   // loadavg samples the *instantaneous* runnable count — a task with duty
   // d is runnable at a sampling instant with probability d, which is what
   // gives real load averages their jitter.
   int sampled_runnable = 0;
   for (const auto& task : tasks_) {
-    total_io_rate += task->behavior.io_rate_per_s;
     if (task->behavior.duty_cycle > 0.0) ++runnable;
     if (rng_.bernoulli(std::min(1.0, task->behavior.duty_cycle))) {
       ++sampled_runnable;
     }
   }
 
-  // Per-cpu jiffies + idle time.
-  for (int core = 0; core < spec_.num_cores; ++core) {
-    const auto& activity =
-        sched_.core_activity()[static_cast<std::size_t>(core)];
-    auto& times = ks.cpu_times[static_cast<std::size_t>(core)];
-    const auto busy_jiffies =
-        static_cast<std::uint64_t>(activity.active_seconds * kUserHz);
-    times.user += busy_jiffies * 9 / 10;
-    times.system += busy_jiffies / 10;
-    const double iowait_share =
-        std::min(0.3, total_io_rate / 4000.0) * activity.idle_seconds;
-    times.iowait += static_cast<std::uint64_t>(iowait_share * kUserHz);
-    times.idle += static_cast<std::uint64_t>(
-        (activity.idle_seconds - iowait_share) * kUserHz);
-    times.irq += static_cast<std::uint64_t>(dt_sec);  // ~1 jiffy/100s of irq
-    times.softirq += static_cast<std::uint64_t>(dt_sec);
-    ks.idle_time_ns += static_cast<std::uint64_t>(activity.idle_seconds * 1e9);
-
-    auto& sstat = ks.schedstat[static_cast<std::size_t>(core)];
-    sstat.schedule_called += std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(dt_sec * kUserHz));
-    if (activity.idle_seconds > 0.0) ++sstat.sched_goidle;
-    sstat.run_time_ns +=
-        static_cast<std::uint64_t>(activity.active_seconds * 1e9);
-    sstat.wait_time_ns += static_cast<std::uint64_t>(
-        activity.active_seconds * 1e8);  // ~10% queueing
-    sstat.timeslices += std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(activity.active_seconds * kUserHz));
-  }
-
   advance_interrupts_(
       std::max<std::uint64_t>(1, static_cast<std::uint64_t>(dt_sec * kUserHz)),
-      total_io_rate, dt_sec, sched_.total_migrations() - migrations_before);
+      static_cast<std::uint64_t>(dt_sec), total_io_rate, dt_sec,
+      sched_.total_migrations() - migrations_before);
 
   ks.total_ctxt_switches += sched_.total_context_switches() - ctx_before;
   ks.procs_running = std::max(1, runnable);
@@ -744,11 +727,7 @@ void Host::update_kernel_counters(SimDuration dt, std::uint64_t ctx_before,
   }
 
   // NUMA: hits follow instruction flow; a small share crosses nodes.
-  double total_instructions = 0.0;
-  for (const auto& activity : sched_.core_activity()) {
-    total_instructions += activity.instructions;
-  }
-  const auto pages = static_cast<std::uint64_t>(total_instructions / 50000.0);
+  const auto pages = static_cast<std::uint64_t>(instructions / 50000.0);
   for (std::size_t node = 0; node < ks.numa.size(); ++node) {
     auto& numa = ks.numa[node];
     const std::uint64_t share = pages / ks.numa.size();

@@ -4,7 +4,9 @@
 // subsystems (namespaces, cgroups, scheduler, perf_event), the task table
 // and the global KernelState. advance() steps simulated time in ticks,
 // during which the scheduler runs tasks, energy/thermal/idle models
-// integrate, and every /proc- and /sys-visible counter is maintained.
+// integrate, and every /proc- and /sys-visible counter is maintained. A
+// tick walks the cores once, and every core the scheduler left idle shares
+// one set of derived deltas.
 #pragma once
 
 #include <cstdint>
@@ -226,22 +228,38 @@ class Host {
     double load15_factor = 0.0;
   };
 
-  /// Anchor of an idle-coast episode: a snapshot of every /proc- and
-  /// /sys-visible accumulator plus the constant rates in force while the
-  /// host idles. materialize_coast_() overwrites live state from here as a
-  /// pure function of elapsed time (see hw/idle_coast.h for why that makes
-  /// any tick split of the same interval land on identical bits).
+  /// Anchor of an idle-coast episode: the value at entry of everything
+  /// materialize_coast_() advances, plus the constant rates in force while
+  /// the host idles. materialize_coast_() writes those fields of live state
+  /// as a pure function of elapsed time (see hw/idle_coast.h for why that
+  /// makes any tick split of the same interval land on identical bits). The
+  /// rest of the host cannot move during an episode: every path that could
+  /// change it bumps generation_, which ends the episode. A counter that a
+  /// coast advances must join this anchor.
   struct CoastEpisode {
+    /// Per-core values a coast advances.
+    struct Core {
+      std::uint64_t idle_jiffies = 0;  ///< CpuTimes::idle
+      std::uint64_t sched_goidle = 0;
+      double temp_c = 0.0;
+      hw::CpuIdleCounter deep_idle;  ///< deepest C-state
+    };
     bool active = false;
     std::uint64_t expected_generation = 0;  ///< stale once generation_ moves
     SimTime t0 = 0;                ///< host now() at the anchor
     SimDuration materialized = 0;  ///< elapsed already applied to live state
     SimDuration pending = 0;       ///< deferred by defer_idle, not yet applied
     // Snapshots.
-    KernelState kstate;
+    std::uint64_t uptime_ns = 0;
+    std::uint64_t idle_time_ns = 0;
+    std::vector<Core> cores;
+    LockstepCounters lockstep;
+    std::uint64_t total_interrupts = 0;
+    std::uint64_t total_ctxt_switches = 0;
+    double load1 = 0.0;
+    double load5 = 0.0;
+    double load15 = 0.0;
     std::vector<hw::RaplDomainState> rapl;  ///< package-major {pkg,core,dram}
-    std::vector<double> temps_c;
-    std::vector<hw::CpuIdleCounter> deep_idle;  ///< deepest C-state per core
     // Constant rates derived at the anchor.
     double io_rate_per_s = 0.0;
     double ctxt_rate_per_s = 0.0;
@@ -251,17 +269,46 @@ class Host {
     double dram_watts = 0.0;         ///< dram-domain power per package
   };
 
+  /// What one core's tick activity adds to the host's per-core state. A
+  /// tick derives it once per busy core and once for all idle ones.
+  struct CoreTick {
+    hw::TickEnergy energy;
+    double power_w = 0.0;        ///< core-domain power over the tick
+    std::uint64_t idle_us = 0;   ///< cpuidle residency
+    std::uint64_t idle_ns = 0;   ///< /proc/uptime idle time
+    CpuTimes jiffies;            ///< /proc/stat
+    std::uint64_t sched_goidle = 0;
+    std::uint64_t run_time_ns = 0;
+    std::uint64_t wait_time_ns = 0;
+    std::uint64_t timeslices = 0;
+  };
+
   void begin_coast_();
   void materialize_coast_(SimDuration elapsed);
   void run_tick(SimDuration dt);
-  void integrate_energy(SimDuration dt);
-  void update_kernel_counters(SimDuration dt, std::uint64_t ctx_before,
+  [[nodiscard]] CoreTick core_tick_(const hw::TickActivity& activity,
+                                    double dt_sec,
+                                    double total_io_rate) const noexcept;
+  /// The tick's one pass over the cores: energy, thermal step, cpuidle
+  /// residency and per-cpu counters. Returns the host's instructions and
+  /// busy seconds for the tick.
+  hw::TickActivity step_cores_(double dt_sec, double total_io_rate,
+                               double decay);
+  /// Charge the package sums of the core pass to RAPL, with measurement
+  /// noise, and set last_tick_power_w().
+  void integrate_energy(double dt_sec);
+  /// The host-wide half of the kernel counters (the per-cpu half is in
+  /// step_cores_): uptime, loadavg, interrupts, entropy, VFS, ext4, NUMA.
+  void update_kernel_counters(SimDuration dt, double total_io_rate,
+                              double instructions, std::uint64_t ctx_before,
                               std::uint64_t migrations_before);
-  /// Interrupt and softirq counters over an interval, shared by the tick
-  /// and the coast: `jiffies` timer ticks, IO at `io_rate_per_s` for
+  /// Lockstep and interrupt counters over an interval, shared by the tick
+  /// and the coast: `jiffies` timer ticks and schedule() calls,
+  /// `whole_seconds` of irq and softirq time, IO at `io_rate_per_s` for
   /// `seconds`, and `migrations` reschedule IPIs per cpu.
-  void advance_interrupts_(std::uint64_t jiffies, double io_rate_per_s,
-                           double seconds, std::uint64_t migrations);
+  void advance_interrupts_(std::uint64_t jiffies, std::uint64_t whole_seconds,
+                           double io_rate_per_s, double seconds,
+                           std::uint64_t migrations);
   void update_memory_accounting();
   void apply_power_capping();
   [[nodiscard]] int package_of_core(int core) const noexcept;
@@ -278,10 +325,9 @@ class Host {
   std::vector<hw::RaplPackage> rapl_;
   hw::ThermalModel thermal_;
   hw::CpuIdleAccounting cpuidle_;
-  std::vector<double> core_power_w_;  ///< scratch per tick
 
   TickFactors factors_;             ///< per-dt factor cache
-  std::vector<double> pkg_core_j_;  ///< per-tick package scratch
+  std::vector<double> pkg_core_j_;  ///< per-tick package sums of core energy
   std::vector<double> pkg_dram_j_;
   std::uint32_t event_source_ = 0;  ///< see set_event_source()
 

@@ -4,6 +4,10 @@
 // leakage channels read. The fs module renders it into procfs/sysfs text;
 // whether a given pseudo file filters it by the viewer's namespaces is
 // exactly what the leakage detector tests.
+//
+// State is sized by what moves: a per-cpu counter that rises by the same
+// amount on every cpu is stored once per host (LockstepCounters), and only
+// values that differ between cpus keep a per-core vector.
 #pragma once
 
 #include <array>
@@ -15,27 +19,25 @@
 
 namespace cleaks::kernel {
 
-/// Per-cpu time accounting in USER_HZ jiffies, as /proc/stat reports.
+/// Per-cpu time accounting in USER_HZ jiffies, as /proc/stat reports. The
+/// irq and softirq columns rise in lockstep on every cpu, so they live once
+/// per host in LockstepCounters.
 struct CpuTimes {
   std::uint64_t user = 0;
   std::uint64_t nice = 0;
   std::uint64_t system = 0;
   std::uint64_t idle = 0;
   std::uint64_t iowait = 0;
-  std::uint64_t irq = 0;
-  std::uint64_t softirq = 0;
   std::uint64_t steal = 0;
 
   [[nodiscard]] CpuTimes operator+(const CpuTimes& o) const noexcept {
-    return {user + o.user, nice + o.nice,       system + o.system,
-            idle + o.idle, iowait + o.iowait,   irq + o.irq,
-            softirq + o.softirq, steal + o.steal};
+    return {user + o.user,     nice + o.nice,     system + o.system,
+            idle + o.idle,     iowait + o.iowait, steal + o.steal};
   }
 };
 
-/// Behavioural class of an interrupt line, precomputed at construction so
-/// the per-tick counter update dispatches on an enum instead of re-comparing
-/// label strings every tick (same counters, colder strings).
+/// Behavioural class of an interrupt line; the counter update dispatches
+/// on it.
 enum class IrqKind {
   kLocalTimer,  ///< "LOC" and the IO-APIC timer "0": one per cpu per jiffy
   kNic,         ///< "25": events scale with IO rate, land on cpu0
@@ -44,18 +46,62 @@ enum class IrqKind {
   kOther,       ///< static lines (ehci, CAL, TLB)
 };
 
-/// One interrupt line of /proc/interrupts.
+/// One line of /proc/interrupts.
 struct IrqLine {
-  std::string label;  ///< "0", "LOC", "RES", ...
-  std::string description;
-  std::vector<std::uint64_t> per_cpu;
-  IrqKind kind = IrqKind::kOther;
+  const char* label;  ///< "0", "LOC", "RES", ...
+  const char* description;
+  IrqKind kind;
 };
 
-/// Softirq kinds in /proc/softirqs order.
-constexpr std::array<const char*, 10> kSoftirqNames = {
+/// The interrupt table of every host, in /proc/interrupts order: timer,
+/// NICs, disk, rescheduling and local timer lines.
+constexpr std::array<IrqLine, 8> kIrqLines = {{
+    {"0", "IO-APIC timer", IrqKind::kLocalTimer},
+    {"16", "IO-APIC ehci_hcd", IrqKind::kOther},
+    {"25", "PCI-MSI eth0", IrqKind::kNic},
+    {"27", "PCI-MSI ahci", IrqKind::kDisk},
+    {"LOC", "Local timer interrupts", IrqKind::kLocalTimer},
+    {"RES", "Rescheduling interrupts", IrqKind::kResched},
+    {"CAL", "Function call interrupts", IrqKind::kOther},
+    {"TLB", "TLB shootdowns", IrqKind::kOther},
+}};
+
+/// Softirq kinds in /proc/softirqs order; LockstepCounters::softirqs is
+/// indexed by these.
+namespace softirq {
+enum : std::size_t {
+  kHi, kTimer, kNetTx, kNetRx, kBlock, kIrqPoll, kTasklet, kSched, kHrtimer,
+  kRcu, kCount
+};
+}  // namespace softirq
+
+constexpr std::array<const char*, softirq::kCount> kSoftirqNames = {
     "HI",        "TIMER", "NET_TX",  "NET_RX", "BLOCK",
     "IRQ_POLL",  "TASKLET", "SCHED", "HRTIMER", "RCU"};
+
+/// A per-cpu count that rises by the same amount on every cpu: each cpu
+/// reads `every_cpu`, and cpu0 reads `cpu0_extra` on top (device
+/// interrupts and their softirqs land on cpu0 alone).
+struct LockstepCount {
+  std::uint64_t every_cpu = 0;
+  std::uint64_t cpu0_extra = 0;
+
+  [[nodiscard]] std::uint64_t on_cpu(int cpu) const noexcept {
+    return cpu == 0 ? every_cpu + cpu0_extra : every_cpu;
+  }
+};
+
+/// The per-cpu counters that advance by the same amount on every cpu at
+/// every tick and every coast (Host::advance_interrupts_), stored once per
+/// host. Only the /proc/stat, interrupts, softirqs and schedstat renders
+/// expand them per cpu.
+struct LockstepCounters {
+  std::array<LockstepCount, kIrqLines.size()> irqs{};
+  std::array<LockstepCount, softirq::kCount> softirqs{};
+  std::uint64_t irq_jiffies = 0;      ///< each cpu's /proc/stat irq column
+  std::uint64_t softirq_jiffies = 0;  ///< each cpu's /proc/stat softirq
+  std::uint64_t schedule_called = 0;  ///< each cpu's schedstat schedule()s
+};
 
 struct Module {
   std::string name;
@@ -73,10 +119,10 @@ struct NumaStats {
   std::uint64_t other_node = 0;
 };
 
-/// Scheduler statistics per cpu (/proc/schedstat).
+/// Scheduler statistics per cpu (/proc/schedstat); schedule() calls rise
+/// in lockstep and live in LockstepCounters.
 struct SchedStat {
   std::uint64_t sched_yield = 0;
-  std::uint64_t schedule_called = 0;
   std::uint64_t sched_goidle = 0;
   std::uint64_t ttwu_count = 0;
   std::uint64_t ttwu_local = 0;
@@ -98,9 +144,7 @@ struct KernelState {
   std::uint64_t uptime_ns = 0;
   std::uint64_t idle_time_ns = 0;  ///< summed over all cores
   std::vector<CpuTimes> cpu_times; ///< per core
-  std::vector<IrqLine> irqs;
-  /// softirqs[type][cpu]
-  std::vector<std::vector<std::uint64_t>> softirqs;
+  LockstepCounters lockstep;       ///< once per host, rendered per cpu
   std::uint64_t total_interrupts = 0;
   std::uint64_t total_ctxt_switches = 0;
   std::uint64_t processes_forked = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 namespace cleaks::kernel {
@@ -12,7 +13,7 @@ Scheduler::Scheduler(int num_cores, SimDuration quantum)
   if (quantum == 0) throw std::invalid_argument("Scheduler: zero quantum");
   core_activity_.resize(static_cast<std::size_t>(num_cores));
   runnable_per_core_.resize(static_cast<std::size_t>(num_cores), 0);
-  runqueues_.resize(static_cast<std::size_t>(num_cores));
+  queue_start_.resize(static_cast<std::size_t>(num_cores) + 1, 0);
 }
 
 double Scheduler::effective_duty(const Task& task) noexcept {
@@ -28,31 +29,57 @@ void Scheduler::tick(const std::vector<std::shared_ptr<Task>>& tasks,
                      Cgroup& idle_cgroup, Rng& rng,
                      bool closed_form_switches) {
   const double dt_sec = to_seconds(dt);
-  for (auto& queue : runqueues_) queue.clear();
+  // Switches a core with work makes this tick: one per quantum, at least 1.
+  const auto quanta = static_cast<std::uint64_t>(
+      std::max<double>(1.0, static_cast<double>(dt) /
+                                static_cast<double>(quantum_)));
   task_shares_.clear();
+  runnable_.clear();
   std::fill(runnable_per_core_.begin(), runnable_per_core_.end(), 0);
-  for (auto& activity : core_activity_) activity = hw::TickActivity{};
 
   for (const auto& task : tasks) {
     if (!task || !task->running) continue;
     if (task->cpu < 0 || task->cpu >= num_cores_) continue;
-    if (effective_duty(*task) <= 0.0) continue;
-    runqueues_[static_cast<std::size_t>(task->cpu)].push_back(task.get());
+    const double duty = effective_duty(*task);
+    if (duty <= 0.0) continue;
+    runnable_.push_back({task.get(), duty});
     ++runnable_per_core_[static_cast<std::size_t>(task->cpu)];
+  }
+  // Group by core, keeping table order within a core: a counting sort that
+  // fills each core's range from its end, leaving queue_start_[c] at core
+  // c's first entry.
+  std::size_t end = 0;
+  for (std::size_t core = 0; core < runnable_per_core_.size(); ++core) {
+    end += static_cast<std::size_t>(runnable_per_core_[core]);
+    queue_start_[core] = end;
+  }
+  queue_start_.back() = end;
+  runqueues_.resize(end);
+  for (auto it = runnable_.rbegin(); it != runnable_.rend(); ++it) {
+    runqueues_[--queue_start_[static_cast<std::size_t>(it->task->cpu)]] = *it;
   }
 
   for (int core = 0; core < num_cores_; ++core) {
-    auto& queue = runqueues_[static_cast<std::size_t>(core)];
-    auto& activity = core_activity_[static_cast<std::size_t>(core)];
+    const auto i = static_cast<std::size_t>(core);
+    auto& activity = core_activity_[i];
+    activity = hw::TickActivity{};
+    if (runnable_per_core_[i] == 0) {
+      activity.idle_seconds = dt_sec;
+      continue;
+    }
+    const std::span<const RunqueueEntry> queue(
+        runqueues_.data() + queue_start_[i],
+        runqueues_.data() + queue_start_[i + 1]);
 
     double total_demand = 0.0;
-    for (Task* task : queue) total_demand += effective_duty(*task);
+    for (const RunqueueEntry& entry : queue) total_demand += entry.duty;
     const double scale = total_demand > 1.0 ? 1.0 / total_demand : 1.0;
 
     double busy_sec = 0.0;
-    for (Task* task : queue) {
+    for (const RunqueueEntry& entry : queue) {
+      Task* task = entry.task;
       const double jitter = std::clamp(rng.gaussian(1.0, 0.01), 0.9, 1.1);
-      const double active = effective_duty(*task) * scale * dt_sec * jitter;
+      const double active = entry.duty * scale * dt_sec * jitter;
       TaskTickShare share;
       share.task = task;
       share.active_seconds = active;
@@ -82,9 +109,6 @@ void Scheduler::tick(const std::vector<std::shared_ptr<Task>>& tasks,
     // the root cgroup — the inter-cgroup case that makes the power-based
     // namespace's switch hook expensive for single-copy workloads
     // (Table III, pipe-based context switching).
-    const auto quanta = static_cast<std::uint64_t>(
-        std::max<double>(1.0, static_cast<double>(dt) /
-                                  static_cast<double>(quantum_)));
     std::uint64_t switches = 0;
     if (queue.size() > 1) {
       switches = quanta;
@@ -95,8 +119,8 @@ void Scheduler::tick(const std::vector<std::shared_ptr<Task>>& tasks,
       // quanta%n tasks. Same integers, no 2·quanta virtual calls.
       bool closed = closed_form_switches;
       if (closed) {
-        for (Task* task : queue) {
-          if (task->cgroup && task->cgroup->perf.accounting_enabled) {
+        for (const RunqueueEntry& entry : queue) {
+          if (entry.task->cgroup && entry.task->cgroup->perf.accounting_enabled) {
             closed = false;
             break;
           }
@@ -107,12 +131,12 @@ void Scheduler::tick(const std::vector<std::shared_ptr<Task>>& tasks,
         const std::uint64_t each = quanta / n;
         const std::uint64_t extra = quanta % n;
         for (std::uint64_t i = 0; i < n; ++i) {
-          queue[i]->stats.ctx_switches += each + (i < extra ? 1 : 0);
+          queue[i].task->stats.ctx_switches += each + (i < extra ? 1 : 0);
         }
       } else {
         for (std::uint64_t s = 0; s < switches; ++s) {
-          Task* prev = queue[s % queue.size()];
-          Task* next = queue[(s + 1) % queue.size()];
+          Task* prev = queue[s % queue.size()].task;
+          Task* next = queue[(s + 1) % queue.size()].task;
           perf.on_context_switch(prev->cgroup.get(), next->cgroup.get(), core);
           ++prev->stats.ctx_switches;
         }
@@ -122,7 +146,7 @@ void Scheduler::tick(const std::vector<std::shared_ptr<Task>>& tasks,
       // per-tick jitter must not be mistaken for sleep/wake cycles.
       // Sleep/wake pairs against the idle task.
       switches = quanta;
-      Task* task = queue.front();
+      Task* task = queue.front().task;
       // The sleep/wake hook pair no-ops when the task lives in the idle
       // (root) cgroup itself, or when neither side is monitored.
       const bool closed =
@@ -156,19 +180,13 @@ void Scheduler::tick(const std::vector<std::shared_ptr<Task>>& tasks,
   }
 }
 
-int Scheduler::rebalance(const std::vector<std::shared_ptr<Task>>& tasks) {
-  // Current load per core.
-  std::vector<int> load(static_cast<std::size_t>(num_cores_), 0);
-  for (const auto& task : tasks) {
-    if (task && task->running && task->cpu >= 0 && task->cpu < num_cores_ &&
-        effective_duty(*task) > 0.0) {
-      ++load[static_cast<std::size_t>(task->cpu)];
-    }
-  }
+int Scheduler::rebalance() {
+  // Current load per core: the last tick's runqueue lengths.
+  std::vector<int> load = runnable_per_core_;
   int migrations = 0;
   static const std::vector<int> kAnyCore;
-  for (const auto& task : tasks) {
-    if (!task || !task->running || effective_duty(*task) <= 0.0) continue;
+  for (const RunqueueEntry& entry : runnable_) {
+    Task* task = entry.task;
     const auto& allowed =
         !task->allowed_cpus.empty()
             ? task->allowed_cpus

@@ -7,7 +7,9 @@
 // cache-miss / branch-miss profile of each slice from the task's behaviour,
 // counts context switches — invoking the perf_event switch hook so the
 // power-based namespace pays its real cost — and reports per-core activity
-// for the energy, thermal and cpuidle models.
+// for the energy, thermal and cpuidle models. Each runnable task's
+// effective duty is computed once per tick and kept in its runqueue entry;
+// a core with an empty runqueue idles the whole tick without further work.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +58,8 @@ class Scheduler {
   [[nodiscard]] const std::vector<TaskTickShare>& task_shares() const noexcept {
     return task_shares_;
   }
-  /// Runnable task count per core at the last tick (feeds loadavg and
-  /// sched_debug).
+  /// Runnable task count per core at the last tick (feeds sched_debug; a
+  /// core with none was idle the whole tick).
   [[nodiscard]] const std::vector<int>& runnable_per_core() const noexcept {
     return runnable_per_core_;
   }
@@ -74,11 +76,19 @@ class Scheduler {
   }
   [[nodiscard]] int num_cores() const noexcept { return num_cores_; }
 
-  /// Move tasks from overloaded cores to underloaded ones within their
-  /// cpusets; returns the number of migrations performed.
-  int rebalance(const std::vector<std::shared_ptr<Task>>& tasks);
+  /// Move the last tick's runnable tasks from overloaded cores to
+  /// underloaded ones within their cpusets, in task-table order; returns
+  /// the number of migrations performed. Call it after tick(), before the
+  /// task table changes.
+  int rebalance();
 
  private:
+  /// A runnable task and its duty for this tick.
+  struct RunqueueEntry {
+    Task* task = nullptr;
+    double duty = 0.0;  ///< effective_duty(*task), computed once per tick
+  };
+
   [[nodiscard]] static double effective_duty(const Task& task) noexcept;
 
   int num_cores_;
@@ -86,7 +96,12 @@ class Scheduler {
   std::vector<hw::TickActivity> core_activity_;
   std::vector<TaskTickShare> task_shares_;
   std::vector<int> runnable_per_core_;
-  std::vector<std::vector<Task*>> runqueues_;  ///< scratch, reused each tick
+  // Scratch, reused each tick: the runnable tasks in task-table order, the
+  // same entries grouped by core (table order within a core), and where
+  // each core's group starts (num_cores + 1 offsets).
+  std::vector<RunqueueEntry> runnable_;
+  std::vector<RunqueueEntry> runqueues_;
+  std::vector<std::size_t> queue_start_;
   std::uint64_t total_ctx_switches_ = 0;
   std::uint64_t total_migrations_ = 0;
 };

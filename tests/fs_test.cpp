@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "obs/metrics.h"
 #include "util/fnv.h"
 #include "util/strings.h"
+#include "workload/profiles.h"
 
 namespace cleaks::fs {
 namespace {
@@ -509,6 +511,131 @@ TEST(ViewerCache, DestroyRecreateReusedIdGetsFreshView) {
   ASSERT_EQ(second->id(), first_id);
   const auto second_view = second->read_file("/proc/meminfo").value();
   EXPECT_EQ(parse_first_int(split_lines(second_view)[0]), 2 * 1024 * 1024);
+}
+
+// ---------- recorded bytes of every host-context path ----------
+
+// The digests below were recorded while every per-CPU counter was still a
+// per-CPU vector. One default-seeded Fnv64 over every host-context path of
+// `server`, /proc/<pid>/* included: each path, its read status, its bytes.
+// /proc/containerleaks is skipped: it renders the process-wide metrics
+// registry, which every earlier test in this binary has moved.
+std::uint64_t host_view_digest(cloud::Server& server) {
+  const ViewContext host_ctx;
+  Fnv64 digest;
+  std::string bytes;
+  for (const auto& path : server.fs().list_paths(host_ctx)) {
+    if (path == "/proc/containerleaks") continue;
+    const StatusCode code = server.fs().read_into(path, host_ctx, bytes);
+    digest.add_string(path);
+    digest.add_u64(static_cast<std::uint64_t>(code));
+    digest.add_string(bytes);
+  }
+  return digest.hash;
+}
+
+// Label -> per-CPU counts of a /proc/interrupts or /proc/softirqs table.
+std::map<std::string, std::vector<std::uint64_t>> per_cpu_rows(
+    const std::string& table, int cpus) {
+  std::map<std::string, std::vector<std::uint64_t>> rows;
+  for (const auto& line : split_lines(table)) {
+    const auto fields = split_whitespace(line);
+    if (fields.empty() || fields[0].back() != ':') continue;  // CPU header
+    auto& row = rows[fields[0].substr(0, fields[0].size() - 1)];
+    for (int cpu = 0; cpu < cpus; ++cpu) {
+      row.push_back(std::stoull(fields.at(static_cast<std::size_t>(cpu) + 1)));
+    }
+  }
+  return rows;
+}
+
+// Timer, scheduler and reschedule counts rise by the same amount on every
+// CPU; NIC and disk counts land on CPU0 alone. Prior-uptime seeding sets
+// every softirq row to the same count on every CPU, which the untouched HI
+// row shows (0 on a host with no prior uptime).
+void expect_lockstep_tables(cloud::Server& server) {
+  const ViewContext host_ctx;
+  const int cpus = server.host().spec().num_cores;
+  const auto irqs = per_cpu_rows(
+      server.fs().read("/proc/interrupts", host_ctx).value(), cpus);
+  const auto softirqs = per_cpu_rows(
+      server.fs().read("/proc/softirqs", host_ctx).value(), cpus);
+  const auto expect_equal_across_cpus = [cpus](const auto& row,
+                                               const std::string& label) {
+    for (int cpu = 1; cpu < cpus; ++cpu) {
+      EXPECT_EQ(row[static_cast<std::size_t>(cpu)], row[0])
+          << label << " cpu" << cpu;
+    }
+  };
+  for (const char* label : {"LOC", "0", "RES"}) {
+    expect_equal_across_cpus(irqs.at(label), label);
+  }
+  for (const char* label : {"TIMER", "SCHED"}) {
+    expect_equal_across_cpus(softirqs.at(label), label);
+  }
+  for (const char* label : {"25", "27"}) {
+    const auto& row = irqs.at(label);
+    EXPECT_GT(row[0], 0u) << label;
+    for (int cpu = 1; cpu < cpus; ++cpu) {
+      EXPECT_EQ(row[static_cast<std::size_t>(cpu)], 0u)
+          << label << " cpu" << cpu;
+    }
+  }
+  const auto& base = softirqs.at("HI");
+  for (const char* label : {"NET_RX", "BLOCK"}) {
+    const auto& row = softirqs.at(label);
+    EXPECT_GT(row[0], base[0]) << label;
+    for (int cpu = 1; cpu < cpus; ++cpu) {
+      const auto i = static_cast<std::size_t>(cpu);
+      EXPECT_EQ(row[i], base[i]) << label << " cpu" << cpu;
+    }
+  }
+}
+
+void step_seconds(cloud::Server& server, int seconds) {
+  for (int s = 0; s < seconds; ++s) server.step(kSecond);
+}
+
+// Four idle tenant containers keep the server ticking, as in a storm-heavy
+// fleet: every counter moves only through the per-tick path.
+TEST(HostBytes, IdleContainersMatchRecording) {
+  const auto profile = cloud::cc1();
+  cloud::Server server("bytes-idle", profile, 101, 30 * kDay + 7 * kHour);
+  container::ContainerConfig config;
+  config.num_cpus = profile.default_container_cpus;
+  config.memory_limit_bytes = profile.default_memory_limit;
+  for (int i = 0; i < 4; ++i) server.runtime().create(config);
+  step_seconds(server, 300);
+  EXPECT_EQ(host_view_digest(server), 0x535a0ca8cfe39e2fULL);
+  expect_lockstep_tables(server);
+}
+
+// Diurnal benign load plus an 8-CPU container running a power virus on each
+// of its cores, as on an attacked server; no prior uptime, so NET_RX and
+// BLOCK are non-zero on CPU0 alone.
+TEST(HostBytes, BusyContainerUnderBenignLoadMatchesRecording) {
+  cloud::Server server("bytes-busy", cloud::cc1(), 202);
+  server.enable_benign_load(303);
+  container::ContainerConfig config;
+  config.num_cpus = 8;
+  config.memory_limit_bytes = 8ULL << 30;
+  auto attacker = server.runtime().create(config);
+  const auto virus = workload::power_virus();
+  for (int copy = 0; copy < 8; ++copy) {
+    attacker->run("pwrvirus-" + std::to_string(copy), virus.behavior);
+  }
+  step_seconds(server, 300);
+  EXPECT_EQ(host_view_digest(server), 0xe230e999025f116fULL);
+  expect_lockstep_tables(server);
+}
+
+// An idle server coasts; the read materialises 600 s of coast at once.
+TEST(HostBytes, IdleServerAfterCoastMatchesRecording) {
+  cloud::Server server("bytes-coast", cloud::cc1(), 404, 45 * kDay);
+  step_seconds(server, 600);
+  EXPECT_TRUE(server.coast_active());
+  EXPECT_EQ(host_view_digest(server), 0x9cbb5c26a0c43582ULL);
+  expect_lockstep_tables(server);
 }
 
 }  // namespace
