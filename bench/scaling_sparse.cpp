@@ -1,7 +1,7 @@
 // Sparse-stepping scaling benchmark: visit-all (CLEAKS_SPARSE=0 — every
 // server stays on the active list and coasts per step) vs parked
 // (CLEAKS_SPARSE=1 — coasting servers leave the list and are carried by
-// the rack/facility aggregates until a touch wakes them) over a
+// the rack/facility aggregates until a Server member settles them) over a
 // fleet-size sweep at a *fixed* active-server count. The active servers
 // run the diurnal benign load (RNG every tick, so they never coast); the
 // rest are pure idle and the parked schedule drops them from the per-step
@@ -133,7 +133,7 @@ ModeRun run_pass(const SweepPoint& point, bool parked) {
                    step_seconds.end());
   run.per_step_seconds = step_seconds[step_seconds.size() / 2];
   for (int i = 0; i < dc.num_servers(); ++i) {
-    cloud::Server& server = dc.server(i);  // syncs pending coast time
+    cloud::Server& server = dc.server(i);  // host() settles it
     digest.add_double(server.power_w());
     digest.add_u64(server.host().state().uptime_ns);
     if (!server.host().rapl().empty()) {

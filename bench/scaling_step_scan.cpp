@@ -206,7 +206,7 @@ bool run_hotpath_section(std::uint64_t scaling_digest) {
   sink += rapl_state.total_j;
   hw::ThermalModel thermal(32);
   std::vector<double> power(32, 3.5);
-  const double decay = hw::thermal_decay(1.0, thermal.params());
+  const double decay = hw::thermal_decay(1.0);
   const auto thermal_cycles = cycles_per_op(50000, [&] {
     thermal.advance_with_decay(power.data(), power.size(), decay);
   });

@@ -5,6 +5,12 @@
 #include "workload/profiles.h"
 
 namespace cleaks::attack {
+namespace {
+
+/// Synergistic: cap on history length (rolling window).
+constexpr std::size_t kMaxHistory = 3600;
+
+}  // namespace
 
 std::string to_string(StrategyKind kind) {
   switch (kind) {
@@ -52,7 +58,7 @@ void PowerAttacker::step_synergistic(SimTime now, double sample) {
   }
   // Background observation only (attack samples would bias the history).
   history_.push_back(sample);
-  if (history_.size() > static_cast<std::size_t>(config_.max_history)) {
+  if (history_.size() > kMaxHistory) {
     history_.erase(history_.begin());
   }
   if (static_cast<int>(history_.size()) < config_.min_history) return;

@@ -38,8 +38,6 @@ struct AttackConfig {
   double trigger_margin = 0.15;
   /// Synergistic: minimum background samples before the first trigger.
   int min_history = 60;
-  /// Synergistic: cap on history length (rolling window).
-  int max_history = 3600;
   /// Minimum gap between spikes (re-observation period).
   SimDuration cooldown = 60 * kSecond;
 };

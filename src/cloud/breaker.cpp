@@ -4,6 +4,12 @@
 #include <cmath>
 
 namespace cleaks::cloud {
+namespace {
+
+/// Thermal element cool-down time constant when below rating (s).
+constexpr double kCoolingTauS = 120.0;
+
+}  // namespace
 
 bool CircuitBreaker::observe(double power_w, SimDuration dt) {
   max_power_w_ = std::max(max_power_w_, power_w);
@@ -21,7 +27,7 @@ bool CircuitBreaker::observe(double power_w, SimDuration dt) {
       return true;
     }
   } else {
-    thermal_ *= std::exp(-dt_sec / spec_.cooling_tau_s);
+    thermal_ *= std::exp(-dt_sec / kCoolingTauS);
   }
   return false;
 }

@@ -17,8 +17,6 @@ struct BreakerSpec {
   /// Thermal capacity in (overload-fraction x seconds): e.g. 12 means a
   /// 20% overload trips after 60 s, a 120% overload after 10 s.
   double thermal_capacity = 12.0;
-  /// Thermal element cool-down time constant when below rating (s).
-  double cooling_tau_s = 120.0;
 };
 
 class CircuitBreaker {

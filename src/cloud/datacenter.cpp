@@ -1,6 +1,5 @@
 #include "cloud/datacenter.h"
 
-#include <cassert>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -104,17 +103,18 @@ Datacenter::Datacenter(DatacenterConfig config)
     }
     servers_.push_back(std::move(server));
   }
-  // Event-bus identity: the server index, a pure function of the config —
-  // never the pool lane that happens to step the server.
+  // Event-bus identity and wake-list entry: the server index, a pure
+  // function of the config — never the pool lane that happens to step the
+  // server.
   for (std::size_t index = 0; index < servers_.size(); ++index) {
-    servers_[index]->host().set_event_source(
-        static_cast<std::uint32_t>(index));
+    Server& server = *servers_[index];
+    server.host().set_event_source(static_cast<std::uint32_t>(index));
+    server.index_ = static_cast<std::uint32_t>(index);
+    server.facility_now_ = &now_;
+    server.wake_list_ = &woken_;
   }
   const auto count = static_cast<std::size_t>(total);
-  sleeping_.assign(count, 0);
   coasted_.assign(count, 0);
-  recheck_pending_.assign(count, 0);
-  parked_at_.assign(count, 0);
   // Register the facility metrics up front, so a facility that never
   // steps still carries their keys in its envelope.
   (void)DcMetrics::get();
@@ -143,60 +143,18 @@ Datacenter::Datacenter(DatacenterConfig config)
   total_power_cache_ = facility;
 }
 
-void Datacenter::touch_(std::size_t index) {
-  Server& server = *servers_[index];
-  if (sleeping_[index] != 0) {
-    // A parked server is owed every interval since it parked (or since the
-    // last touch): defer it in one call — bitwise-equal to the per-step
-    // defers the never-park schedule would have issued — so the caller
-    // sees fully caught-up state.
-    const SimTime owed = now_ - parked_at_[index];
-    if (owed > 0) server.defer_idle(owed);
-    parked_at_[index] = now_;
-    if (recheck_pending_[index] == 0) {
-      recheck_pending_[index] = 1;
-      recheck_ids_.push_back(static_cast<std::uint32_t>(index));
-    }
-  }
-  server.coast_sync();
-}
-
-void Datacenter::wake_(std::uint32_t index) {
-  // Only the recheck of a touched server wakes it, and touch_ already
-  // caught it up to now_: there is no owed time left to defer.
-  assert(parked_at_[index] == now_);
-  sleeping_[index] = 0;
-  --parked_count_;
-  active_ids_.push_back(index);
-}
-
-void Datacenter::park_(std::uint32_t index, std::size_t pos) {
-  sleeping_[index] = 1;
-  parked_at_[index] = now_;
-  ++parked_count_;
-  active_ids_[pos] = active_ids_.back();
-  active_ids_.pop_back();
-}
-
 void Datacenter::step(SimDuration dt) {
   auto& metrics = DcMetrics::get();
-  if (sparse_) {
-    // Wake phase (serial, deterministic order): servers touched while
-    // parked. A mutation may have ended their coast episode (wake); a
-    // touch that only read leaves them parked.
-    for (const std::uint32_t id : recheck_ids_) {
-      recheck_pending_[id] = 0;
-      if (sleeping_[id] != 0 && !servers_[id]->coast_active()) wake_(id);
-    }
-    recheck_ids_.clear();
-  }
+  // Servers settled since the last step rejoin the active list.
+  active_ids_.insert(active_ids_.end(), woken_.begin(), woken_.end());
+  woken_.clear();
   // Step phase: only the active list. Servers are fully independent state
   // machines with per-server RNG streams, so they step concurrently; every
   // cross-server observation (breakers, capper, telemetry aggregation)
   // happens below, on this thread, after the join. Parked servers are not
-  // visited at all — their owed time is deferred in one call at the next
-  // touch (the same coast episode sees the same elapsed time, so the skip
-  // is invisible to the resulting bits).
+  // visited at all — the server defers its owed time in one call when it
+  // is next settled (the same coast episode sees the same elapsed time, so
+  // the skip is invisible to the resulting bits).
   const std::size_t n_step = active_ids_.size();
   pool_.parallel_for(n_step, [&](std::size_t begin, std::size_t end) {
     for (std::size_t k = begin; k < end; ++k) {
@@ -214,18 +172,27 @@ void Datacenter::step(SimDuration dt) {
   // the server-steps that ran physics, so a coasting server counts the
   // same whether it stepped on the active list or sat parked. Coasted
   // time accrues in ns and flushes to the counter in whole sim-seconds.
+  // Every stepped server whose step coasted parks (serial, backward over
+  // the active list so the swap-remove only moves visited entries).
   std::uint64_t active_servers = 0;
-  for (std::size_t k = 0; k < n_step; ++k) {
+  coasted_ns_total_ +=
+      static_cast<std::uint64_t>(dt) * (servers_.size() - n_step);
+  for (std::size_t k = n_step; k-- > 0;) {
     const std::uint32_t index = active_ids_[k];
-    if (coasted_[index] != 0) {
-      coasted_ns_total_ += dt;
-    } else {
+    mark_rack_dirty_(rack_of(static_cast<int>(index)));
+    if (coasted_[index] == 0) {
       ++active_servers;
       metrics.server_power.observe(power_mw_of(power_w_[index]));
+      continue;
     }
-    mark_rack_dirty_(rack_of(static_cast<int>(index)));
+    coasted_ns_total_ += dt;
+    if (!sparse_) continue;
+    Server& server = *servers_[index];
+    server.parked_ = true;
+    server.parked_at_ = now_;
+    active_ids_[k] = active_ids_.back();
+    active_ids_.pop_back();
   }
-  coasted_ns_total_ += static_cast<std::uint64_t>(dt) * parked_count_;
   metrics.active_server_steps.inc(active_servers);
   const std::uint64_t coasted_s = coasted_ns_total_ / kSecond;
   metrics.idle_coasted_seconds.inc(coasted_s - coasted_s_flushed_);
@@ -233,7 +200,7 @@ void Datacenter::step(SimDuration dt) {
   // Racks with a stepped server get a fresh index-order fold — the same
   // left-to-right float sum the historical O(N) read performed, so the
   // cached value is bit-identical to it. Parked servers' power is pinned,
-  // so untouched racks cannot have changed.
+  // so the other racks cannot have changed.
   for (const std::uint32_t rack : dirty_racks_) {
     double sum = 0.0;
     const int first = static_cast<int>(rack) * config_.servers_per_rack;
@@ -265,18 +232,6 @@ void Datacenter::step(SimDuration dt) {
     }
     last_cap_check_ = now_;
   }
-  // Sleep phase (serial): park every stepped server that coasted and is
-  // still in a live episode (the capper above may have ended one).
-  // Backward over the active list so the swap-remove in park_ only moves
-  // already-visited entries.
-  if (sparse_) {
-    for (std::size_t k = active_ids_.size(); k-- > 0;) {
-      const std::uint32_t index = active_ids_[k];
-      if (coasted_[index] == 0) continue;
-      if (!servers_[index]->coast_active()) continue;
-      park_(index, k);
-    }
-  }
 }
 
 void Datacenter::apply_rack_capping(int rack) {
@@ -294,13 +249,14 @@ void Datacenter::apply_rack_capping(int rack) {
           : 0.0;  // lift the cap
   if (per_server_cap > 0.0) DcMetrics::get().cap_enforcements.inc();
   for (int offset = 0; offset < config_.servers_per_rack; ++offset) {
-    const std::size_t index = static_cast<std::size_t>(first + offset);
-    // Enforcing mutates host state, so a parked server must be caught up
-    // first. The lift path needs no touch: a parked server's cap is
-    // already 0 (coast eligibility requires it), and set_power_cap_w
-    // early-returns on an unchanged cap without bumping the generation.
-    if (per_server_cap > 0.0) touch_(index);
-    servers_[index]->host().set_power_cap_w(per_server_cap);
+    Server& server = *servers_[static_cast<std::size_t>(first + offset)];
+    // Enforcing a cap on a just-parked server wakes it through host().
+    // A parked server's cap is already 0, so lifting wakes nothing.
+    if (std::as_const(server).host().spec().rapl_power_cap_w ==
+        per_server_cap) {
+      continue;
+    }
+    server.host().set_power_cap_w(per_server_cap);
   }
 }
 

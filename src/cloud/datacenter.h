@@ -3,23 +3,22 @@
 // capper — the §II-C environment the synergistic power attack targets.
 //
 // Event-driven stepping: every server coasts when idle (kernel/host.h),
-// and the facility keeps one scheduler state:
+// and the facility steps only its *active list*. A server whose step
+// coasted is *parked*: it leaves the active list and is not visited
+// again. Its pinned power stays in the rack sums, and it adds dt per step
+// to the coasted-seconds count. The per-server power histogram observes
+// only server-steps that ran physics, so no coasting server, parked or
+// not, adds to it.
 //
-//   * the *active list* — servers that take a real step every interval;
-//   * *parked* servers — provably idle, and not visited at all: the clock
-//     a parked server owes is deferred in one O(1) call when it is next
-//     touched (coast split-invariance makes that bitwise-equal to
-//     per-step defers). Its pinned power stays in the rack sums, and it
-//     adds dt per step to the coasted-seconds count. The per-server power
-//     histogram observes only server-steps that ran physics, so no
-//     coasting server, parked or not, adds to it.
-//
-// A step therefore costs O(stepped servers + racks), not O(N). A parked
-// server wakes only through a *touch*: an external mutation reaching it
-// through Datacenter::server(i) (or the capper enforcing a cap). The
-// accessor catches up owed idle time and queues the server for the next
-// step's wake-phase recheck, which unparks it when its coast episode
-// ended and leaves it parked otherwise.
+// A step therefore costs O(stepped servers + racks), not O(N). The parked
+// server owns its debt (cloud/server.h): every non-const Server member
+// settles it, which catches it up and puts it on this facility's wake
+// list, and the next step appends the wake list to the active list. A
+// woken server that is still idle coasts through one visit and parks
+// again, which split-invariance makes invisible. The facility does only
+// three things: append woken servers at step start, park every server
+// whose step coasted, and let the capper reach a just-parked server
+// through Server::host(), which wakes it.
 // The former dense mode (CLEAKS_SPARSE=0) is now simply the never-park
 // schedule of this same path: every server stays on the active list, so
 // it retains the historical visit-every-server behavior for reference
@@ -90,36 +89,26 @@ struct DatacenterConfig {
 class Datacenter {
  public:
   explicit Datacenter(DatacenterConfig config);
+  // Every server points at now_ and woken_, so a facility never moves.
+  Datacenter(const Datacenter&) = delete;
+  Datacenter& operator=(const Datacenter&) = delete;
 
-  /// Advance the whole facility by `dt`: wake touched sleepers whose coast
-  /// episode ended, step the active list (concurrently, see
-  /// DatacenterConfig::num_threads), then let breakers and cappers observe
-  /// the resulting rack power on the calling thread, and finally park
-  /// every server that is provably idle.
+  /// Advance the whole facility by `dt`: return woken servers to the
+  /// active list, step it (concurrently, see
+  /// DatacenterConfig::num_threads), park every server whose step
+  /// coasted, then let breakers and cappers observe the resulting rack
+  /// power on the calling thread.
   void step(SimDuration dt);
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
   [[nodiscard]] int num_servers() const noexcept {
     return static_cast<int>(servers_.size());
   }
-  /// Non-const access catches the server up (a parked server is owed the
-  /// idle time since it parked; deferring + syncing materialises it) and
-  /// marks it for a wake-phase recheck — the caller may be about to
-  /// mutate state that ends its coast episode, and a parked server is
-  /// never re-examined unless something says so. Throws
-  /// std::out_of_range for an index outside [0, num_servers()).
+  /// Throws std::out_of_range for an index outside [0, num_servers()).
   [[nodiscard]] Server& server(int index) {
-    Server& target = *servers_.at(static_cast<std::size_t>(index));
-    touch_(static_cast<std::size_t>(index));
-    return target;
+    return *servers_.at(static_cast<std::size_t>(index));
   }
-  /// Read-only access that does NOT touch or wake: safe for scans that
-  /// must not end coast episodes or schedule rechecks (the provider's
-  /// billing rollup reads per-host usage markers through this every
-  /// step). A parked server's marker cannot be stale — markers only move
-  /// when a scheduler tick runs, which parked servers by definition
-  /// don't.
-  [[nodiscard]] const Server& peek(int index) const {
+  [[nodiscard]] const Server& server(int index) const {
     return *servers_.at(static_cast<std::size_t>(index));
   }
   [[nodiscard]] int rack_of(int server_index) const noexcept {
@@ -146,21 +135,14 @@ class Datacenter {
   /// Whether this facility parks sleeping servers (resolved from
   /// DatacenterConfig::sparse / CLEAKS_SPARSE via util::env_long).
   [[nodiscard]] bool sparse() const noexcept { return sparse_; }
-  /// Servers currently parked. O(1).
+  /// Servers off the active list: parked, or woken since the last step.
+  /// O(1).
   [[nodiscard]] int sleeping_servers() const noexcept {
-    return static_cast<int>(parked_count_);
+    return num_servers() - static_cast<int>(active_ids_.size());
   }
 
  private:
   void apply_rack_capping(int rack);
-  /// Catch up a parked server's owed idle time and flag it for the next
-  /// wake-phase recheck; syncs pending coast time either way.
-  void touch_(std::size_t index);
-  /// Unpark: rejoin the active list.
-  void wake_(std::uint32_t index);
-  /// Park an active server (at position `pos` in the active list):
-  /// swap-remove it from the active list.
-  void park_(std::uint32_t index, std::size_t pos);
   void mark_rack_dirty_(int rack) {
     auto& flag = rack_dirty_[static_cast<std::size_t>(rack)];
     if (flag == 0) {
@@ -178,17 +160,13 @@ class Datacenter {
   std::vector<double> rack_energy_since_cap_j_;  ///< for the capper's average
   SimTime last_cap_check_ = 0;
 
-  // Scheduler state. Per-server flags are written only by the lane that
-  // owns the server during the parallel phase and read serially after the
-  // join; the active list and the parked count mutate only in the serial
-  // wake/sleep phases, in deterministic order.
+  // Scheduler state. coasted_ is written only by the lane that owns the
+  // server during the parallel phase and read serially after the join;
+  // the active list mutates only in the serial append and park phases, in
+  // deterministic order, and the wake list only through Server settles.
   std::vector<std::uint32_t> active_ids_;  ///< servers stepped each interval
-  std::vector<std::uint8_t> sleeping_;     ///< parked
+  std::vector<std::uint32_t> woken_;       ///< settled since the last step
   std::vector<std::uint8_t> coasted_;      ///< last step coasted (stepped set)
-  std::vector<std::uint8_t> recheck_pending_;  ///< touched while parked
-  std::vector<std::uint32_t> recheck_ids_;     ///< wake-phase recheck queue
-  std::vector<SimTime> parked_at_;  ///< park / last catch-up instant
-  std::uint64_t parked_count_ = 0;
   std::uint64_t coasted_ns_total_ = 0;
   std::uint64_t coasted_s_flushed_ = 0;  ///< counter high-water mark
   // Incremental power aggregation: per-rack sums recomputed only for

@@ -349,17 +349,19 @@ void CloudProvider::settle_all_() {
 }
 
 void CloudProvider::meter_(SimDuration dt) {
-  // Pass 1: one usage-marker read per occupied server (peek: no touch, no
-  // wake). A changed marker means some container cgroup on that host was
-  // charged since we last looked — every tenant with an instance there
-  // meters eagerly this step.
+  // Pass 1: one usage-marker read per occupied server, through a const
+  // Server: an occupied server holds containers, so it is never parked. A
+  // changed marker means some container cgroup on that host was charged
+  // since we last looked — every tenant with an instance there meters
+  // eagerly this step.
   touched_scratch_.clear();
-  const int total = datacenter_->num_servers();
+  const Datacenter& datacenter = *datacenter_;
+  const int total = datacenter.num_servers();
   for (int server = 0; server < total; ++server) {
     const auto& slots = server_slots_[static_cast<std::size_t>(server)];
     if (slots.empty()) continue;
     const std::uint64_t marker =
-        datacenter_->peek(server).host().nonroot_usage_marker();
+        datacenter.server(server).host().nonroot_usage_marker();
     auto& last = last_marker_[static_cast<std::size_t>(server)];
     if (marker == last) continue;
     last = marker;

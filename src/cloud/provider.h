@@ -25,8 +25,8 @@
 //     path, and tenant handles stay valid across arbitrary churn;
 //   * billing rollups — per-tenant deferred metering. Each step the
 //     provider compares one usage marker per occupied server
-//     (kernel::Host::nonroot_usage_marker via Datacenter::peek — no
-//     wake/touch) to find *touched* tenants; only those walk their
+//     (kernel::Host::nonroot_usage_marker through a const Server, which
+//     does not settle) to find *touched* tenants; only those walk their
 //     instances. Untouched tenants accrue one deferred (dt × steps) run
 //     that is settled — replayed reserve-charge by reserve-charge in
 //     launch order — before a step of another length joins it, when the

@@ -14,8 +14,22 @@ Server::Server(std::string name, const CloudServiceProfile& profile,
                                                            profile.policy);
 }
 
+void Server::unpark_() {
+  if (!parked_) return;
+  const SimDuration owed = *facility_now_ - parked_at_;
+  if (owed > 0) host_->defer_idle(owed);
+  parked_ = false;
+  wake_list_->push_back(index_);
+}
+
+void Server::settle_() {
+  unpark_();
+  host_->coast_sync();
+}
+
 void Server::enable_benign_load(std::uint64_t seed,
                                 workload::DiurnalParams params) {
+  settle_();
   benign_load_ =
       std::make_unique<workload::DiurnalLoadGenerator>(*host_, seed, params);
 }
@@ -26,6 +40,8 @@ bool Server::idle_eligible() const noexcept {
 }
 
 bool Server::step(SimDuration dt) {
+  // A coasting step only adds to the deferred time, so it skips the sync.
+  unpark_();
   if (idle_eligible()) {
     host_->defer_idle(dt);
     return true;

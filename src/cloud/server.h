@@ -4,19 +4,23 @@
 //
 // Sparse stepping: step() defers a provably idle step to the analytic
 // idle-coast integrator in O(1) instead of running the per-tick physics
-// loop, on every server, in a facility or standalone. In parked mode the
-// Datacenter stops visiting a coasting server altogether: the owed
-// interval is tracked lazily (parked_at_ timestamp) and deferred in one
-// O(1) call at the first touch — capper change or external accessor (see
-// cloud/datacenter.h). Either way the deferred time is materialised only
-// on demand: every non-const accessor that can observe or mutate host
-// state syncs it first, so a reader can never see a coasting server lag
-// the equivalent per-tick run.
+// loop, on every server, in a facility or standalone. A Datacenter also
+// *parks* a server whose step coasted: it stops visiting it, and the
+// server owes the facility time since it parked. The server owns that
+// debt, so one rule covers every caller, whatever reference it holds:
+// every non-const member settles first. Settling a parked server defers
+// the owed time in one O(1) call (coast split-invariance makes that
+// bitwise-equal to per-step defers), unparks it and puts it on its
+// facility's wake list, so the next facility step visits it again; then
+// the deferred time is materialised. A reader can never see a coasting
+// server lag the equivalent per-tick run, and a mutation never acts on
+// the past.
 #pragma once
 
+#include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
+#include <vector>
 
 #include "cloud/profiles.h"
 #include "container/container.h"
@@ -38,20 +42,21 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  /// Non-const access syncs pending coast time first: callers mutate or
-  /// render through these, and a mutation on unmaterialised state would
-  /// act on the past.
-  [[nodiscard]] kernel::Host& host() noexcept {
-    host_->coast_sync();
+  /// Non-const access settles first: callers mutate or render through
+  /// these, and a mutation on unmaterialised state would act on the past.
+  [[nodiscard]] kernel::Host& host() {
+    settle_();
     return *host_;
   }
+  /// Const access does not settle: a parked server reads as it was when
+  /// it parked.
   [[nodiscard]] const kernel::Host& host() const noexcept { return *host_; }
-  [[nodiscard]] fs::PseudoFs& fs() noexcept {
-    host_->coast_sync();
+  [[nodiscard]] fs::PseudoFs& fs() {
+    settle_();
     return *fs_;
   }
-  [[nodiscard]] container::ContainerRuntime& runtime() noexcept {
-    host_->coast_sync();
+  [[nodiscard]] container::ContainerRuntime& runtime() {
+    settle_();
     return *runtime_;
   }
 
@@ -71,12 +76,6 @@ class Server {
   /// whether the server is visited every step (CLEAKS_SPARSE=0) or parked
   /// — which is the whole equality argument.
   [[nodiscard]] bool idle_eligible() const noexcept;
-
-  /// Sparse fast path: account `dt` of idle time without stepping
-  /// (kernel/host.h defer_idle). Only valid while coast_active().
-  void defer_idle(SimDuration dt) { host_->defer_idle(dt); }
-  /// Materialise pending deferred time (no-op when none).
-  void coast_sync() { host_->coast_sync(); }
   [[nodiscard]] bool coast_active() const noexcept {
     return host_->coast_active();
   }
@@ -88,11 +87,28 @@ class Server {
   }
 
  private:
+  friend class Datacenter;
+
+  /// Catch a parked server up and wake it, then materialise deferred time.
+  void settle_();
+  /// The parked half of settle_(): defer the owed time, unpark, and join
+  /// the facility's wake list.
+  void unpark_();
+
   std::string name_;
   std::unique_ptr<kernel::Host> host_;
   std::unique_ptr<fs::PseudoFs> fs_;
   std::unique_ptr<container::ContainerRuntime> runtime_;
   std::unique_ptr<workload::DiurnalLoadGenerator> benign_load_;
+
+  // Parking, written only by the owning Datacenter (park) and by
+  // unpark_(). The Datacenter owns its servers and cannot be moved, so
+  // its clock and wake list outlive these pointers.
+  bool parked_ = false;
+  SimTime parked_at_ = 0;  ///< facility time the server parked at
+  std::uint32_t index_ = 0;  ///< position in the facility
+  const SimTime* facility_now_ = nullptr;
+  std::vector<std::uint32_t>* wake_list_ = nullptr;
 };
 
 }  // namespace cleaks::cloud

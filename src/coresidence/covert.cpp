@@ -7,6 +7,11 @@
 #include "workload/profiles.h"
 
 namespace cleaks::coresidence {
+namespace {
+
+constexpr int kHogs = 4;  ///< hogs the transmitter runs for a 1-bit
+
+}  // namespace
 
 std::string to_string(CovertMedium medium) {
   switch (medium) {
@@ -76,7 +81,7 @@ CovertResult CovertChannelBenchmark::run(int bits, std::uint64_t seed) {
     const double before = read_level();
     std::vector<kernel::HostPid> pids;
     if (bit == 1) {
-      for (int hog = 0; hog < config_.hogs; ++hog) {
+      for (int hog = 0; hog < kHogs; ++hog) {
         pids.push_back(tx_->run("cc-tx", virus.behavior)->host_pid);
       }
     }

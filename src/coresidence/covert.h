@@ -31,8 +31,6 @@ struct CovertConfig {
   SimDuration slot = 2 * kSecond;
   /// Inter-slot guard time letting the medium relax toward baseline.
   SimDuration guard = 0;
-  /// Hogs the transmitter runs for a 1-bit.
-  int hogs = 4;
 };
 
 struct CovertResult {

@@ -5,6 +5,8 @@
 namespace cleaks::defense {
 namespace {
 
+constexpr SimDuration kSampleInterval = kSecond;
+
 // Trainer telemetry: sampling schedules are sim-driven and the fault
 // schedule is a pure function of sim time, so the counts are Scope::kSim.
 struct TrainerMetrics {
@@ -80,7 +82,7 @@ std::vector<TrainingSample> collect_training_samples(
       auto before = read_host_counters(host);
       for (int sample_index = 0; sample_index < options.samples_per_level;
            ++sample_index) {
-        host.advance(options.sample_interval);
+        host.advance(kSampleInterval);
         const auto after = read_host_counters(host);
         // Multiplexing dropout check: a real collector sees
         // time_running < time_enabled for this window. Scaling the counts
@@ -97,8 +99,8 @@ std::vector<TrainingSample> collect_training_samples(
           continue;
         }
         TrainerMetrics::get().samples.inc();
-        samples.push_back(delta_sample(before, after,
-                                       to_seconds(options.sample_interval)));
+        samples.push_back(
+            delta_sample(before, after, to_seconds(kSampleInterval)));
         before = after;
       }
       for (auto pid : pids) host.kill_task(pid);

@@ -18,7 +18,6 @@ struct TrainerOptions {
   std::vector<double> duty_levels = {0.25, 0.5, 0.75, 1.0};
   /// Concurrent copies of the workload (cores exercised).
   int copies = 4;
-  SimDuration sample_interval = kSecond;
   int samples_per_level = 12;
   /// Fault schedule consulted per sampling window (kPerfDropout rules).
   /// A window whose perf-event retention falls below 1.0 models

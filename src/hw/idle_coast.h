@@ -9,8 +9,10 @@
 // the previous materialisation), evaluating g at E1 < E2 < ... < En leaves
 // bitwise-identical state to evaluating g once at En: split-invariance by
 // construction. That is the property the facility leans on — both of its
-// schedules defer idle time and materialise it only when a syncing
-// accessor reads the host, and the result equals materialising every tick
+// schedules defer idle time, a parked server owes a whole stretch in one
+// defer, and a woken server that is still idle adds one more coasting
+// visit; time is materialised only when a non-const cloud::Server member
+// settles the server, and the result equals materialising every tick
 // (the per-tick reference in tests/sparse_test.cpp).
 //
 // These kernels are deliberately RNG-free: the legacy per-tick path draws
@@ -51,9 +53,8 @@ inline void rapl_coast(RaplDomainState& out, const RaplDomainState& anchor,
 /// Returns the retention factor exp(-t/tau); the caller applies
 ///   T(E) = ambient + (T_anchor - ambient) * retention
 /// per core (one exp shared across all cores of a host).
-inline double thermal_coast_retention(double elapsed_sec,
-                                      const ThermalParams& params) noexcept {
-  return std::exp(-elapsed_sec / params.tau_seconds);
+inline double thermal_coast_retention(double elapsed_sec) noexcept {
+  return std::exp(-elapsed_sec / kThermalTauSeconds);
 }
 
 /// Deep-idle residency accrued over a coast: the deepest C-state soaks the

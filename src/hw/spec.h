@@ -28,7 +28,6 @@ struct EnergyModelParams {
   double e_cmiss_core_nj = 9.0;    ///< nJ per LLC miss charged to the core
   double e_bmiss_nj = 3.5;         ///< nJ per branch misprediction
   double e_cmiss_dram_nj = 16.0;   ///< nJ per LLC miss charged to DRAM
-  double measurement_noise = 0.01; ///< relative Gaussian noise on RAPL reads
 };
 
 /// One cpuidle state as exposed under

@@ -6,16 +6,14 @@
 
 namespace cleaks::hw {
 
-ThermalModel::ThermalModel(int num_cores, ThermalParams params)
-    : params_(params),
-      temps_c_(static_cast<std::size_t>(std::max(num_cores, 0)),
-               params.ambient_c) {}
+ThermalModel::ThermalModel(int num_cores)
+    : temps_c_(static_cast<std::size_t>(std::max(num_cores, 0)), kAmbientC) {}
 
 void ThermalModel::advance(const std::vector<double>& core_power_w,
                            double dt_seconds) {
   if (dt_seconds <= 0.0) return;
   advance_with_decay(core_power_w.data(), core_power_w.size(),
-                     thermal_decay(dt_seconds, params_));
+                     thermal_decay(dt_seconds));
 }
 
 void ThermalModel::advance_with_decay(const double* core_power_w,

@@ -13,20 +13,18 @@
 
 namespace cleaks::hw {
 
-struct ThermalParams {
-  double ambient_c = 38.0;      ///< in-chassis ambient (deg C)
-  double theta_c_per_w = 2.2;   ///< steady-state rise per watt of core power
-  double tau_seconds = 8.0;     ///< thermal time constant
-};
+inline constexpr double kAmbientC = 38.0;  ///< in-chassis ambient (deg C)
+/// Steady-state rise per watt of core power.
+inline constexpr double kThetaCPerW = 2.2;
+inline constexpr double kThermalTauSeconds = 8.0;  ///< thermal time constant
 
-inline double thermal_decay(double dt_seconds,
-                            const ThermalParams& params) noexcept {
-  return 1.0 - std::exp(-dt_seconds / params.tau_seconds);
+inline double thermal_decay(double dt_seconds) noexcept {
+  return 1.0 - std::exp(-dt_seconds / kThermalTauSeconds);
 }
 
 class ThermalModel {
  public:
-  explicit ThermalModel(int num_cores, ThermalParams params = ThermalParams{});
+  explicit ThermalModel(int num_cores);
 
   /// Advance one tick: `core_power_w[i]` is the power of core i during the
   /// last `dt_seconds`.
@@ -41,12 +39,8 @@ class ThermalModel {
   /// One core's share of that step: relax toward ambient + theta *
   /// `power_w`. Host steps each core inside its one pass over the cores.
   void step_core(std::size_t core, double power_w, double decay) noexcept {
-    const double target = params_.ambient_c + params_.theta_c_per_w * power_w;
+    const double target = kAmbientC + kThetaCPerW * power_w;
     temps_c_[core] += (target - temps_c_[core]) * decay;
-  }
-
-  [[nodiscard]] const ThermalParams& params() const noexcept {
-    return params_;
   }
 
   /// Mutable per-core temperature storage. The idle-coast integrator
@@ -61,7 +55,6 @@ class ThermalModel {
   }
 
  private:
-  ThermalParams params_;
   std::vector<double> temps_c_;
 };
 

@@ -10,6 +10,8 @@ namespace cleaks::kernel {
 namespace {
 
 constexpr double kUserHz = 100.0;  ///< jiffies per second, as in the kernel
+/// Relative Gaussian noise on RAPL reads.
+constexpr double kRaplMeasurementNoise = 0.01;
 
 std::string make_boot_id(Rng& rng) {
   // Canonical UUID v4 text form.
@@ -236,7 +238,7 @@ const Host::TickFactors& Host::factors_for(SimDuration dt) {
   if (!factors_.valid || factors_.dt != dt) {
     const double dt_sec = to_seconds(dt);
     factors_.dt = dt;
-    factors_.thermal_decay = hw::thermal_decay(dt_sec, thermal_.params());
+    factors_.thermal_decay = hw::thermal_decay(dt_sec);
     factors_.load1_factor = std::exp(-dt_sec / 60.0);
     factors_.load5_factor = std::exp(-dt_sec / 300.0);
     factors_.load15_factor = std::exp(-dt_sec / 900.0);
@@ -393,12 +395,11 @@ void Host::materialize_coast_(SimDuration elapsed) {
     }
   }
   if (spec_.num_cores > 0) {
-    const double retention =
-        hw::thermal_coast_retention(e_sec, thermal_.params());
-    const double ambient = thermal_.params().ambient_c;
+    const double retention = hw::thermal_coast_retention(e_sec);
     double* temps = thermal_.mutable_temps();
     for (std::size_t i = 0; i < c.cores.size(); ++i) {
-      temps[i] = ambient + (c.cores[i].temp_c - ambient) * retention;
+      temps[i] =
+          hw::kAmbientC + (c.cores[i].temp_c - hw::kAmbientC) * retention;
     }
   }
   const int deepest = cpuidle_.num_states() - 1;
@@ -422,7 +423,7 @@ void Host::defer_idle(SimDuration duration) {
 void Host::coast_sync() {
   if (coast_.pending == 0) return;
   // Pending time only exists on a live episode: every mutation path syncs
-  // before invalidating (the Server accessors enforce this).
+  // before invalidating (every non-const Server member settles first).
   coast_.materialized += coast_.pending;
   coast_.pending = 0;
   materialize_coast_(coast_.materialized);
@@ -573,7 +574,7 @@ void Host::integrate_energy(double dt_sec) {
     const auto i = static_cast<std::size_t>(pkg);
     // RAPL measurement noise: small multiplicative error per integration.
     const double noise = std::clamp(
-        rng_.gaussian(1.0, spec_.energy.measurement_noise), 0.9, 1.1);
+        rng_.gaussian(1.0, kRaplMeasurementNoise), 0.9, 1.1);
     const double core_j = pkg_core_j_[i] * noise;
     const double dram_j = (pkg_dram_j_[i] + bg.dram_j) * noise;
     const double package_j =

@@ -166,10 +166,10 @@ class Host {
   // sequence of idle ticks", the reference tests/sparse_test.cpp keeps),
   // one defer per step, or a single defer of a whole parked stretch —
   // because every materialisation recomputes from the anchor and never
-  // moves it. The Datacenter leans on the strongest form: a coasting
-  // server defers each step it is visited and a parked one gets one
-  // defer_idle(k*dt) at its next touch; either way its state is
-  // materialised only when a syncing accessor reads it.
+  // moves it. cloud::Server leans on the strongest form: a coasting
+  // server defers each step it is visited, and a parked one defers the
+  // whole stretch it owes in one defer_idle(k*dt) when a non-const member
+  // next settles it; either way its state is materialised only then.
   //
   // Episodes end only through mutation: every path that can change
   // eligibility (spawn/kill, cap change, mutable_* accessors) bumps
@@ -185,8 +185,8 @@ class Host {
   /// touching any observable state (begins an episode if none is live —
   /// entry pins last_tick_power_w() to the constant idle power, so const
   /// power reads match per-tick stepping from the first coasted step).
-  /// Server::step calls this once per coasted step, the parked scheduler
-  /// once with a whole parked stretch.
+  /// Server::step calls this once per coasted step, a parked Server's
+  /// settle once with the whole stretch it owes.
   void defer_idle(SimDuration duration);
   /// Materialise any pending deferred time. The episode stays live — a
   /// sync never re-anchors, so pure reads after a sync cannot diverge

@@ -78,20 +78,14 @@ void SimEngine::build() {
     }
   }
 
-  // 2. Defense construction.
-  if (spec_.defense.model) {
-    power_ns_ = std::make_unique<defense::PowerNamespace>(
-        server(0).runtime(), *spec_.defense.model);
-  }
-
-  // 3. Warmup (the deduplicated fast-forward; see WarmupSpec).
+  // 2. Warmup (the deduplicated fast-forward; see WarmupSpec).
   if (spec_.warmup) {
     set_host_tick(kWarmupTick);
     run_until(spec_.warmup->until, kWarmupStep);
     set_host_tick(kMeasuredTick);
   }
 
-  // 4. Background tenants, then the fleet.
+  // 3. Background tenants, then the fleet.
   if (provider_ && spec_.provider->background_tenants > 0) {
     for (int i = 0; i < spec_.provider->background_tenants; ++i) {
       provider_->launch("background-" + std::to_string(i));
@@ -99,13 +93,13 @@ void SimEngine::build() {
   }
   if (spec_.fleet.deploy_on_build) deploy_fleet();
 
-  // 5. Defense enable.
-  if (power_ns_ && spec_.defense.enable) {
-    // The namespace mutates through the runtime reference it captured at
-    // construction; after the warmup above server 0 may be parked, so
-    // route one access through the accessor to catch it up first.
-    (void)server(0);
-    power_ns_->enable();
+  // 4. Defense. The namespace keeps the runtime reference it is built
+  // with, so it is built here: runtime() settles server 0, which the
+  // warmup may have parked.
+  if (spec_.defense.model) {
+    power_ns_ = std::make_unique<defense::PowerNamespace>(
+        server(0).runtime(), *spec_.defense.model);
+    if (spec_.defense.enable) power_ns_->enable();
   }
 
   control_ = spec_.fleet.control;

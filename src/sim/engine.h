@@ -1,9 +1,10 @@
 // SimEngine: builds a world from a ScenarioSpec and owns the step loop.
 //
-// Build order is fixed (facility -> provider -> defense construct ->
-// warmup -> background tenants -> fleet -> defense enable) so every
-// experiment draws the same RNG streams as the hand-rolled benches it
-// replaced. The paper's fixed experiment constants (Fig 3's crest trigger,
+// Build order is fixed (facility -> provider -> warmup -> background
+// tenants -> fleet -> defense) so every experiment draws the same RNG
+// streams as the hand-rolled benches it replaced. The defense is built
+// last from server 0's runtime(), which settles a server the warmup
+// parked. The paper's fixed experiment constants (Fig 3's crest trigger,
 // the warmup's host ticks) are named constants in engine.cpp, not spec
 // fields. step() advances physics first, then fleet control, then
 // measurement; a run_* hook fires after each step — hooks observe a

@@ -85,9 +85,8 @@ struct FleetSpec {
 
 /// Defense wiring on server 0's runtime.
 struct DefenseSpec {
-  /// Trained model => construct a PowerNamespace (§V-B). The namespace is
-  /// always constructed when a model is present; `enable` switches it on
-  /// once the fleet has deployed.
+  /// Trained model => construct a PowerNamespace (§V-B) once the fleet
+  /// has deployed; `enable` switches it on.
   std::optional<defense::PowerModel> model;
   bool enable = false;
 };

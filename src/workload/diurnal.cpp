@@ -4,6 +4,17 @@
 #include <cmath>
 
 namespace cleaks::workload {
+namespace {
+
+constexpr double kDiurnalAmplitude = 0.13;  ///< day/night swing
+constexpr double kWeekendFactor = 0.55;  ///< demand multiplier, days 5 and 6
+constexpr double kNoiseTauS = 600.0;     ///< OU relaxation time
+constexpr double kBurstMinUtil = 0.15;
+constexpr double kBurstMaxUtil = 0.50;
+constexpr SimDuration kBurstMinLen = 3 * kMinute;
+constexpr SimDuration kBurstMaxLen = 40 * kMinute;
+
+}  // namespace
 
 DiurnalLoadGenerator::DiurnalLoadGenerator(kernel::Host& host,
                                            std::uint64_t seed,
@@ -33,14 +44,13 @@ double DiurnalLoadGenerator::demand_at(SimTime now) {
 
   // Diurnal: trough ~4am, peak mid-afternoon.
   double demand = params_.base_utilization +
-                  params_.diurnal_amplitude *
-                      std::sin(2.0 * M_PI * (day_frac - 0.40));
-  if (day_index >= 5) demand *= params_.weekend_factor;
+                  kDiurnalAmplitude * std::sin(2.0 * M_PI * (day_frac - 0.40));
+  if (day_index >= 5) demand *= kWeekendFactor;
 
   // Ornstein-Uhlenbeck noise, discretized over the interval since the
   // previous apply().
   const double dt = std::max(1.0, to_seconds(now - last_apply_));
-  const double decay = std::exp(-dt / params_.noise_tau_s);
+  const double decay = std::exp(-dt / kNoiseTauS);
   const double diffusion =
       params_.noise_sigma * std::sqrt(1.0 - decay * decay);
   ou_state_ = ou_state_ * decay + rng_.gaussian(0.0, diffusion);
@@ -50,10 +60,8 @@ double DiurnalLoadGenerator::demand_at(SimTime now) {
   if (now >= next_burst_check_) {
     const double per_second = params_.bursts_per_day / to_seconds(kDay);
     if (rng_.bernoulli(std::min(1.0, per_second * dt))) {
-      burst_until_ =
-          now + rng_.uniform_u64(params_.burst_min_len, params_.burst_max_len);
-      burst_util_ =
-          rng_.uniform(params_.burst_min_util, params_.burst_max_util);
+      burst_until_ = now + rng_.uniform_u64(kBurstMinLen, kBurstMaxLen);
+      burst_util_ = rng_.uniform(kBurstMinUtil, kBurstMaxUtil);
     }
     next_burst_check_ = now + 30 * kSecond;
   }

@@ -19,17 +19,13 @@
 
 namespace cleaks::workload {
 
+/// Per-server settings. The rest of the shape (day/night swing, weekend
+/// factor, noise relaxation time, burst sizes and lengths) is fixed in
+/// diurnal.cpp.
 struct DiurnalParams {
-  double base_utilization = 0.22;   ///< mean utilization (fraction of host)
-  double diurnal_amplitude = 0.13;  ///< day/night swing
-  double weekend_factor = 0.55;     ///< demand multiplier on days 5 and 6
-  double noise_sigma = 0.06;        ///< OU noise stddev
-  double noise_tau_s = 600.0;       ///< OU relaxation time
-  double bursts_per_day = 30.0;     ///< Poisson arrival rate of load bursts
-  double burst_min_util = 0.15;
-  double burst_max_util = 0.50;
-  SimDuration burst_min_len = 3 * kMinute;
-  SimDuration burst_max_len = 40 * kMinute;
+  double base_utilization = 0.22;  ///< mean utilization (fraction of host)
+  double noise_sigma = 0.06;       ///< OU noise stddev
+  double bursts_per_day = 30.0;    ///< Poisson arrival rate of load bursts
   /// Phase offset so different servers peak at different times of day.
   double phase_days = 0.0;
 };

@@ -186,7 +186,7 @@ TEST(Datacenter, ServerIndexOutOfRangeThrows) {
   config.servers_per_rack = 2;
   config.benign_load = false;
   Datacenter dc(config);
-  // The bounds check runs before the accessor touches per-server state.
+  // The accessor checks the index before it reaches a server.
   EXPECT_THROW((void)dc.server(dc.num_servers()), std::out_of_range);
   EXPECT_THROW((void)dc.server(-1), std::out_of_range);
 }

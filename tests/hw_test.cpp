@@ -189,12 +189,10 @@ TEST(Thermal, StartsAtAmbient) {
 }
 
 TEST(Thermal, ConvergesTowardPowerTarget) {
-  ThermalParams params;
-  ThermalModel model(1, params);
+  ThermalModel model(1);
   const std::vector<double> power = {20.0};
   for (int i = 0; i < 200; ++i) model.advance(power, 1.0);
-  EXPECT_NEAR(model.temp_c(0), params.ambient_c + params.theta_c_per_w * 20.0,
-              0.5);
+  EXPECT_NEAR(model.temp_c(0), kAmbientC + kThetaCPerW * 20.0, 0.5);
 }
 
 TEST(Thermal, CoolsBackDown) {

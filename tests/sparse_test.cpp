@@ -6,14 +6,15 @@
 // sequence of per-tick idle materialisations produces, for any split of
 // the interval, across RAPL wrap boundaries, and through episode-ending
 // mutations. The facility-level tests then pin that a sparse Datacenter
-// (servers parked until a touch wakes them, intervals deferred in O(1)) is
-// indistinguishable from the dense reference in every rendered pseudo-file
-// and every Scope::kSim counter.
+// (servers parked until a Server member settles them, intervals deferred
+// in O(1)) is indistinguishable from the dense reference in every rendered
+// pseudo-file and every Scope::kSim counter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "kernel/host.h"
 #include "obs/metrics.h"
 #include "util/fnv.h"
+#include "workload/profiles.h"
 
 namespace cleaks {
 namespace {
@@ -228,9 +230,10 @@ cloud::DatacenterConfig facility_config(bool sparse) {
 
 // Server 0's tenant load, driven from outside the facility: a square wave
 // (2 min on, 7 min off, phase 30 s) of four 0.6-duty workers. The caller
-// applies it through dc.server(0) before every step, so a parked server 0
-// gets back onto the active list only through the touch that spawns the
-// workers.
+// applies it through dc.server(0).host() before every step, which settles
+// server 0: in an off phase it wakes, coasts through the step and parks
+// again, and the spawn that starts an on phase keeps it on the active
+// list.
 class SquareWave {
  public:
   void apply(kernel::Host& host) {
@@ -268,8 +271,8 @@ std::vector<ServerSnapshot> run_facility(bool sparse, int num_threads,
   cloud::DatacenterConfig config = facility_config(sparse);
   config.num_threads = num_threads;
   cloud::Datacenter dc(config);
-  // Server 0 flips between load and idle: its touch wakeups, coast entries
-  // and exits all happen mid-run. The other seven sleep throughout, so a
+  // Server 0 flips between load and idle: its wakeups, coast entries and
+  // exits all happen mid-run. The other seven sleep throughout, so a
   // step that lowers the sleeping count is a wake of server 0.
   SquareWave load;
   int max_sleeping = 0;
@@ -298,7 +301,7 @@ TEST(SparseFacility, DenseAndSparseProduceIdenticalServerState) {
   EXPECT_EQ(dense_slept, 0);  // dense never parks anyone
   EXPECT_EQ(dense_wakes, 0);
   // Server 0 parks in every off phase, so all eight sleep at once, and the
-  // touches that start its on phases at 8.5, 17.5 and 26.5 min wake it.
+  // spawns that start its on phases at 8.5, 17.5 and 26.5 min wake it.
   EXPECT_EQ(sparse_slept, 8);
   EXPECT_EQ(sparse_wakes, 3);
   ASSERT_EQ(dense.size(), sparse.size());
@@ -357,6 +360,122 @@ TEST(SparseFacility, EngineCountersAccrueEquallyInBothModes) {
   EXPECT_EQ(coasted_dense, 8u * 120u);
   EXPECT_EQ(active_sparse, active_dense);
   EXPECT_EQ(coasted_sparse, coasted_dense);
+}
+
+// ---------- every non-const Server member settles ----------
+
+struct SettledView {
+  SimTime clock = 0;
+  double lifetime_j = 0.0;
+  std::string stat;
+
+  bool operator==(const SettledView&) const = default;
+};
+
+SettledView settled_view(cloud::Server& server) {
+  return {server.host().now(), server.host().lifetime_energy_j(),
+          server.fs().read("/proc/stat", fs::ViewContext{}).value()};
+}
+
+cloud::DatacenterConfig idle_config(bool sparse, int racks) {
+  cloud::DatacenterConfig config;
+  config.num_racks = racks;
+  config.servers_per_rack = 4;
+  config.benign_load = false;
+  config.seed = 7;
+  config.num_threads = 1;
+  config.sparse = sparse ? 1 : 0;
+  return config;
+}
+
+// A reference taken before server 0 parks still reaches a server that is
+// caught up and back on the active list: the server owns its debt, so no
+// caller has to go through the facility to settle it.
+TEST(SparseFacility, RetainedServerReferenceCatchesUpAndWakes) {
+  auto run = [](bool sparse, int* sleeping) {
+    cloud::Datacenter dc(idle_config(sparse, 2));
+    cloud::Server& kept = dc.server(0);
+    for (int s = 0; s < 10; ++s) dc.step(kSecond);
+    EXPECT_EQ(dc.sleeping_servers(), sparse ? 8 : 0);
+    auto tenant = kept.runtime().create({});
+    tenant->run("pwrvirus", workload::power_virus().behavior);
+    for (int s = 0; s < 10; ++s) dc.step(kSecond);
+    *sleeping = dc.sleeping_servers();
+    return settled_view(kept);
+  };
+  int never_park_sleeping = -1;
+  int parked_sleeping = -1;
+  const SettledView never_park = run(false, &never_park_sleeping);
+  const SettledView parked = run(true, &parked_sleeping);
+  EXPECT_EQ(never_park.clock, 20 * kSecond);
+  EXPECT_EQ(parked.clock, never_park.clock);
+  EXPECT_EQ(parked.lifetime_j, never_park.lifetime_j);
+  EXPECT_EQ(parked.stat, never_park.stat);
+  EXPECT_EQ(never_park_sleeping, 0);
+  EXPECT_EQ(parked_sleeping, 7);  // server 0 runs the virus
+}
+
+// Each non-const member, driven on a parked server 0, lands on the
+// never-park run's bits, and leaves server 0 parked only when it left the
+// server idle.
+TEST(SparseFacility, EveryNonConstServerMemberSettlesAParkedServer) {
+  struct Member {
+    const char* name;
+    int parked_after;  ///< sleeping servers at the end, parked schedule
+    std::function<std::string(cloud::Server&)> drive;
+  };
+  const std::vector<Member> members = {
+      {"host", 3,
+       [](cloud::Server& server) {
+         kernel::Host::SpawnOptions options;
+         options.comm = "worker";
+         options.behavior.duty_cycle = 0.5;
+         server.host().spawn_task(options);
+         return std::string();
+       }},
+      {"fs", 4,
+       [](cloud::Server& server) {
+         return server.fs().read("/proc/uptime", fs::ViewContext{}).value();
+       }},
+      {"runtime", 3,
+       [](cloud::Server& server) {
+         auto tenant = server.runtime().create({});
+         tenant->run("worker", workload::power_virus().behavior);
+         return std::string();
+       }},
+      {"enable_benign_load", 3,
+       [](cloud::Server& server) {
+         server.enable_benign_load(99);
+         return std::string();
+       }},
+      {"step", 4,
+       [](cloud::Server& server) {
+         server.step(kSecond);
+         return std::string();
+       }},
+  };
+  for (const Member& member : members) {
+    auto run = [&](bool sparse, int* sleeping) {
+      cloud::Datacenter dc(idle_config(sparse, 1));
+      for (int s = 0; s < 10; ++s) dc.step(kSecond);
+      EXPECT_EQ(dc.sleeping_servers(), sparse ? 4 : 0);
+      const std::string read = member.drive(dc.server(0));
+      for (int s = 0; s < 100; ++s) dc.step(kSecond);
+      *sleeping = dc.sleeping_servers();
+      return std::make_pair(read, settled_view(dc.server(0)));
+    };
+    int never_park_sleeping = -1;
+    int parked_sleeping = -1;
+    const auto never_park = run(false, &never_park_sleeping);
+    const auto parked = run(true, &parked_sleeping);
+    EXPECT_EQ(parked.first, never_park.first) << member.name;
+    EXPECT_EQ(parked.second.clock, never_park.second.clock) << member.name;
+    EXPECT_EQ(parked.second.lifetime_j, never_park.second.lifetime_j)
+        << member.name;
+    EXPECT_EQ(parked.second.stat, never_park.second.stat) << member.name;
+    EXPECT_EQ(never_park_sleeping, 0) << member.name;
+    EXPECT_EQ(parked_sleeping, member.parked_after) << member.name;
+  }
 }
 
 // ---------- recorded dense-era goldens ----------
