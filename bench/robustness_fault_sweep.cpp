@@ -33,7 +33,6 @@ faults::FaultPlan transient_plan(double rate, SimDuration duration) {
   faults::FaultPlan plan;
   plan.seed = 12;
   faults::FaultRule rule;
-  rule.kind = faults::FaultKind::kTransientUnavailable;
   rule.path_glob = "**";
   rule.rate = rate;
   rule.period = 2 * kSecond;

@@ -73,8 +73,8 @@ std::optional<double> RaplMonitor::sample_w(SimDuration since_last) {
   const double watts = joules / dt_sec;
   if (watts > max_plausible_w_) {
     // Counter-wrap glitch: the wrapped delta cannot be unwrapped from
-    // in-container observables alone (see rapl_delta_j_checked), so the
-    // sample is discarded. The counters are already re-primed on the
+    // in-container observables alone (see rapl_delta_j), so the sample is
+    // discarded. The counters are already re-primed on the
     // current reading; hold the crest estimate through the glitch.
     MonitorMetrics::get().rapl_holds.inc();
     degraded_ = true;

@@ -30,7 +30,6 @@
 #include "coresidence/covert.h"
 #include "coresidence/detector.h"
 #include "coresidence/evaluation.h"
-#include "defense/budget.h"
 #include "defense/power_model.h"
 #include "defense/power_namespace.h"
 #include "defense/trainer.h"

@@ -145,7 +145,6 @@ void PowerNamespace::refresh(const kernel::Host& host) const {
   }
 
   const double seconds = to_seconds(now - last_refresh_);
-  last_interval_s_ = seconds;
   const PerfDelta host_delta = to_delta(last_root_perf_, host_now, seconds);
 
   // Stage 2 of the read path: model the host and each container.
@@ -182,18 +181,14 @@ void PowerNamespace::refresh(const kernel::Host& host) const {
       if (m_host <= 0.0 || e_rapl <= 0.0) return fallback;
       return m_container / m_host * e_rapl;
     };
-    state.core.last_delta_j = calibrate(m_core, m_host_core, e_core, m_core);
-    state.dram.last_delta_j = calibrate(m_dram, m_host_dram, e_dram, m_dram);
-    state.package.last_delta_j =
-        calibrate(m_package, m_host_package, e_package, m_package);
-
-    auto accumulate = [](DomainCounter& counter) {
-      counter.virt_uj += counter.last_delta_j * 1e6;
-      while (counter.virt_uj >= kRangeUj) counter.virt_uj -= kRangeUj;
+    auto accumulate = [](double& virt_uj, double delta_j) {
+      virt_uj += delta_j * 1e6;
+      while (virt_uj >= kRangeUj) virt_uj -= kRangeUj;
     };
-    accumulate(state.core);
-    accumulate(state.dram);
-    accumulate(state.package);
+    accumulate(state.core_uj, calibrate(m_core, m_host_core, e_core, m_core));
+    accumulate(state.dram_uj, calibrate(m_dram, m_host_dram, e_dram, m_dram));
+    accumulate(state.package_uj,
+               calibrate(m_package, m_host_package, e_package, m_package));
   }
 
   last_root_perf_ = host_now;
@@ -239,28 +234,16 @@ std::uint64_t PowerNamespace::energy_uj(const kernel::Host& host,
   double value_uj = 0.0;
   switch (domain) {
     case hw::RaplDomainKind::kPackage:
-      value_uj = state.package.virt_uj;
+      value_uj = state.package_uj;
       break;
     case hw::RaplDomainKind::kCore:
-      value_uj = state.core.virt_uj;
+      value_uj = state.core_uj;
       break;
     case hw::RaplDomainKind::kDram:
-      value_uj = state.dram.virt_uj;
+      value_uj = state.dram_uj;
       break;
   }
   return static_cast<std::uint64_t>(value_uj / divisor);
-}
-
-double PowerNamespace::last_power_w(const std::string& container_id,
-                                    hw::RaplDomainKind domain) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = states_.find(container_id);
-  if (it == states_.end()) return 0.0;
-  const auto& state = it->second;
-  const DomainCounter* counter = &state.package;
-  if (domain == hw::RaplDomainKind::kCore) counter = &state.core;
-  if (domain == hw::RaplDomainKind::kDram) counter = &state.dram;
-  return counter->last_delta_j / std::max(last_interval_s_, 1e-9);
 }
 
 void apply_stage1_masking(container::ContainerRuntime& runtime) {

@@ -47,23 +47,15 @@ class PowerNamespace final : public fs::RaplViewProvider {
       const kernel::Host& host, const kernel::Task* viewer, int package,
       hw::RaplDomainKind domain) const override;
 
-  /// Modeled power (W) of one container over its last refresh interval —
-  /// evaluation convenience (Figs 8/9), not part of the tenant interface.
-  [[nodiscard]] double last_power_w(const std::string& container_id,
-                                    hw::RaplDomainKind domain) const;
-
   [[nodiscard]] const PowerModel& model() const noexcept { return model_; }
 
  private:
-  struct DomainCounter {
-    double virt_uj = 0.0;      ///< virtual accumulated counter
-    double last_delta_j = 0.0; ///< energy of the last refresh interval
-  };
   struct ContainerState {
     kernel::PerfCounters last_perf;
-    DomainCounter core;
-    DomainCounter dram;
-    DomainCounter package;
+    // Virtual accumulated counters (µJ), wrapping like the real ones.
+    double core_uj = 0.0;
+    double dram_uj = 0.0;
+    double package_uj = 0.0;
   };
 
   /// Bring all virtual counters up to host.now(): apportion the RAPL
@@ -91,7 +83,6 @@ class PowerNamespace final : public fs::RaplViewProvider {
   mutable double last_rapl_dram_j_ = 0.0;
   mutable double last_rapl_package_j_ = 0.0;
   mutable SimTime last_refresh_ = 0;
-  mutable double last_interval_s_ = 0.0;
   mutable bool primed_ = false;
 };
 

@@ -7,14 +7,11 @@ namespace {
 
 constexpr SimDuration kSampleInterval = kSecond;
 
-// Trainer telemetry: sampling schedules are sim-driven and the fault
-// schedule is a pure function of sim time, so the counts are Scope::kSim.
+// Trainer telemetry: sampling schedules are sim-driven, so the count is
+// Scope::kSim.
 struct TrainerMetrics {
   obs::Counter& samples = obs::Registry::global().counter(
       "defense_training_samples_total", "calibration samples collected");
-  obs::Counter& samples_skipped = obs::Registry::global().counter(
-      "defense_training_samples_skipped_total",
-      "calibration windows dropped for perf multiplexing dropout");
 
   static TrainerMetrics& get() {
     static TrainerMetrics metrics;
@@ -84,20 +81,6 @@ std::vector<TrainingSample> collect_training_samples(
            ++sample_index) {
         host.advance(kSampleInterval);
         const auto after = read_host_counters(host);
-        // Multiplexing dropout check: a real collector sees
-        // time_running < time_enabled for this window. Scaling the counts
-        // up would fold the dropout noise into the regression and bias
-        // the fit, so the poisoned window is skipped outright — the delta
-        // baseline still advances, keeping later windows contiguous.
-        const double retention =
-            options.faults != nullptr
-                ? options.faults->perf_retention(host.now())
-                : 1.0;
-        if (retention < 1.0) {
-          TrainerMetrics::get().samples_skipped.inc();
-          before = after;
-          continue;
-        }
         TrainerMetrics::get().samples.inc();
         samples.push_back(
             delta_sample(before, after, to_seconds(kSampleInterval)));

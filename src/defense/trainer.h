@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "defense/power_model.h"
-#include "faults/injector.h"
 #include "kernel/host.h"
 #include "workload/profiles.h"
 
@@ -19,11 +18,6 @@ struct TrainerOptions {
   /// Concurrent copies of the workload (cores exercised).
   int copies = 4;
   int samples_per_level = 12;
-  /// Fault schedule consulted per sampling window (kPerfDropout rules).
-  /// A window whose perf-event retention falls below 1.0 models
-  /// multiplexing dropout (time_running < time_enabled): the sample is
-  /// *skipped*, never scaled into the regression. Nullptr = no faults.
-  const faults::FaultInjector* faults = nullptr;
 };
 
 /// Snapshot helper: host-wide perf totals (root cgroup + every container

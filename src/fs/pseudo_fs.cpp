@@ -60,6 +60,13 @@ struct FsMetrics {
   }
 };
 
+// Whether renders of a file count toward the fs_*_cache_misses_total
+// counters. Every file is kCacheable except /proc/containerleaks, which
+// prints those counters: if rendering it bumped them, two reads of it at
+// one instant would differ (RenderCache.ReadIntoMatchesRead reads every
+// path twice and needs equal bytes).
+enum class CacheMode { kCacheable, kUncacheable };
+
 // The part of a HardwareSpec that decides which paths exist, and the key of
 // the shared file tables. The registration functions below read exactly
 // these fields, so two hosts with equal geometry get equal tables.
@@ -129,14 +136,6 @@ struct PseudoFs::Registry {
 
 PseudoFs::PseudoFs(const kernel::Host& host)
     : host_(&host), registry_(Registry::shared(FsGeometry::of(host.spec()))) {}
-
-void PseudoFs::register_file(std::string path, Generator generator,
-                             CacheMode mode) {
-  // Copy-on-write: other hosts may share the table, so edit a private copy.
-  auto table = std::make_shared<Registry>(*registry_);
-  table->register_file(std::move(path), std::move(generator), mode);
-  registry_ = std::move(table);
-}
 
 const PseudoFs::FileEntry* PseudoFs::find_entry(std::string_view path) const {
   const auto& files = registry_->files;

@@ -47,13 +47,6 @@ namespace cleaks::fs {
 using Generator =
     std::function<void(const RenderContext&, std::string& out)>;
 
-/// Whether renders of a file count toward the fs_*_cache_misses_total
-/// counters. Every file is kCacheable except /proc/containerleaks, which
-/// prints those counters: if rendering it bumped them, two reads of it at
-/// one instant would differ (RenderCache.ReadIntoMatchesRead reads every
-/// path twice and needs equal bytes).
-enum class CacheMode { kCacheable, kUncacheable };
-
 class PseudoFs {
  public:
   /// Mounts the full procfs + sysfs tree for `host`. The host must outlive
@@ -94,25 +87,17 @@ class PseudoFs {
     return rapl_provider_;
   }
 
-  /// Install/remove the scenario's fault injector. Only *container*
-  /// context reads are faulted — the host context is the simulator's
-  /// ground truth (and the scanner's reference side), exactly as a
-  /// tenant-facing EBUSY never rewrites the kernel's own state. Faults
-  /// never affect path existence, so kNotFound classification is stable.
+  /// Install/remove a fault injector, which must stay alive while reads
+  /// can reach it. Only *container* context reads are faulted — the
+  /// host context is the simulator's ground truth (and the scanner's
+  /// reference side), exactly as a tenant-facing EBUSY never rewrites the
+  /// kernel's own state. Faults never affect path existence, so kNotFound
+  /// classification is stable.
   void set_fault_injector(const faults::FaultInjector* injector) noexcept {
     fault_injector_ = injector;
   }
-  [[nodiscard]] const faults::FaultInjector* fault_injector() const noexcept {
-    return fault_injector_;
-  }
 
   [[nodiscard]] const kernel::Host& host() const noexcept { return *host_; }
-
-  /// Register an extra path (used by tests to model future channels).
-  /// Replaces the generator when the path already exists. The change is
-  /// private to this host: it edits a copy of the shared file table.
-  void register_file(std::string path, Generator generator,
-                     CacheMode mode = CacheMode::kCacheable);
 
  private:
   struct FileEntry {

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "util/result.h"
 #include "util/rng.h"
 
 namespace cleaks::hw {
@@ -79,12 +78,6 @@ class RaplDomain {
     return state_.wrap_count;
   }
 
-  /// Fault hook: park the counter one microjoule below the wrap edge so
-  /// the very next charge wraps it. Models the sampling-gap glitch a real
-  /// energy_uj reader sees when its schedule slips past a counter wrap;
-  /// lifetime energy (the physics) is untouched.
-  void force_wrap() noexcept;
-
   /// Direct accumulator access for the idle-coast integrator, which
   /// snapshots the state at a coast anchor and later overwrites it with a
   /// closed-form advance (hw/idle_coast.h).
@@ -128,18 +121,10 @@ class RaplPackage {
 /// Caveat (the §IV sampling-gap hazard): the wrapped counter alone cannot
 /// distinguish a gap spanning k wraps from one spanning k+1 — a sampler
 /// whose interval exceeds range_uj worth of energy silently under-reports
-/// by a multiple of the range. Use rapl_delta_j_checked when an unwrapped
-/// reference is available.
+/// by a multiple of the range. In-container readers have no unwrapped
+/// reference to reconcile against (RaplMonitor discards implausible
+/// deltas instead).
 double rapl_delta_j(std::uint64_t before_uj, std::uint64_t after_uj,
                     std::uint64_t range_uj = RaplDomain::kDefaultRangeUj);
-
-/// Multi-wrap-safe delta: reconstructs the wrap count from `truth_j`, the
-/// unwrapped energy (joules) accumulated across the same gap (e.g. from
-/// RaplDomain::lifetime_energy_j deltas). Returns kOutOfRange when the
-/// wrapped delta cannot be reconciled with the reference — i.e. the
-/// single-wrap assumption (or the reference itself) is broken.
-Result<double> rapl_delta_j_checked(
-    std::uint64_t before_uj, std::uint64_t after_uj, double truth_j,
-    std::uint64_t range_uj = RaplDomain::kDefaultRangeUj);
 
 }  // namespace cleaks::hw

@@ -433,8 +433,7 @@ void Host::run_tick(SimDuration dt) {
   const std::uint64_t ctx_before = sched_.total_context_switches();
   const std::uint64_t mig_before = sched_.total_migrations();
 
-  sched_.tick(tasks_, effective_freq_hz_, dt, perf_, *cgroups_.root(), rng_,
-              /*closed_form_switches=*/true);
+  sched_.tick(tasks_, effective_freq_hz_, dt, perf_, *cgroups_.root(), rng_);
 
   // Charge cgroup accounting from this tick's shares.
   for (const auto& share : sched_.task_shares()) {

@@ -70,10 +70,6 @@ class Host {
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] const hw::HardwareSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] const KernelState& state() const noexcept { return kstate_; }
-  [[nodiscard]] KernelState& mutable_state() noexcept {
-    ++generation_;  // caller may change anything: ends a coast episode
-    return kstate_;
-  }
   [[nodiscard]] const hw::ThermalModel& thermal() const noexcept {
     return thermal_;
   }
@@ -81,10 +77,6 @@ class Host {
     return cpuidle_;
   }
   [[nodiscard]] const std::vector<hw::RaplPackage>& rapl() const noexcept {
-    return rapl_;
-  }
-  [[nodiscard]] std::vector<hw::RaplPackage>& mutable_rapl() noexcept {
-    ++generation_;
     return rapl_;
   }
 
@@ -172,7 +164,7 @@ class Host {
   // next settles it; either way its state is materialised only then.
   //
   // Episodes end only through mutation: every path that can change
-  // eligibility (spawn/kill, cap change, mutable_* accessors) bumps
+  // eligibility (spawn/kill, cap change, mutable_init_ns()) bumps
   // generation_, which coast_active() checks against the anchor.
   // advance() never coasts: only a caller that defers idle time (every
   // cloud::Server's step(), in a facility or standalone) enters the regime.
@@ -350,7 +342,7 @@ class Host {
   double effective_freq_hz_ = 0.0;
   std::uint64_t ticks_run_ = 0;
   /// Bumped by every mutation that can end a coast episode (tick, task
-  /// table change, cap change, mutable_* access); see coast_active().
+  /// table change, cap change, mutable_init_ns()); see coast_active().
   std::uint64_t generation_ = 0;
 };
 

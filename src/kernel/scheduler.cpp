@@ -26,8 +26,7 @@ double Scheduler::effective_duty(const Task& task) noexcept {
 
 void Scheduler::tick(const std::vector<std::shared_ptr<Task>>& tasks,
                      double freq_hz, SimDuration dt, PerfEventSubsystem& perf,
-                     Cgroup& idle_cgroup, Rng& rng,
-                     bool closed_form_switches) {
+                     Cgroup& idle_cgroup, Rng& rng) {
   const double dt_sec = to_seconds(dt);
   // Switches a core with work makes this tick: one per quantum, at least 1.
   const auto quanta = static_cast<std::uint64_t>(
@@ -117,15 +116,11 @@ void Scheduler::tick(const std::vector<std::shared_ptr<Task>>& tasks,
       // prev cycles through the queue, giving task i one switch per
       // s ≡ i (mod n) — i.e. quanta/n each plus one for the first
       // quanta%n tasks. Same integers, no 2·quanta virtual calls.
-      bool closed = closed_form_switches;
-      if (closed) {
-        for (const RunqueueEntry& entry : queue) {
-          if (entry.task->cgroup && entry.task->cgroup->perf.accounting_enabled) {
-            closed = false;
-            break;
-          }
-        }
-      }
+      const bool closed = std::none_of(
+          queue.begin(), queue.end(), [](const RunqueueEntry& entry) {
+            return entry.task->cgroup &&
+                   entry.task->cgroup->perf.accounting_enabled;
+          });
       if (closed) {
         const std::uint64_t n = queue.size();
         const std::uint64_t each = quanta / n;
@@ -150,10 +145,9 @@ void Scheduler::tick(const std::vector<std::shared_ptr<Task>>& tasks,
       // The sleep/wake hook pair no-ops when the task lives in the idle
       // (root) cgroup itself, or when neither side is monitored.
       const bool closed =
-          closed_form_switches &&
-          (task->cgroup.get() == &idle_cgroup ||
-           (!(task->cgroup && task->cgroup->perf.accounting_enabled) &&
-            !idle_cgroup.perf.accounting_enabled));
+          task->cgroup.get() == &idle_cgroup ||
+          (!(task->cgroup && task->cgroup->perf.accounting_enabled) &&
+           !idle_cgroup.perf.accounting_enabled);
       if (closed) {
         task->stats.ctx_switches += quanta;
       } else {

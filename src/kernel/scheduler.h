@@ -39,16 +39,15 @@ class Scheduler {
   /// (the host lowers freq_hz under a RAPL power cap). `idle_cgroup` is the
   /// cgroup the swapper/idle task accounts to (the root cgroup).
   ///
-  /// `closed_form_switches` (Host::run_tick's fast path) replaces the
-  /// per-quantum context-switch loops with equivalent integer arithmetic on
-  /// cores where every involved cgroup is perf-unmonitored — there the
-  /// switch hook is provably a no-op, so per-task ctx_switch counts and the
-  /// facility totals are bitwise identical. Cores touching a monitored
-  /// cgroup always take the per-quantum loop so the PMU save/restore cost
-  /// (Table III) is still paid switch by switch.
+  /// On cores where every involved cgroup is perf-unmonitored the switch
+  /// hook is provably a no-op, so the context switches are counted in
+  /// closed form: per-task ctx_switch counts and the totals equal what the
+  /// per-quantum loop gives. Cores touching a monitored cgroup take the
+  /// per-quantum loop so the PMU save/restore cost (Table III) is still
+  /// paid switch by switch.
   void tick(const std::vector<std::shared_ptr<Task>>& tasks, double freq_hz,
             SimDuration dt, PerfEventSubsystem& perf, Cgroup& idle_cgroup,
-            Rng& rng, bool closed_form_switches = false);
+            Rng& rng);
 
   /// Per-core activity of the last tick.
   [[nodiscard]] const std::vector<hw::TickActivity>& core_activity() const noexcept {

@@ -68,16 +68,6 @@ void SimEngine::build() {
   }
   if (spec_.host_tick != 0) set_host_tick(spec_.host_tick);
 
-  // 1b. Fault injector, before any stepping so warmup reads see the same
-  // schedule as the measured window. Installing it draws no RNG and
-  // renders nothing: an empty plan leaves the world bit-identical.
-  if (!spec_.faults.empty()) {
-    fault_injector_ = std::make_unique<faults::FaultInjector>(spec_.faults);
-    for (int i = 0; i < num_servers(); ++i) {
-      server(i).fs().set_fault_injector(fault_injector_.get());
-    }
-  }
-
   // 2. Warmup (the deduplicated fast-forward; see WarmupSpec).
   if (spec_.warmup) {
     set_host_tick(kWarmupTick);
@@ -269,22 +259,6 @@ void SimEngine::step_fleet(SimDuration dt) {
 }
 
 void SimEngine::step(SimDuration dt) {
-  // Fault boundary first: a forced wrap parks every RAPL counter at the
-  // wrap edge so this step's energy carries it over — the sampling-gap
-  // glitch consumers must survive. Drawn on fault_step_, which (unlike
-  // steps_) never resets, so the schedule is spec-pure.
-  if (fault_injector_ != nullptr &&
-      fault_injector_->rapl_wrap_at_step(fault_step_, now())) {
-    for (int i = 0; i < num_servers(); ++i) {
-      for (auto& pkg : server(i).host().mutable_rapl()) {
-        pkg.package().force_wrap();
-        pkg.core().force_wrap();
-        pkg.dram().force_wrap();
-      }
-    }
-  }
-  ++fault_step_;
-
   // Physics first: the provider's step meters billing around the
   // datacenter step.
   if (provider_) {

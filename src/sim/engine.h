@@ -26,7 +26,6 @@
 #include "cloud/provider.h"
 #include "coresidence/detector.h"
 #include "defense/power_namespace.h"
-#include "faults/injector.h"
 #include "sim/scenario.h"
 
 namespace cleaks::leakage {
@@ -63,12 +62,6 @@ class SimEngine {
   [[nodiscard]] SimTime now() const { return dc_->now(); }
   [[nodiscard]] defense::PowerNamespace* power_namespace() noexcept {
     return power_ns_.get();
-  }
-  /// The scenario's fault injector (nullptr when the plan is empty).
-  /// Installed on every server's pseudo-fs at build; exposed so probes
-  /// (e.g. the defense trainer) can consume the same schedule.
-  [[nodiscard]] const faults::FaultInjector* fault_injector() const noexcept {
-    return fault_injector_.get();
   }
 
   // ---- fleet ----
@@ -190,11 +183,6 @@ class SimEngine {
                  const StepHook& hook);
 
   ScenarioSpec spec_;
-  std::unique_ptr<faults::FaultInjector> fault_injector_;
-  /// Monotonic step index for wrap-force draws: unlike steps_, never reset
-  /// by reset_measurement, so the fault schedule is a pure function of the
-  /// spec and the step sequence.
-  std::uint64_t fault_step_ = 0;
   std::unique_ptr<cloud::Datacenter> dc_;
   std::unique_ptr<cloud::CloudProvider> provider_;
   std::unique_ptr<defense::PowerNamespace> power_ns_;

@@ -63,9 +63,6 @@ void append_spec_json(const ScenarioSpec& spec, obs::JsonWriter& json,
       .field("power_namespace", spec.defense.model.has_value())
       .field("enabled", spec.defense.enable)
       .end_object();
-  if (!spec.faults.empty()) {
-    faults::append_plan_json(spec.faults, json);
-  }
   json.end_object();
 }
 

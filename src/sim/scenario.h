@@ -15,7 +15,6 @@
 #include <string>
 
 #include "attack/strategy.h"
-#include "faults/plan.h"
 #include "cloud/datacenter.h"
 #include "cloud/provider.h"
 #include "container/container.h"
@@ -103,10 +102,6 @@ struct ScenarioSpec {
   std::optional<WarmupSpec> warmup;
   FleetSpec fleet;
   DefenseSpec defense;
-  /// Deterministic fault schedule (empty = no faults injected). Applied to
-  /// every server's pseudo-fs at build; kRaplWrapForce rules fire at step
-  /// boundaries; kPerfDropout is consumed by the defense trainer.
-  faults::FaultPlan faults;
 };
 
 /// Aggregated outcome of a run, serialized through obs::BenchReport.

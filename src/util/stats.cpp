@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 namespace cleaks {
 
@@ -18,24 +17,6 @@ void RunningStats::add(double x) noexcept {
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
   m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 double RunningStats::variance() const noexcept {
@@ -70,35 +51,6 @@ double pearson_correlation(std::span<const double> a, std::span<const double> b)
   return cov / (sa.stddev() * sb.stddev());
 }
 
-namespace {
-
-template <typename Map>
-double entropy_of_counts(const Map& counts, std::size_t total) {
-  if (total == 0) return 0.0;
-  double h = 0.0;
-  for (const auto& [value, count] : counts) {
-    const double p = static_cast<double>(count) / static_cast<double>(total);
-    h -= p * std::log2(p);
-  }
-  return h;
-}
-
-}  // namespace
-
-double shannon_entropy(std::span<const double> samples) {
-  std::unordered_map<double, std::size_t> counts;
-  for (double s : samples) ++counts[s];
-  return entropy_of_counts(counts, samples.size());
-}
-
-double joint_channel_entropy(std::span<const std::vector<double>> fields) {
-  double h = 0.0;
-  for (const auto& field : fields) {
-    h += shannon_entropy(std::span<const double>{field});
-  }
-  return h;
-}
-
 double r_squared(std::span<const double> observed, std::span<const double> predicted) {
   if (observed.size() != predicted.size() || observed.empty()) return 0.0;
   RunningStats so;
@@ -126,7 +78,13 @@ double binned_entropy(std::span<const double> samples, int bins) {
     bin = std::clamp(bin, 0, bins - 1);
     ++counts[bin];
   }
-  return entropy_of_counts(counts, samples.size());
+  const auto total = static_cast<double>(samples.size());
+  double h = 0.0;
+  for (const auto& [bin, count] : counts) {
+    const double p = static_cast<double>(count) / total;
+    h -= p * std::log2(p);
+  }
+  return h;
 }
 
 }  // namespace cleaks

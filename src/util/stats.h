@@ -1,5 +1,6 @@
-// Statistics helpers: running moments, percentiles, histograms, and the
-// joint Shannon entropy used by Table II's channel ranking (Formula 1).
+// Statistics helpers: running moments, percentiles, correlation, and the
+// binned entropy that UvmAnalyzer sums per field for Table II's channel
+// ranking (Formula 1).
 #pragma once
 
 #include <cstddef>
@@ -14,7 +15,6 @@ namespace cleaks {
 class RunningStats {
  public:
   void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
 
   [[nodiscard]] std::size_t count() const noexcept { return count_; }
   [[nodiscard]] double mean() const noexcept { return count_ ? mean_ : 0.0; }
@@ -41,15 +41,6 @@ double percentile(std::span<const double> values, double p);
 /// Returns 0 when either series is constant or lengths mismatch.
 double pearson_correlation(std::span<const double> a, std::span<const double> b);
 
-/// Shannon entropy (bits) of a discrete sample: H = -sum p_j log2 p_j,
-/// where p_j is the empirical frequency of each distinct value.
-double shannon_entropy(std::span<const double> samples);
-
-/// Joint entropy of a channel per Formula (1) of the paper: the channel is a
-/// tuple of independent data fields X_1..X_n; the joint entropy is the sum of
-/// the per-field entropies. `fields[i]` is the sample vector for field X_i.
-double joint_channel_entropy(std::span<const std::vector<double>> fields);
-
 /// Coefficient of determination R^2 between observations and predictions.
 double r_squared(std::span<const double> observed, std::span<const double> predicted);
 
@@ -57,24 +48,5 @@ double r_squared(std::span<const double> observed, std::span<const double> predi
 /// quantizes samples into `bins` equal bins over [min,max] and returns the
 /// entropy of the quantized distribution.
 double binned_entropy(std::span<const double> samples, int bins);
-
-/// Exponentially-weighted moving average, as used by the kernel loadavg.
-class Ewma {
- public:
-  /// `alpha` is the weight of the new observation (0 < alpha <= 1).
-  explicit Ewma(double alpha) : alpha_(alpha) {}
-
-  double update(double x) noexcept {
-    value_ = initialized_ ? alpha_ * x + (1.0 - alpha_) * value_ : x;
-    initialized_ = true;
-    return value_;
-  }
-  [[nodiscard]] double value() const noexcept { return value_; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool initialized_ = false;
-};
 
 }  // namespace cleaks

@@ -38,16 +38,6 @@ std::vector<std::string> split_lines(std::string_view text) {
   return split(text, '\n');
 }
 
-std::string_view trim(std::string_view text) {
-  while (!text.empty() && std::isspace(static_cast<unsigned char>(text.front()))) {
-    text.remove_prefix(1);
-  }
-  while (!text.empty() && std::isspace(static_cast<unsigned char>(text.back()))) {
-    text.remove_suffix(1);
-  }
-  return text;
-}
-
 bool starts_with(std::string_view text, std::string_view prefix) {
   return text.substr(0, prefix.size()) == prefix;
 }
@@ -125,24 +115,6 @@ double parse_first_double(std::string_view text, double fallback) {
   return fallback;
 }
 
-std::vector<long long> extract_ints(std::string_view text) {
-  std::vector<long long> out;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    const bool neg = text[i] == '-' && i + 1 < text.size() &&
-                     std::isdigit(static_cast<unsigned char>(text[i + 1]));
-    if (neg || std::isdigit(static_cast<unsigned char>(text[i]))) {
-      char* end = nullptr;
-      const std::string token(text.substr(i));
-      out.push_back(std::strtoll(token.c_str(), &end, 10));
-      i += static_cast<std::size_t>(end - token.c_str());
-    } else {
-      ++i;
-    }
-  }
-  return out;
-}
-
 std::vector<double> extract_numbers(std::string_view text) {
   std::vector<double> out;
   std::size_t i = 0;
@@ -198,15 +170,6 @@ bool glob_match_impl(std::string_view pattern, std::string_view path) {
 
 bool glob_match(std::string_view pattern, std::string_view path) {
   return glob_match_impl(pattern, path);
-}
-
-std::string join(const std::vector<std::string>& items, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i) out += sep;
-    out += items[i];
-  }
-  return out;
 }
 
 }  // namespace cleaks

@@ -1,4 +1,4 @@
-// Small string utilities shared across modules: splitting/trimming for the
+// Small string utilities shared across modules: splitting for the
 // differential analyzer, printf-style formatting for pseudo-file rendering,
 // and glob matching for masking policies.
 #pragma once
@@ -21,8 +21,6 @@ std::vector<std::string> split_whitespace(std::string_view text);
 /// empty line.
 std::vector<std::string> split_lines(std::string_view text);
 
-std::string_view trim(std::string_view text);
-
 bool starts_with(std::string_view text, std::string_view prefix);
 bool contains(std::string_view text, std::string_view needle);
 
@@ -42,9 +40,6 @@ void strappendf(std::string& out, const char* fmt, ...)
 long long parse_first_int(std::string_view text, long long fallback = 0);
 double parse_first_double(std::string_view text, double fallback = 0.0);
 
-/// Extract every integer appearing in `text`, in order. Useful for
-/// field-wise differential analysis of procfs content.
-std::vector<long long> extract_ints(std::string_view text);
 /// Extract every number (int or float) appearing in `text`, in order.
 std::vector<double> extract_numbers(std::string_view text);
 
@@ -53,8 +48,5 @@ std::vector<double> extract_numbers(std::string_view text);
 ///   '**' matches any run of characters including '/',
 ///   '?'  matches a single non-'/' character.
 bool glob_match(std::string_view pattern, std::string_view path);
-
-/// Join items with a separator.
-std::string join(const std::vector<std::string>& items, std::string_view sep);
 
 }  // namespace cleaks

@@ -48,33 +48,6 @@ std::string TablePrinter::to_string() const {
   return out;
 }
 
-std::string TablePrinter::to_csv() const {
-  auto escape = [](const std::string& cell) {
-    if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-    std::string quoted = "\"";
-    for (char ch : cell) {
-      if (ch == '"') quoted += '"';
-      quoted += ch;
-    }
-    quoted += '"';
-    return quoted;
-  };
-  std::string out;
-  for (std::size_t c = 0; c < headers_.size(); ++c) {
-    if (c) out += ',';
-    out += escape(headers_[c]);
-  }
-  out += '\n';
-  for (const auto& row : rows_) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) out += ',';
-      out += escape(row[c]);
-    }
-    out += '\n';
-  }
-  return out;
-}
-
 void TablePrinter::print(std::ostream& os) const { os << to_string(); }
 
 std::string fixed(double value, int decimals) {

@@ -1,4 +1,4 @@
-// Plain-text table and CSV emission for the benchmark harness. Every bench
+// Plain-text table emission for the benchmark harness. Every bench
 // prints the rows/series its paper table or figure reports; TablePrinter
 // keeps that output aligned and diff-friendly.
 #pragma once
@@ -18,12 +18,8 @@ class TablePrinter {
 
   /// Render with aligned columns and a header separator.
   [[nodiscard]] std::string to_string() const;
-  /// Render as CSV (quoted only when needed).
-  [[nodiscard]] std::string to_csv() const;
 
   void print(std::ostream& os) const;
-
-  [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
 
  private:
   std::vector<std::string> headers_;

@@ -1,6 +1,5 @@
 // Tests for the discussion/extension features: the no-RAPL attack path
-// (§VII-A utilization monitor), the power-budget enforcer (§V-B's
-// throttling application) and the thermal covert channel.
+// (§VII-A utilization monitor) and the thermal covert channel.
 #include <gtest/gtest.h>
 
 #include "containerleaks.h"
@@ -81,122 +80,6 @@ TEST(UtilizationMonitor, RestrictedStatShowsOnlyTenantCores) {
   const auto during = monitor.sample_utilization(5 * kSecond);
   ASSERT_TRUE(during.has_value());
   EXPECT_LT(*during, *before + 0.1);  // surge invisible through CC5's view
-}
-
-// ---------- PowerBudgetEnforcer ----------
-
-struct BudgetFixture {
-  BudgetFixture()
-      : server("budget", cloud::local_testbed(), 8),
-        power_ns(server.runtime(),
-                 defense::train_default_model(881).value()) {
-    server.host().set_tick_duration(100 * kMillisecond);
-    container::ContainerConfig config;
-    config.num_cpus = 4;
-    hungry = server.runtime().create(config);
-    modest = server.runtime().create(config);
-    power_ns.enable();
-    server.step(2 * kSecond);
-  }
-
-  cloud::Server server;
-  defense::PowerNamespace power_ns;
-  std::shared_ptr<container::Container> hungry, modest;
-};
-
-TEST(PowerBudget, ThrottlesOverBudgetContainer) {
-  BudgetFixture fixture;
-  defense::BudgetPolicy policy;
-  policy.default_budget_w = 15.0;
-  defense::PowerBudgetEnforcer enforcer(fixture.server.runtime(),
-                                        fixture.power_ns, policy);
-  auto virus = workload::power_virus();
-  for (int copy = 0; copy < 4; ++copy) {
-    fixture.hungry->run("burner", virus.behavior);
-  }
-  for (int second = 0; second < 30; ++second) {
-    fixture.server.step(kSecond);
-    // Touch the read path so the namespace refreshes its per-container
-    // power estimates, then run the control loop.
-    (void)fixture.hungry->read_file(
-        "/sys/class/powercap/intel-rapl:0/energy_uj");
-    enforcer.step();
-  }
-  EXPECT_TRUE(enforcer.is_throttled(fixture.hungry->id()));
-  EXPECT_FALSE(enforcer.is_throttled(fixture.modest->id()));
-  EXPECT_LT(fixture.hungry->cgroup()->cpu_quota, 1.0);
-  EXPECT_GT(fixture.hungry->cgroup()->cpu_quota, 0.0);
-}
-
-TEST(PowerBudget, ThrottlingActuallyReducesPower) {
-  BudgetFixture fixture;
-  auto virus = workload::power_virus();
-  for (int copy = 0; copy < 4; ++copy) {
-    fixture.hungry->run("burner", virus.behavior);
-  }
-  fixture.server.step(5 * kSecond);
-  const double before_w = fixture.server.host().last_tick_power_w();
-
-  defense::BudgetPolicy policy;
-  policy.default_budget_w = 12.0;
-  defense::PowerBudgetEnforcer enforcer(fixture.server.runtime(),
-                                        fixture.power_ns, policy);
-  for (int second = 0; second < 60; ++second) {
-    fixture.server.step(kSecond);
-    (void)fixture.hungry->read_file(
-        "/sys/class/powercap/intel-rapl:0/energy_uj");
-    enforcer.step();
-  }
-  EXPECT_LT(fixture.server.host().last_tick_power_w(), before_w * 0.75);
-}
-
-TEST(PowerBudget, QuotaRecoversWhenLoadStops) {
-  BudgetFixture fixture;
-  defense::BudgetPolicy policy;
-  policy.default_budget_w = 15.0;
-  defense::PowerBudgetEnforcer enforcer(fixture.server.runtime(),
-                                        fixture.power_ns, policy);
-  auto virus = workload::power_virus();
-  std::vector<kernel::HostPid> pids;
-  for (int copy = 0; copy < 4; ++copy) {
-    pids.push_back(fixture.hungry->run("burner", virus.behavior)->host_pid);
-  }
-  for (int second = 0; second < 30; ++second) {
-    fixture.server.step(kSecond);
-    (void)fixture.hungry->read_file(
-        "/sys/class/powercap/intel-rapl:0/energy_uj");
-    enforcer.step();
-  }
-  ASSERT_TRUE(enforcer.is_throttled(fixture.hungry->id()));
-  for (auto pid : pids) fixture.hungry->kill(pid);
-  for (int second = 0; second < 60; ++second) {
-    fixture.server.step(kSecond);
-    (void)fixture.hungry->read_file(
-        "/sys/class/powercap/intel-rapl:0/energy_uj");
-    enforcer.step();
-  }
-  EXPECT_FALSE(enforcer.is_throttled(fixture.hungry->id()));
-  EXPECT_DOUBLE_EQ(fixture.hungry->cgroup()->cpu_quota, -1.0);
-}
-
-TEST(PowerBudget, PerContainerBudgetsRespected) {
-  BudgetFixture fixture;
-  defense::BudgetPolicy policy;
-  policy.default_budget_w = 15.0;
-  defense::PowerBudgetEnforcer enforcer(fixture.server.runtime(),
-                                        fixture.power_ns, policy);
-  enforcer.set_budget_w(fixture.hungry->id(), 500.0);  // generous override
-  auto virus = workload::power_virus();
-  for (int copy = 0; copy < 4; ++copy) {
-    fixture.hungry->run("burner", virus.behavior);
-  }
-  for (int second = 0; second < 30; ++second) {
-    fixture.server.step(kSecond);
-    (void)fixture.hungry->read_file(
-        "/sys/class/powercap/intel-rapl:0/energy_uj");
-    enforcer.step();
-  }
-  EXPECT_FALSE(enforcer.is_throttled(fixture.hungry->id()));
 }
 
 // ---------- ThermalSignalDetector ----------

@@ -1,7 +1,6 @@
-// Tests for the fault-injection subsystem (src/faults): plan defaults and
-// kind names, the pure-draw determinism contract, graceful degradation in
-// the scanner / monitor / trainer, and the cross-lane digest of a fully
-// faulted scan.
+// Tests for the fault-injection subsystem (src/faults): plan defaults, the
+// pure-draw determinism contract, graceful degradation in the scanner and
+// the RAPL monitor, and the cross-lane digest of a fully faulted scan.
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -12,12 +11,10 @@
 
 #include "attack/monitor.h"
 #include "cloud/server.h"
-#include "defense/trainer.h"
 #include "faults/injector.h"
 #include "faults/plan.h"
 #include "leakage/detector.h"
 #include "obs/metrics.h"
-#include "sim/engine.h"
 #include "util/fnv.h"
 
 namespace cleaks::faults {
@@ -25,49 +22,16 @@ namespace {
 
 TEST(FaultPlanTest, DefaultsMatchDocumentedContract) {
   FaultRule rule;
-  EXPECT_EQ(rule.kind, FaultKind::kTransientUnavailable);
   EXPECT_EQ(rule.path_glob, "**");
   EXPECT_DOUBLE_EQ(rule.rate, 1.0);
   EXPECT_EQ(rule.period, 2 * kSecond);
   EXPECT_EQ(rule.duration, 200 * kMillisecond);
-  EXPECT_EQ(rule.start, 0);
-  EXPECT_EQ(rule.end, 0);
-  EXPECT_DOUBLE_EQ(rule.scale, 0.0);
 
   FaultPlan plan;
   EXPECT_EQ(plan.seed, 0u);
   EXPECT_TRUE(plan.empty());
   plan.rules.push_back(rule);
   EXPECT_FALSE(plan.empty());
-}
-
-TEST(FaultPlanTest, KindStringsNameEachKind) {
-  // The names append_plan_json writes into spec envelopes.
-  EXPECT_EQ(to_string(FaultKind::kTransientUnavailable),
-            "transient-unavailable");
-  EXPECT_EQ(to_string(FaultKind::kPermanentDeny), "permanent-deny");
-  EXPECT_EQ(to_string(FaultKind::kRaplWrapForce), "rapl-wrap-force");
-  EXPECT_EQ(to_string(FaultKind::kPerfDropout), "perf-dropout");
-}
-
-FaultPlan sample_plan() {
-  FaultPlan plan;
-  plan.seed = 99;
-  FaultRule transient;
-  transient.kind = FaultKind::kTransientUnavailable;
-  transient.path_glob = "/proc/**";
-  transient.rate = 0.25;
-  transient.period = 3 * kSecond;
-  transient.duration = 150 * kMillisecond;
-  transient.start = kSecond;
-  transient.end = kMinute;
-  plan.rules.push_back(transient);
-  FaultRule dropout;
-  dropout.kind = FaultKind::kPerfDropout;
-  dropout.rate = 0.5;
-  dropout.scale = 0.75;
-  plan.rules.push_back(dropout);
-  return plan;
 }
 
 // ---------- injector semantics ----------
@@ -111,66 +75,6 @@ TEST(FaultInjectorTest, QueriesArePureFunctions) {
   // rate 0.5 over 200 windows: both extremes would mean a broken draw.
   EXPECT_GT(faulted, 50);
   EXPECT_LT(faulted, 150);
-}
-
-TEST(FaultInjectorTest, PermanentDenyFlipsAtStart) {
-  FaultPlan plan;
-  FaultRule rule;
-  rule.kind = FaultKind::kPermanentDeny;
-  rule.path_glob = "/sys/class/powercap/**";
-  rule.start = kMinute;
-  plan.rules.push_back(rule);
-  const FaultInjector injector(plan);
-  const std::string path = "/sys/class/powercap/intel-rapl:0/energy_uj";
-  EXPECT_EQ(injector.read_fault(path, 0), StatusCode::kOk);
-  EXPECT_EQ(injector.read_fault(path, kMinute),
-            StatusCode::kPermissionDenied);
-  EXPECT_EQ(injector.read_fault(path, kHour),
-            StatusCode::kPermissionDenied);
-}
-
-TEST(FaultInjectorTest, EndBoundsARule) {
-  FaultPlan plan;
-  FaultRule rule;
-  rule.end = kSecond;  // covers window 0 only
-  plan.rules.push_back(rule);
-  const FaultInjector injector(plan);
-  EXPECT_EQ(injector.read_fault("/proc/stat", 0), StatusCode::kUnavailable);
-  EXPECT_EQ(injector.read_fault("/proc/stat", 2 * kSecond),
-            StatusCode::kOk);
-}
-
-TEST(FaultInjectorTest, RaplWrapKeyedOnStepIndex) {
-  FaultPlan plan;
-  FaultRule rule;
-  rule.kind = FaultKind::kRaplWrapForce;
-  rule.rate = 0.3;
-  plan.rules.push_back(rule);
-  const FaultInjector injector(plan);
-  int fired = 0;
-  for (std::uint64_t step = 0; step < 100; ++step) {
-    const bool wrap = injector.rapl_wrap_at_step(step, step * kSecond);
-    EXPECT_EQ(injector.rapl_wrap_at_step(step, step * kSecond), wrap);
-    if (wrap) ++fired;
-  }
-  EXPECT_GT(fired, 5);
-  EXPECT_LT(fired, 70);
-}
-
-TEST(FaultInjectorTest, PerfRetentionTakesTheWorstDropout) {
-  FaultPlan plan;
-  FaultRule mild;
-  mild.kind = FaultKind::kPerfDropout;
-  mild.scale = 0.75;
-  FaultRule harsh;
-  harsh.kind = FaultKind::kPerfDropout;
-  harsh.scale = 0.25;
-  plan.rules.push_back(mild);
-  plan.rules.push_back(harsh);
-  const FaultInjector injector(plan);
-  EXPECT_DOUBLE_EQ(injector.perf_retention(kSecond), 0.25);
-  // An empty plan keeps every window.
-  EXPECT_DOUBLE_EQ(FaultInjector(FaultPlan{}).perf_retention(kSecond), 1.0);
 }
 
 // ---------- scanner degradation ----------
@@ -361,95 +265,6 @@ TEST(MonitorUnderFaultsTest, ImplausibleDeltaIsHeldAsWrapGlitch) {
   const auto fresh = monitor.sample_w(2 * kSecond);
   ASSERT_TRUE(fresh.has_value());
   EXPECT_FALSE(monitor.degraded());
-}
-
-// ---------- trainer degradation ----------
-
-TEST(TrainerUnderFaultsTest, PoisonedCalibrationWindowsAreSkipped) {
-  FaultPlan plan;
-  FaultRule rule;
-  rule.kind = FaultKind::kPerfDropout;
-  rule.rate = 1.0;
-  rule.scale = 0.5;
-  plan.rules.push_back(rule);
-  const FaultInjector injector(plan);
-
-  defense::TrainerOptions options;
-  options.duty_levels = {1.0};
-  options.copies = 1;
-  options.samples_per_level = 3;
-  const std::vector<workload::Profile> profiles = {workload::power_virus()};
-
-  kernel::Host clean_host("trainer-clean", hw::testbed_i7_6700(), 5);
-  clean_host.set_tick_duration(100 * kMillisecond);
-  const auto clean = defense::collect_training_samples(
-      clean_host, profiles, options);
-  EXPECT_EQ(clean.size(), 3u);
-
-  options.faults = &injector;
-  kernel::Host faulted_host("trainer-faulted", hw::testbed_i7_6700(), 5);
-  faulted_host.set_tick_duration(100 * kMillisecond);
-  auto& skipped = obs::Registry::global().counter(
-      "defense_training_samples_skipped_total", "");
-  const std::uint64_t skipped_before = skipped.value();
-  const auto poisoned = defense::collect_training_samples(
-      faulted_host, profiles, options);
-  // rate 1.0 dropout: every window is poisoned; none may be scaled in.
-  EXPECT_TRUE(poisoned.empty());
-  EXPECT_EQ(skipped.value(), skipped_before + 3);
-}
-
-// ---------- engine wiring ----------
-
-// One pinned testbed host: a 1x1 facility with no benign load.
-sim::ScenarioSpec testbed_spec() {
-  sim::ScenarioSpec spec;
-  spec.datacenter.servers_per_rack = 1;
-  spec.datacenter.benign_load = false;
-  spec.datacenter.profile = cloud::local_testbed();
-  spec.datacenter.pinned_host = cloud::PinnedHost{};
-  return spec;
-}
-
-TEST(EngineFaultsTest, SpecJsonCarriesThePlan) {
-  sim::ScenarioSpec spec = testbed_spec();
-  spec.faults = sample_plan();
-  obs::JsonWriter json;
-  sim::append_spec_json(spec, json);
-  json.end_object();
-  const std::string& doc = json.str();
-  EXPECT_NE(doc.find("\"faults\""), std::string::npos);
-  EXPECT_NE(doc.find("\"transient-unavailable\""), std::string::npos);
-  EXPECT_NE(doc.find("\"perf-dropout\""), std::string::npos);
-  // An empty plan stays out of the document entirely.
-  obs::JsonWriter clean;
-  sim::append_spec_json(sim::ScenarioSpec{}, clean);
-  clean.end_object();
-  EXPECT_EQ(clean.str().find("\"faults\""), std::string::npos);
-}
-
-TEST(EngineFaultsTest, WrapForceParksCountersAtStepBoundaries) {
-  sim::ScenarioSpec spec = testbed_spec();
-  FaultRule rule;
-  rule.kind = FaultKind::kRaplWrapForce;
-  rule.rate = 1.0;
-  spec.faults.rules.push_back(rule);
-  sim::SimEngine engine(spec);
-  ASSERT_NE(engine.fault_injector(), nullptr);
-  engine.run_steps(5, kSecond);
-  const auto& rapl = engine.server(0).host().rapl();
-  ASSERT_FALSE(rapl.empty());
-  // Every step parked the counters one microjoule from the wrap edge, so
-  // each tick's energy wraps them: one wrap per step, and the lifetime
-  // accumulators (physics) keep flowing through untouched.
-  EXPECT_GE(rapl.front().package().wrap_count(), 5u);
-  EXPECT_GT(rapl.front().package().lifetime_energy_j(), 0.0);
-}
-
-TEST(EngineFaultsTest, EmptyPlanBuildsNoInjector) {
-  sim::ScenarioSpec spec = testbed_spec();
-  sim::SimEngine engine(spec);
-  EXPECT_EQ(engine.fault_injector(), nullptr);
 }
 
 }  // namespace

@@ -119,14 +119,6 @@ TEST(PseudoFs, DenyPolicyOnlyAffectsContainers) {
   EXPECT_TRUE(filesystem.read("/proc/uptime", host_ctx).is_ok());
 }
 
-TEST(PseudoFs, RegisterExtraFile) {
-  Fixture fixture;
-  fixture.filesystem.register_file(
-      "/proc/custom",
-      [](const RenderContext&, std::string& out) { out += "hello\n"; });
-  EXPECT_EQ(fixture.probe->read_file("/proc/custom").value(), "hello\n");
-}
-
 // ---------- shared file tables ----------
 
 // Path sets recorded when every host still built its own table: one
@@ -152,28 +144,6 @@ TEST(PseudoFs, SharedRegistryMatchesRecordedPathSets) {
     EXPECT_EQ(paths.size(), recorded->paths) << recorded->profile.name;
     EXPECT_EQ(digest.hash, recorded->digest) << recorded->profile.name;
   }
-}
-
-TEST(PseudoFs, RegisterFileIsPrivateToItsHost) {
-  cloud::Server a("server-a", cloud::cc1(), 1, kDay);
-  cloud::Server b("server-b", cloud::cc1(), 2, kDay);
-  const ViewContext host_ctx;
-  const std::string b_uptime = b.fs().read("/proc/uptime", host_ctx).value();
-  const std::vector<std::string> b_paths = b.fs().list_paths();
-
-  a.fs().register_file(
-      "/proc/custom",
-      [](const RenderContext&, std::string& out) { out += "custom\n"; });
-  a.fs().register_file(
-      "/proc/uptime",
-      [](const RenderContext&, std::string& out) { out += "replaced\n"; });
-  EXPECT_EQ(a.fs().read("/proc/custom", host_ctx).value(), "custom\n");
-  EXPECT_EQ(a.fs().read("/proc/uptime", host_ctx).value(), "replaced\n");
-
-  EXPECT_EQ(b.fs().read("/proc/custom", host_ctx).code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(b.fs().read("/proc/uptime", host_ctx).value(), b_uptime);
-  EXPECT_EQ(b.fs().list_paths(), b_paths);
 }
 
 // ---------- leaking generators: container view == host view ----------

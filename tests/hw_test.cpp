@@ -43,44 +43,13 @@ TEST(Rapl, DeltaHandlesWraparound) {
   EXPECT_DOUBLE_EQ(rapl_delta_j(900, 100, 1000), 200e-6);  // wrapped once
 }
 
-// Regression: rapl_delta_j can only ever reconstruct a single wrap. Two
-// wraps inside one sampling gap alias to the same wrapped delta, so the
-// raw helper under-reports by a full range — exactly the bug the checked
-// variant exists to catch.
+// The §IV sampling-gap hazard: rapl_delta_j can only ever reconstruct a
+// single wrap. Two wraps inside one sampling gap alias to the same wrapped
+// delta, so the helper under-reports by a full range.
 TEST(Rapl, DeltaUnderReportsMultipleWraps) {
   // True consumption 2200 uJ over a 1000 uJ range: 900 -> 100 with two
   // extra full wraps in between looks identical to the single-wrap case.
   EXPECT_DOUBLE_EQ(rapl_delta_j(900, 100, 1000), 200e-6);
-  const auto checked = rapl_delta_j_checked(900, 100, 2200e-6, 1000);
-  ASSERT_TRUE(checked.is_ok());
-  EXPECT_DOUBLE_EQ(checked.value(), 2200e-6);
-}
-
-TEST(Rapl, CheckedDeltaAgreesWithRawOnSingleWrap) {
-  const auto no_wrap = rapl_delta_j_checked(100, 300, 200e-6, 1000);
-  ASSERT_TRUE(no_wrap.is_ok());
-  EXPECT_DOUBLE_EQ(no_wrap.value(), 200e-6);
-  const auto one_wrap = rapl_delta_j_checked(900, 100, 200e-6, 1000);
-  ASSERT_TRUE(one_wrap.is_ok());
-  EXPECT_DOUBLE_EQ(one_wrap.value(), 200e-6);
-}
-
-TEST(Rapl, CheckedDeltaRejectsIrreconcilableSamples) {
-  // The unwrapped reference must lie within tolerance of *some* wrap
-  // count; a reference below the wrapped delta has no such count...
-  EXPECT_TRUE(rapl_delta_j_checked(100, 900, 100e-6, 1000)
-                  .status()
-                  .Matches(StatusCode::kOutOfRange));
-  // ...and one between wrap counts means a corrupted sample.
-  EXPECT_TRUE(rapl_delta_j_checked(100, 300, 700e-6, 1000)
-                  .status()
-                  .Matches(StatusCode::kOutOfRange));
-  EXPECT_TRUE(rapl_delta_j_checked(100, 300, -1.0, 1000)
-                  .status()
-                  .Matches(StatusCode::kOutOfRange));
-  EXPECT_TRUE(rapl_delta_j_checked(100, 300, 200e-6, 0)
-                  .status()
-                  .Matches(StatusCode::kInvalidArgument));
 }
 
 TEST(Rapl, WrapCountTracksEveryWrap) {
@@ -91,20 +60,6 @@ TEST(Rapl, WrapCountTracksEveryWrap) {
   EXPECT_EQ(domain.wrap_count(), 3u);
   domain.add_energy_j(0.0006);  // 500 + 600 crosses once more
   EXPECT_EQ(domain.wrap_count(), 4u);
-}
-
-TEST(Rapl, ForceWrapParksCounterAtTheEdge) {
-  RaplDomain domain(RaplDomainKind::kCore, /*range_uj=*/1000);
-  domain.add_energy_j(0.0001);  // 100 uJ
-  domain.force_wrap();
-  EXPECT_EQ(domain.energy_uj(), 999u);
-  // The park is a reader-visible glitch, not physics: lifetime energy is
-  // untouched, and the next microjoule wraps the counter.
-  EXPECT_DOUBLE_EQ(domain.lifetime_energy_j(), 0.0001);
-  const std::uint64_t wraps_before = domain.wrap_count();
-  domain.add_energy_j(2e-6);
-  EXPECT_EQ(domain.wrap_count(), wraps_before + 1);
-  EXPECT_EQ(domain.energy_uj(), 1u);
 }
 
 TEST(Rapl, PackageHierarchy) {

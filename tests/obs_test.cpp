@@ -15,7 +15,7 @@
 
 #include "cloud/profiles.h"
 #include "cloud/server.h"
-#include "faults/plan.h"
+#include "faults/injector.h"
 #include "leakage/detector.h"
 #include "obs/events.h"
 #include "obs/export.h"
@@ -410,15 +410,22 @@ sim::ScenarioSpec faulted_facility(int lanes) {
   spec.fleet.count = 2;
   spec.fleet.monitors = true;
   spec.fleet.control = sim::FleetSpec::Control::kMonitor;
+  return spec;
+}
+
+// Transient EBUSY windows over every path. No build step reads a covered
+// path, so installing the injector after the build sees the same faults
+// as installing it before.
+faults::FaultPlan facility_faults() {
+  faults::FaultPlan plan;
+  plan.seed = 12;
   faults::FaultRule rule;
-  rule.kind = faults::FaultKind::kTransientUnavailable;
   rule.path_glob = "**";
   rule.rate = 0.5;
   rule.period = 2 * kSecond;
   rule.duration = 500 * kMillisecond;
-  spec.faults.seed = 12;
-  spec.faults.rules.push_back(rule);
-  return spec;
+  plan.rules.push_back(rule);
+  return plan;
 }
 
 struct StreamRun {
@@ -436,7 +443,12 @@ StreamRun run_faulted_facility(int lanes, bool with_stream) {
   // Enable before construction so build-time producers (provider
   // launches, cgroup setup) land in the stream's first drained batch.
   if (with_stream) bus.set_enabled(true);
+  // Declared first so it outlives the servers it is installed on.
+  const faults::FaultInjector injector(facility_faults());
   sim::SimEngine engine(faulted_facility(lanes));
+  for (int i = 0; i < engine.num_servers(); ++i) {
+    engine.server(i).fs().set_fault_injector(&injector);
+  }
   if (with_stream) engine.enable_event_stream();
   engine.run_steps(200, kSecond);
   StreamRun run;

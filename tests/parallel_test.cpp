@@ -304,19 +304,6 @@ TEST(RenderCache, TaskTableChangeInvalidates) {
   EXPECT_NE(before.value(), after.value());
 }
 
-TEST(RenderCache, RegisterFileReplacesCachedBytes) {
-  cloud::Server server("cache-host", cloud::local_testbed(), 5, kDay);
-  const fs::ViewContext host_ctx{};
-  server.fs().register_file(
-      "/proc/custom",
-      [](const fs::RenderContext&, std::string& out) { out += "v1\n"; });
-  EXPECT_EQ(server.fs().read("/proc/custom", host_ctx).value(), "v1\n");
-  server.fs().register_file(
-      "/proc/custom",
-      [](const fs::RenderContext&, std::string& out) { out += "v2\n"; });
-  EXPECT_EQ(server.fs().read("/proc/custom", host_ctx).value(), "v2\n");
-}
-
 TEST(RenderCache, ConcurrentReadersEachRender) {
   cloud::Server server("cache-host", cloud::local_testbed(), 5, kDay);
   const fs::PseudoFs& pseudo = server.fs();  // settle the host up front

@@ -132,13 +132,11 @@ TEST(CoastEquivalence, ArbitrarySplitsOfTheIntervalAreInvariant) {
 }
 
 TEST(CoastEquivalence, MutationMidIntervalSplitsTheEpisodeIdentically) {
-  // A forced RAPL wrap (the fault injector's step-boundary glitch) plus a
-  // spawn/kill pair end the episode on both hosts at the same instant; the
-  // re-anchored second half must still land on identical bits.
+  // A spawn/kill pair ends the episode on both hosts at the same instant;
+  // the re-anchored second half must still land on identical bits.
   auto dense = make_idle_host();
   auto sparse = make_idle_host();
   auto mutate = [](kernel::Host& host) {
-    for (auto& pkg : host.mutable_rapl()) pkg.package().force_wrap();
     kernel::Host::SpawnOptions options;
     options.comm = "blip";
     options.behavior.duty_cycle = 0.5;
