@@ -1,7 +1,8 @@
 // Overhead budget of the event bus on the step hot path: a 16-server
 // facility stepped 120 s on a single lane with the bus disabled (one
 // relaxed load per would-be emission) versus enabled with no consumer
-// (every Host emits its 4 per-tick events into the rings). The enabled
+// (every Host emits its 4 per-tick events into its lane's buffer, which
+// grows until the drain after the timed loop empties it). The enabled
 // path must keep >= 95% of the disabled throughput, and both modes must
 // produce the bitwise-identical power trace — telemetry observes the sim,
 // never perturbs it. Timing runs a fixed number of interleaved A/B rounds
@@ -66,8 +67,9 @@ cloud::DatacenterConfig facility() {
   config.rack_breaker.rated_w = 8000.0;
   config.rack_power_cap_w = 6500.0;
   config.seed = 11;
-  // Single lane: pure per-step emission cost, and ring wraps (if the
-  // capacity were ever tiny) stay deterministic — see obs/events.h.
+  // Single lane: pure per-step emission cost, and a full lane (if the
+  // run ever outgrew it) would drop the same events every run — see
+  // obs/events.h.
   config.num_threads = 1;
   return config;
 }
@@ -86,7 +88,7 @@ struct ModeRun {
 
 ModeRun run_mode(bool bus_enabled) {
   auto& bus = obs::EventBus::global();
-  (void)bus.drain();  // start from empty rings
+  (void)bus.drain();  // start from empty lanes
   bus.set_enabled(bus_enabled);
   cloud::Datacenter dc(facility());
   Fnv64 digest;
@@ -165,8 +167,8 @@ bool write_sample_artifacts(obs::JsonWriter& json) {
 int main() {
   std::printf("== event stream throughput (16 servers, %d s, 1 lane) ==\n",
               kSteps);
-  // No consumer runs during the timed loop; the default per-lane ring
-  // (65536) comfortably holds the whole run's 7 680 events.
+  // No consumer runs during the timed loop; one lane holds up to
+  // EventBus::kCapacity (65536) events, far more than the run's 7 680.
   constexpr double kMinRatio = CLEAKS_INSTRUMENTED_BUILD ? 0.0 : 0.95;
   constexpr int kRounds = 21;  // odd: the median is one round's ratio
   if (CLEAKS_INSTRUMENTED_BUILD) {

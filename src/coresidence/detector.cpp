@@ -13,6 +13,17 @@ namespace {
 constexpr const char* kRaplEnergyPath =
     "/sys/class/powercap/intel-rapl:0/energy_uj";
 
+// Simultaneous uptime reads on one host agree within this many seconds,
+// and their idle times within 32 times as much.
+constexpr double kUptimeToleranceS = 1.5;
+// MemFree trace: one sample per second, and the correlation that calls
+// two traces one host.
+constexpr int kMemTraceSamples = 60;
+constexpr double kMemTraceMinCorrelation = 0.98;
+// Covert-signal preamble lengths, in bits.
+constexpr int kThermalSignalBits = 5;
+constexpr int kPowerSignalBits = 8;
+
 /// Read a path from both containers; returns false if either read failed
 /// (masked channel, missing hardware) — detectors then answer inconclusive.
 bool read_pair(container::Container& a, container::Container& b,
@@ -142,9 +153,9 @@ Verdict UptimeDetector::verify(container::Container& a,
   // Same host: both fields coincide (reads are simultaneous). Different
   // hosts: uptimes differ by hours-to-weeks. §IV-C: similar up time with
   // different idle time = different machines installed together.
-  const bool same_up = std::fabs(nums_a[0] - nums_b[0]) <= tolerance_s_;
+  const bool same_up = std::fabs(nums_a[0] - nums_b[0]) <= kUptimeToleranceS;
   const bool same_idle =
-      std::fabs(nums_a[1] - nums_b[1]) <= tolerance_s_ * 32.0;
+      std::fabs(nums_a[1] - nums_b[1]) <= kUptimeToleranceS * 32.0;
   return same_up && same_idle ? Verdict::kCoResident
                               : Verdict::kNotCoResident;
 }
@@ -174,12 +185,16 @@ Verdict EnergyCounterDetector::verify(container::Container& a,
                                           : Verdict::kNotCoResident;
 }
 
+SimDuration MemTraceDetector::probe_duration() const {
+  return static_cast<SimDuration>(kMemTraceSamples) * kSecond;
+}
+
 Verdict MemTraceDetector::verify(container::Container& a,
                                  container::Container& b,
                                  const ProbeEnv& env) {
   std::vector<double> trace_a;
   std::vector<double> trace_b;
-  for (int sample = 0; sample < samples_; ++sample) {
+  for (int sample = 0; sample < kMemTraceSamples; ++sample) {
     std::string mem_a;
     std::string mem_b;
     if (!read_pair(a, b, "/proc/meminfo", mem_a, mem_b)) {
@@ -198,8 +213,12 @@ Verdict MemTraceDetector::verify(container::Container& a,
   RunningStats stats_a;
   for (double v : trace_a) stats_a.add(v);
   if (stats_a.stddev() == 0.0) return Verdict::kInconclusive;
-  return correlation >= min_correlation_ ? Verdict::kCoResident
-                                         : Verdict::kNotCoResident;
+  return correlation >= kMemTraceMinCorrelation ? Verdict::kCoResident
+                                                 : Verdict::kNotCoResident;
+}
+
+SimDuration ThermalSignalDetector::probe_duration() const {
+  return static_cast<SimDuration>(8 * kThermalSignalBits) * kSecond;
 }
 
 Verdict ThermalSignalDetector::verify(container::Container& a,
@@ -223,7 +242,7 @@ Verdict ThermalSignalDetector::verify(container::Container& a,
 
   std::vector<int> pattern;
   Rng pattern_rng = a.host().fork_rng("thermal-signal");
-  for (int bit = 0; bit < bits_; ++bit) {
+  for (int bit = 0; bit < kThermalSignalBits; ++bit) {
     pattern.push_back(bit % 2 == 0 || pattern_rng.bernoulli(0.5) ? 1 : 0);
   }
 
@@ -252,8 +271,12 @@ Verdict ThermalSignalDetector::verify(container::Container& a,
     const int decoded = delta > 6000.0 ? 1 : 0;
     if (decoded == bit) ++decoded_matches;
   }
-  return decoded_matches == bits_ ? Verdict::kCoResident
-                                  : Verdict::kNotCoResident;
+  return decoded_matches == kThermalSignalBits ? Verdict::kCoResident
+                                               : Verdict::kNotCoResident;
+}
+
+SimDuration PowerSignalDetector::probe_duration() const {
+  return static_cast<SimDuration>(2 * kPowerSignalBits) * kSecond;
 }
 
 Verdict PowerSignalDetector::verify(container::Container& a,
@@ -264,7 +287,7 @@ Verdict PowerSignalDetector::verify(container::Container& a,
   // read through RAPL and compares against the expected pattern.
   std::vector<int> pattern;
   Rng pattern_rng = a.host().fork_rng("power-signal");
-  for (int bit = 0; bit < bits_; ++bit) {
+  for (int bit = 0; bit < kPowerSignalBits; ++bit) {
     pattern.push_back(bit % 2 == 0 || pattern_rng.bernoulli(0.5) ? 1 : 0);
   }
 
@@ -297,8 +320,8 @@ Verdict PowerSignalDetector::verify(container::Container& a,
     const int bit = levels[i] > threshold ? 1 : 0;
     if (bit == pattern[i]) ++decoded_matches;
   }
-  return decoded_matches == bits_ ? Verdict::kCoResident
-                                  : Verdict::kNotCoResident;
+  return decoded_matches == kPowerSignalBits ? Verdict::kCoResident
+                                             : Verdict::kNotCoResident;
 }
 
 std::vector<std::unique_ptr<CoResidenceDetector>> all_detectors() {

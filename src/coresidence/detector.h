@@ -102,15 +102,10 @@ class LocksImplantDetector final : public CoResidenceDetector {
 /// rack-proximity heuristic).
 class UptimeDetector final : public CoResidenceDetector {
  public:
-  explicit UptimeDetector(double tolerance_s = 1.5)
-      : tolerance_s_(tolerance_s) {}
   [[nodiscard]] std::string name() const override { return "uptime"; }
   [[nodiscard]] SimDuration probe_duration() const override { return 0; }
   Verdict verify(container::Container& a, container::Container& b,
                  const ProbeEnv& env) override;
-
- private:
-  double tolerance_s_;
 };
 
 /// Simultaneous RAPL energy_uj reads: the accumulated counter is unique
@@ -127,18 +122,10 @@ class EnergyCounterDetector final : public CoResidenceDetector {
 /// from /proc/meminfo once per second and compare traces.
 class MemTraceDetector final : public CoResidenceDetector {
  public:
-  explicit MemTraceDetector(int samples = 60, double min_correlation = 0.98)
-      : samples_(samples), min_correlation_(min_correlation) {}
   [[nodiscard]] std::string name() const override { return "meminfo-trace"; }
-  [[nodiscard]] SimDuration probe_duration() const override {
-    return static_cast<SimDuration>(samples_) * kSecond;
-  }
+  [[nodiscard]] SimDuration probe_duration() const override;
   Verdict verify(container::Container& a, container::Container& b,
                  const ProbeEnv& env) override;
-
- private:
-  int samples_;
-  double min_correlation_;
 };
 
 /// Covert signalling over the coretemp (DTS) channel: A pulses a pinned
@@ -148,32 +135,20 @@ class MemTraceDetector final : public CoResidenceDetector {
 /// covert channel of Bartolini/Masti et al. in related work).
 class ThermalSignalDetector final : public CoResidenceDetector {
  public:
-  explicit ThermalSignalDetector(int bits = 5) : bits_(bits) {}
   [[nodiscard]] std::string name() const override { return "coretemp"; }
-  [[nodiscard]] SimDuration probe_duration() const override {
-    return static_cast<SimDuration>(8 * bits_) * kSecond;
-  }
+  [[nodiscard]] SimDuration probe_duration() const override;
   Verdict verify(container::Container& a, container::Container& b,
                  const ProbeEnv& env) override;
-
- private:
-  int bits_;
 };
 
 /// Covert signalling: A pulses a CPU hog in a known bit pattern; B decodes
 /// it from per-interval power deltas on the RAPL channel.
 class PowerSignalDetector final : public CoResidenceDetector {
  public:
-  explicit PowerSignalDetector(int bits = 8) : bits_(bits) {}
   [[nodiscard]] std::string name() const override { return "power-signal"; }
-  [[nodiscard]] SimDuration probe_duration() const override {
-    return static_cast<SimDuration>(2 * bits_) * kSecond;
-  }
+  [[nodiscard]] SimDuration probe_duration() const override;
   Verdict verify(container::Container& a, container::Container& b,
                  const ProbeEnv& env) override;
-
- private:
-  int bits_;
 };
 
 /// All detectors, strongest-first (Table II rank order).

@@ -29,9 +29,9 @@ constexpr int kMaxReadRetries = 3;
 constexpr SimDuration kRetryBackoff = 300 * kMillisecond;
 
 // Scan telemetry. Classification counters are incremented from inside
-// parallel bodies (lane-sharded, integer merge) and by the verdict loop on
-// the caller thread; either way the totals equal the finding counts, which
-// PR 1 already pins as thread-count-independent.
+// parallel bodies (atomic integer sums) and by the verdict loop on the
+// caller thread; either way the totals equal the finding counts, which
+// the parallel-scan tests pin as thread-count-independent.
 struct ScanMetrics {
   obs::Counter& runs = obs::Registry::global().counter(
       "scan_runs_total", "full CrossValidator::scan passes");
@@ -188,8 +188,8 @@ std::vector<FileFinding> CrossValidator::scan() {
   // a round), each chunk reuses two local buffers for its whole range,
   // and every slot written belongs to exactly one worker — so the phase
   // is race-free and its results independent of the thread count. The
-  // class counters are lane-sharded integer sums, so the merged totals
-  // equal the (deterministic) finding counts. Each retry round
+  // class counters are atomic integer sums, so their totals equal the
+  // (deterministic) finding counts. Each retry round
   // first steps the sim once on this thread, so the fault windows can
   // close. A fault-free scan has no transient slots and takes zero extra
   // steps — the golden traces cannot move. Slots still EBUSY after the

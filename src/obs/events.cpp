@@ -11,12 +11,12 @@ namespace {
 
 // Drop accounting is part of the stream contract ("counted, never
 // silent"). Scope::kSim: under the supported drain cadence the count is a
-// pure function of the scenario (zero when consumers keep up; the
-// single-lane no-consumer bench wraps the same way every run).
+// pure function of the scenario (zero when consumers keep up; a single-lane
+// producer fills its lane the same way every run).
 struct EventMetrics {
   obs::Counter& dropped = obs::Registry::global().counter(
       "events_dropped_total",
-      "events overwritten because a lane ring wrapped before a drain");
+      "events dropped because their lane was full before a drain");
 
   static EventMetrics& get() {
     static EventMetrics metrics;
@@ -59,28 +59,19 @@ bool event_less(const Event& x, const Event& y) noexcept {
 void EventBus::emit(EventKind kind, SimTime time, std::uint32_t source,
                     std::uint64_t a, std::uint64_t b) {
   auto& lane = lanes_[static_cast<std::size_t>(ThreadPool::current_lane())];
-  if (lane.ring.empty()) lane.ring.resize(kCapacity);
-  lane.ring[lane.next] = Event{time, kind, source, a, b};
-  lane.next = (lane.next + 1) & (kCapacity - 1);
-  if (lane.size < kCapacity) {
-    ++lane.size;
-  } else {
+  if (lane.events.size() == kCapacity) {
     ++lane.dropped;
     EventMetrics::get().dropped.inc();
+    return;
   }
+  lane.events.push_back(Event{time, kind, source, a, b});
 }
 
 std::vector<Event> EventBus::drain() {
   std::vector<Event> events;
   for (auto& lane : lanes_) {
-    if (lane.size == 0) continue;
-    // Oldest-first within the lane: a full ring starts at the cursor.
-    const std::size_t start = lane.size < kCapacity ? 0 : lane.next;
-    for (std::size_t i = 0; i < lane.size; ++i) {
-      events.push_back(lane.ring[(start + i) & (kCapacity - 1)]);
-    }
-    lane.size = 0;
-    lane.next = 0;
+    events.insert(events.end(), lane.events.begin(), lane.events.end());
+    lane.events.clear();
     lane.dropped = 0;
   }
   std::sort(events.begin(), events.end(), event_less);

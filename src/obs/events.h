@@ -1,4 +1,4 @@
-// Lane-sharded event bus: typed, fixed-size sim events in per-lane rings.
+// Event bus: typed, fixed-size sim events in per-lane buffers.
 //
 // The metrics registry answers "how much happened"; this bus answers "what
 // happened, when, to whom" — the streaming substrate for online consumers
@@ -7,20 +7,21 @@
 // Determinism contract (same as the metrics registry): every event is a pure
 // function of simulated state — its timestamp is the sim clock and its
 // `source` is a stable logical identity (server index, fnv of a path),
-// never the execution lane. Which *lane ring* an event lands in is
-// scheduling luck, so drain() merges the rings into one stream sorted by
+// never the execution lane. Which *lane buffer* an event lands in is
+// scheduling luck, so drain() merges the buffers into one stream sorted by
 // the event's full content (time, source, kind, payload); identical events
 // are interchangeable, so the merged order — and its FNV digest — is
 // bitwise-identical at every CLEAKS_THREADS count.
 //
-// Each lane's ring holds a fixed kCapacity (2^16) events and overwrites
-// the oldest when full; drops are counted, never silent
-// (`events_dropped_total`, Scope::kSim). The drop counter is
-// lane-count-independent under the supported drain cadence: a consumer
-// that drains at least once per ring capacity keeps it at zero, and
-// single-lane producers (the throughput bench) wrap deterministically.
-// Multi-lane emission *with* wraps splits drops by scheduling luck — don't
-// run that configuration under a digest pin.
+// Each lane's buffer grows to at most kCapacity (2^16) events between
+// drains, and drain() empties it. An emit into a full lane drops the new
+// event, as perf_event's default (non-overwrite) ring does; drops are
+// counted, never silent (`events_dropped_total`, Scope::kSim). The drop
+// counter is lane-count-independent under the supported drain cadence: a
+// consumer that drains at least once per kCapacity events per lane keeps
+// it at zero, and single-lane producers fill their one lane the same way
+// every run. Multi-lane emission that fills a lane splits drops by
+// scheduling luck — don't run that configuration under a digest pin.
 //
 // Enabled via CLEAKS_EVENTS ("0"/unset = off, any positive number = on) or
 // programmatically with set_enabled().
@@ -62,7 +63,7 @@ enum class CgroupField : std::uint64_t {
 [[nodiscard]] std::string_view to_string(EventKind kind) noexcept;
 
 /// One fixed-size (32-byte) telemetry record. Trivially copyable by
-/// design: rings are flat arrays and the digest hashes raw fields.
+/// design: lane buffers are flat arrays and the digest hashes raw fields.
 struct Event {
   SimTime time = 0;          ///< sim clock at emission
   EventKind kind = EventKind::kCtxSwitch;
@@ -81,7 +82,7 @@ struct Event {
 
 class EventBus {
  public:
-  /// Events per lane ring; a power of two, so the cursor wraps with a mask.
+  /// Most events one lane holds between drains.
   static constexpr std::size_t kCapacity = 1 << 16;
 
   EventBus() = default;
@@ -95,19 +96,19 @@ class EventBus {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Record one event into the calling lane's ring. Wait-free with respect
-  /// to other lanes (each lane owns its ring); overwrites the oldest entry
-  /// and counts the drop when the ring is full. Callers gate on enabled()
+  /// Record one event into the calling lane's buffer. Lanes never contend
+  /// (each lane owns its buffer); when the lane already holds kCapacity
+  /// events, drops this one and counts the drop. Callers gate on enabled()
   /// themselves so a disabled bus costs one relaxed load.
   void emit(EventKind kind, SimTime time, std::uint32_t source,
             std::uint64_t a = 0, std::uint64_t b = 0);
 
-  /// Watermark merge: collect every lane's ring (each in insertion order up
-  /// to its high-water mark), clear the rings, and return one stream in
-  /// event_less order. Call while emission is quiescent (after a join).
+  /// Collect every lane's buffer, empty the buffers, and return one
+  /// stream in event_less order. Call while emission is quiescent (after a
+  /// join).
   std::vector<Event> drain();
 
-  /// Events overwritten because a ring wrapped, since the last drain.
+  /// Events dropped because their lane was full, since the last drain.
   [[nodiscard]] std::uint64_t dropped() const noexcept;
 
   /// FNV-1a over a drained (sorted) batch, chained from `seed` so a
@@ -120,9 +121,7 @@ class EventBus {
 
  private:
   struct alignas(64) Lane {
-    std::vector<Event> ring;  ///< allocated lazily on first emit
-    std::size_t size = 0;     ///< filled entries (≤ capacity)
-    std::size_t next = 0;     ///< insertion cursor
+    std::vector<Event> events;  ///< emitted since the last drain
     std::uint64_t dropped = 0;
   };
 

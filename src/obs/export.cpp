@@ -170,7 +170,11 @@ JsonWriter& JsonWriter::field(std::string_view name, std::string_view value) {
 
 JsonWriter& JsonWriter::field(std::string_view name, double value) {
   key(name);
-  appendf(out_, "%.9g", value);
+  if (std::isfinite(value)) {
+    appendf(out_, "%.9g", value);
+  } else {
+    out_ += "null";
+  }
   return *this;
 }
 
@@ -211,9 +215,7 @@ void append_metrics_json(const Snapshot& snapshot, JsonWriter& writer) {
 
   writer.begin_object("counters");
   for (const auto& metric : snapshot.metrics) {
-    if (metric.kind != MetricValue::Kind::kCounter || !metric.lanes.empty()) {
-      continue;
-    }
+    if (metric.kind != MetricValue::Kind::kCounter) continue;
     writer.field(metric.name, metric.counter);
   }
   writer.end_object();
@@ -241,17 +243,6 @@ void append_metrics_json(const Snapshot& snapshot, JsonWriter& writer) {
   }
   writer.end_object();
 
-  writer.begin_object("lane_counters");
-  for (const auto& metric : snapshot.metrics) {
-    if (metric.kind != MetricValue::Kind::kCounter || metric.lanes.empty()) {
-      continue;
-    }
-    writer.begin_array(metric.name);
-    for (auto count : metric.lanes) writer.element(count);
-    writer.end_array();
-  }
-  writer.end_object();
-
   writer.end_object();
 }
 
@@ -268,15 +259,8 @@ std::string to_prometheus(const Snapshot& snapshot, std::string_view prefix) {
     switch (metric.kind) {
       case MetricValue::Kind::kCounter:
         out += "# TYPE " + name + " counter\n";
-        if (metric.lanes.empty()) {
-          appendf(out, "%s %llu\n", name.c_str(),
-                  static_cast<unsigned long long>(metric.counter));
-        } else {
-          for (std::size_t lane = 0; lane < metric.lanes.size(); ++lane) {
-            appendf(out, "%s{lane=\"%zu\"} %llu\n", name.c_str(), lane,
-                    static_cast<unsigned long long>(metric.lanes[lane]));
-          }
-        }
+        appendf(out, "%s %llu\n", name.c_str(),
+                static_cast<unsigned long long>(metric.counter));
         break;
       case MetricValue::Kind::kGauge:
         out += "# TYPE " + name + " gauge\n";

@@ -11,8 +11,7 @@
 //     "metrics": {
 //       "schema": "cleaks-metrics-v1",
 //       "sim_digest": "<hex>",          // determinism digest (kSim scope)
-//       "counters": {...}, "gauges": {...}, "histograms": {...},
-//       "lane_counters": {...}          // runtime-scope lane breakdowns
+//       "counters": {...}, "gauges": {...}, "histograms": {...}
 //     }
 //   }
 //
@@ -44,7 +43,8 @@ bool write_text_file(const std::string& path, std::string_view text);
 
 /// Minimal streaming JSON writer: handles commas, nesting and string
 /// escaping so benches can't emit malformed files. Keys are only passed
-/// inside objects; elements inside arrays take no key.
+/// inside objects; elements inside arrays take no key. JSON has no
+/// spelling for NaN or ±Inf, so a non-finite double is written as null.
 class JsonWriter {
  public:
   JsonWriter();
@@ -94,8 +94,8 @@ class JsonWriter {
 void append_metrics_json(const Snapshot& snapshot, JsonWriter& writer);
 
 /// Prometheus text exposition of a snapshot. Metric names are prefixed
-/// (default "cleaks_"); lane counters render with {lane="N"} labels and
-/// histograms with cumulative {le="..."} buckets.
+/// (default "cleaks_"); histograms render with cumulative {le="..."}
+/// buckets.
 std::string to_prometheus(const Snapshot& snapshot,
                           std::string_view prefix = "cleaks_");
 

@@ -14,49 +14,33 @@ Histogram::Histogram(std::string name, std::string help, Scope scope,
       bounds_(std::move(bounds)) {
   std::sort(bounds_.begin(), bounds_.end());
   bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
-  const std::size_t slots = bounds_.size() + 2;  // buckets + overflow + sum
-  stride_ = (slots + 7) & ~std::size_t{7};       // cache-line multiple
-  cells_ = std::vector<std::atomic<std::uint64_t>>(
-      static_cast<std::size_t>(ThreadPool::kMaxLanes) * stride_);
+  cells_ = std::vector<std::atomic<std::uint64_t>>(bounds_.size() + 2);
 }
 
 void Histogram::observe(std::uint64_t value) noexcept {
-  const auto lane = static_cast<std::size_t>(ThreadPool::current_lane());
   // Bounds are inclusive; a value past the last one lands in the overflow
   // slot, bounds_.size().
   const auto slot = static_cast<std::size_t>(
       std::lower_bound(bounds_.begin(), bounds_.end(), value) -
       bounds_.begin());
-  cells_[cell(lane, slot)].fetch_add(1, std::memory_order_relaxed);
-  cells_[cell(lane, bounds_.size() + 1)].fetch_add(value,
-                                                   std::memory_order_relaxed);
+  cells_[slot].fetch_add(1, std::memory_order_relaxed);
+  cells_[bounds_.size() + 1].fetch_add(value, std::memory_order_relaxed);
 }
 
 std::vector<std::uint64_t> Histogram::counts() const {
-  std::vector<std::uint64_t> merged(bounds_.size(), 0);
-  for (std::size_t lane = 0; lane < ThreadPool::kMaxLanes; ++lane) {
-    for (std::size_t b = 0; b < bounds_.size(); ++b) {
-      merged[b] += cells_[cell(lane, b)].load(std::memory_order_relaxed);
-    }
+  std::vector<std::uint64_t> out(bounds_.size());
+  for (std::size_t b = 0; b < bounds_.size(); ++b) {
+    out[b] = cells_[b].load(std::memory_order_relaxed);
   }
-  return merged;
+  return out;
 }
 
 std::uint64_t Histogram::overflow() const noexcept {
-  std::uint64_t total = 0;
-  for (std::size_t lane = 0; lane < ThreadPool::kMaxLanes; ++lane) {
-    total += cells_[cell(lane, bounds_.size())].load(std::memory_order_relaxed);
-  }
-  return total;
+  return cells_[bounds_.size()].load(std::memory_order_relaxed);
 }
 
 std::uint64_t Histogram::sum() const noexcept {
-  std::uint64_t total = 0;
-  for (std::size_t lane = 0; lane < ThreadPool::kMaxLanes; ++lane) {
-    total +=
-        cells_[cell(lane, bounds_.size() + 1)].load(std::memory_order_relaxed);
-  }
-  return total;
+  return cells_[bounds_.size() + 1].load(std::memory_order_relaxed);
 }
 
 std::uint64_t Histogram::total_count() const {
@@ -99,19 +83,8 @@ Counter& Registry::counter(std::string_view name, std::string_view help,
   for (auto& existing : counters_) {
     if (existing->name_ == name) return *existing;
   }
-  counters_.push_back(std::unique_ptr<Counter>(new Counter(
-      std::string(name), std::string(help), scope, /*per_lane=*/false)));
-  return *counters_.back();
-}
-
-Counter& Registry::lane_counter(std::string_view name, std::string_view help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& existing : counters_) {
-    if (existing->name_ == name) return *existing;
-  }
   counters_.push_back(std::unique_ptr<Counter>(
-      new Counter(std::string(name), std::string(help), Scope::kRuntime,
-                  /*per_lane=*/true)));
+      new Counter(std::string(name), std::string(help), scope)));
   return *counters_.back();
 }
 
@@ -150,14 +123,6 @@ Snapshot Registry::snapshot() const {
     value.scope = counter->scope_;
     value.kind = MetricValue::Kind::kCounter;
     value.counter = counter->value();
-    if (counter->per_lane_) {
-      for (int lane = 0; lane < ThreadPool::kMaxLanes; ++lane) {
-        value.lanes.push_back(counter->lane_value(lane));
-      }
-      while (!value.lanes.empty() && value.lanes.back() == 0) {
-        value.lanes.pop_back();
-      }
-    }
     snap.metrics.push_back(std::move(value));
   }
   for (const auto& gauge : gauges_) {

@@ -7,21 +7,17 @@
 //
 // Determinism contract (the PR-1 invariant, extended to telemetry):
 // metric values are *bitwise identical for every CLEAKS_THREADS value*.
-// Two design rules make that hold without locks on the hot path:
-//  * storage is sharded per thread-pool lane (ThreadPool::current_lane())
-//    and merged in lane order on the caller thread at snapshot time;
-//  * everything merged across shards is an unsigned integer (counter
-//    increments, histogram bucket counts and sums), so the merge is a
-//    commutative integer sum — the nondeterministic lane-to-chunk
-//    assignment of the pool cannot show through. Gauges hold doubles but
-//    are a single last-write slot, set with deterministically computed
-//    values.
+// Every counter and histogram cell is one relaxed atomic, and everything
+// added to one is an unsigned integer (counter increments, histogram
+// bucket counts and sums). Integer sums commute, so once a parallel
+// region has joined, the value cannot show which lane ran which chunk.
+// Gauges hold doubles but are a single last-write slot, set with
+// deterministically computed values.
 // Metrics whose values legitimately depend on the execution environment
 // (lane counts, wall-clock timings) are tagged Scope::kRuntime and excluded
 // from the determinism digest.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -30,37 +26,22 @@
 #include <string_view>
 #include <vector>
 
-#include "util/thread_pool.h"
-
 namespace cleaks::obs {
 
 /// kSim values derive purely from simulated state: identical across thread
-/// counts and pinned by the determinism digest. kRuntime values (lane
-/// utilization, anything wall-clock) may vary run to run.
+/// counts and pinned by the determinism digest. kRuntime values (the
+/// pool's chunk count, anything wall-clock) may vary run to run.
 enum class Scope { kSim, kRuntime };
 
-/// Monotonic counter, lane-sharded. inc() is wait-free (one relaxed atomic
-/// add on the calling lane's own cache line).
+/// Monotonic counter: one relaxed atomic, so inc() is wait-free.
 class Counter {
  public:
   void inc(std::uint64_t n = 1) noexcept {
-    shards_[shard_index()].value.fetch_add(n, std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  /// Shards merged in lane order (an integer sum, so the value is
-  /// independent of which lane executed which chunk).
   [[nodiscard]] std::uint64_t value() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& shard : shards_) {
-      total += shard.value.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
-  /// One lane's contribution (utilization breakdowns; Scope::kRuntime).
-  [[nodiscard]] std::uint64_t lane_value(int lane) const noexcept {
-    return shards_[static_cast<std::size_t>(lane)].value.load(
-        std::memory_order_relaxed);
+    return value_.load(std::memory_order_relaxed);
   }
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -68,29 +49,14 @@ class Counter {
 
  private:
   friend class Registry;
-  Counter(std::string name, std::string help, Scope scope, bool per_lane)
-      : name_(std::move(name)),
-        help_(std::move(help)),
-        scope_(scope),
-        per_lane_(per_lane) {}
+  Counter(std::string name, std::string help, Scope scope)
+      : name_(std::move(name)), help_(std::move(help)), scope_(scope) {}
+  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
 
-  static std::size_t shard_index() noexcept {
-    return static_cast<std::size_t>(ThreadPool::current_lane());
-  }
-  void reset() noexcept {
-    for (auto& shard : shards_) {
-      shard.value.store(0, std::memory_order_relaxed);
-    }
-  }
-
-  struct alignas(64) Shard {
-    std::atomic<std::uint64_t> value{0};
-  };
-  std::array<Shard, ThreadPool::kMaxLanes> shards_{};
+  std::atomic<std::uint64_t> value_{0};
   std::string name_;
   std::string help_;
   Scope scope_;
-  bool per_lane_;  ///< expose the per-lane breakdown in snapshots
 };
 
 /// Last-value gauge. set() must be called with deterministically computed
@@ -129,9 +95,9 @@ class Gauge {
 
 /// Fixed-bucket histogram over unsigned integer observations (sim-time
 /// durations in ns, power in mW, ...). Integer-only state keeps the
-/// lane-shard merge deterministic; callers quantize doubles before
-/// observing (the quantization itself is deterministic on bitwise-identical
-/// inputs).
+/// totals independent of observation order; callers quantize doubles
+/// before observing (the quantization itself is deterministic on
+/// bitwise-identical inputs).
 class Histogram {
  public:
   void observe(std::uint64_t value) noexcept;
@@ -139,7 +105,7 @@ class Histogram {
   [[nodiscard]] const std::vector<std::uint64_t>& bounds() const noexcept {
     return bounds_;
   }
-  /// Merged per-bucket counts (bounds().size() entries, non-cumulative).
+  /// Per-bucket counts (bounds().size() entries, non-cumulative).
   [[nodiscard]] std::vector<std::uint64_t> counts() const;
   [[nodiscard]] std::uint64_t overflow() const noexcept;  ///< > last bound
   [[nodiscard]] std::uint64_t sum() const noexcept;
@@ -154,23 +120,15 @@ class Histogram {
             std::vector<std::uint64_t> bounds);
   void reset() noexcept;
 
-  // Cell layout per lane: [0..B-1] bucket counts, [B] overflow, [B+1] sum;
-  // the stride is padded to a cache-line multiple to keep lanes from
-  // false-sharing.
-  [[nodiscard]] std::size_t cell(std::size_t lane,
-                                 std::size_t slot) const noexcept {
-    return lane * stride_ + slot;
-  }
-
   std::string name_;
   std::string help_;
   Scope scope_;
   std::vector<std::uint64_t> bounds_;  ///< ascending inclusive upper bounds
-  std::size_t stride_;
+  /// [0..B-1] bucket counts, [B] overflow, [B+1] sum (B = bounds_.size()).
   std::vector<std::atomic<std::uint64_t>> cells_;
 };
 
-/// One metric, merged, as it appears in a snapshot.
+/// One metric as it appears in a snapshot.
 struct MetricValue {
   enum class Kind { kCounter, kGauge, kHistogram };
 
@@ -180,7 +138,6 @@ struct MetricValue {
   Kind kind = Kind::kCounter;
 
   std::uint64_t counter = 0;
-  std::vector<std::uint64_t> lanes;  ///< per-lane counts (lane counters only)
   double gauge = 0.0;
 
   std::vector<std::uint64_t> hist_bounds;
@@ -189,13 +146,13 @@ struct MetricValue {
   std::uint64_t hist_sum = 0;
 };
 
-/// A point-in-time merged view of a registry, sorted by metric name.
+/// A point-in-time view of a registry, sorted by metric name.
 struct Snapshot {
   std::vector<MetricValue> metrics;
 
-  /// FNV-1a over every metric of `scope` (name, kind and merged value
-  /// bytes; per-lane breakdowns excluded). The kSim digest is the value the
-  /// determinism tests pin across CLEAKS_THREADS=1/2/4/8.
+  /// FNV-1a over every metric of `scope` (name, kind and value bytes).
+  /// The kSim digest is the value the determinism tests pin across
+  /// CLEAKS_THREADS=1/2/4/8.
   [[nodiscard]] std::uint64_t digest(Scope scope) const;
 };
 
@@ -212,9 +169,6 @@ class Registry {
   /// Find-or-create by name. help/scope are fixed by the first caller.
   Counter& counter(std::string_view name, std::string_view help = "",
                    Scope scope = Scope::kSim);
-  /// Counter whose per-lane breakdown is exported (lane utilization);
-  /// always Scope::kRuntime — the breakdown depends on chunk claiming.
-  Counter& lane_counter(std::string_view name, std::string_view help = "");
   Gauge& gauge(std::string_view name, std::string_view help = "",
                Scope scope = Scope::kSim);
   Histogram& histogram(std::string_view name,
@@ -222,8 +176,9 @@ class Registry {
                        std::string_view help = "",
                        Scope scope = Scope::kSim);
 
-  /// Merged view. Safe to call while other threads are incrementing
-  /// (relaxed atomics); deterministic when the system is quiescent.
+  /// Point-in-time view. Safe to call while other threads are
+  /// incrementing (relaxed atomics); deterministic when the system is
+  /// quiescent.
   [[nodiscard]] Snapshot snapshot() const;
 
   /// Zero every value in place; handles stay valid.

@@ -10,8 +10,8 @@
 //    container lifetimes as async slices.
 //
 // Everything here runs on the drain thread (the engine's measurement
-// phase), so no locking: the bus's per-lane rings are the only concurrent
-// structure.
+// phase), so no locking: the bus's per-lane buffers are the only
+// concurrent structure.
 #pragma once
 
 #include <cstdint>

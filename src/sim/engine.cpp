@@ -283,9 +283,10 @@ void SimEngine::step(SimDuration dt) {
 
 void SimEngine::drain_event_stream_() {
   // Measurement-phase drain: the bus is quiescent here (the parallel
-  // server step joined above), so the merge sees every lane's ring whole.
-  // Draining every step keeps the rings far from wrapping, which is what
-  // makes the Scope::kSim drop counter lane-count-independent (it stays 0).
+  // server step joined above), so the merge sees every lane's buffer
+  // whole. Draining every step keeps each lane far below its capacity,
+  // which is what makes the Scope::kSim drop counter
+  // lane-count-independent (it stays 0).
   if (drain_events_ ||
       (obs::EventBus::global().enabled() &&
        obs::FlightRecorder::global().enabled())) {

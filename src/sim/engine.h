@@ -91,11 +91,6 @@ class SimEngine {
   /// Run `copies` tasks of `behavior` inside every fleet instance.
   void fleet_run(const std::string& comm, const kernel::TaskBehavior& behavior,
                  int copies_per_instance = 1);
-  void fleet_start_virus();
-  void fleet_stop_virus();
-  /// Aggregate RAPL sample (W) across fleet monitors; unprimed/masked
-  /// monitors contribute 0.
-  [[nodiscard]] double fleet_sample_w(SimDuration window);
   /// Summed AttackStats across attackers plus coordinated-crest totals.
   [[nodiscard]] double fleet_attack_seconds() const;
   [[nodiscard]] double fleet_monitor_seconds() const;
@@ -175,6 +170,11 @@ class SimEngine {
  private:
   void build();
   void step_fleet(SimDuration dt);
+  void fleet_start_virus();
+  void fleet_stop_virus();
+  /// Aggregate RAPL sample (W) across fleet monitors; unprimed/masked
+  /// monitors contribute 0.
+  [[nodiscard]] double fleet_sample_w(SimDuration window);
   /// Measurement-phase event drain.
   void drain_event_stream_();
   /// The one run loop behind run_steps/run_for/run_until: `full_steps`

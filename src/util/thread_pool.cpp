@@ -11,9 +11,8 @@ namespace cleaks {
 namespace {
 
 // Pool telemetry. Job counts are identical at every lane count (the same
-// parallel_for calls happen either way: kSim); how many chunks exist and
-// which lane executes them depends on the lane count and chunk claiming,
-// so those are kRuntime.
+// parallel_for calls happen either way: kSim); how many chunks exist
+// depends on the lane count, so the chunk count is kRuntime.
 obs::Counter& jobs_counter() {
   static obs::Counter& counter = obs::Registry::global().counter(
       "pool_parallel_for_total", "parallel_for invocations (incl. serial)");
@@ -21,8 +20,9 @@ obs::Counter& jobs_counter() {
 }
 
 obs::Counter& lane_chunks_counter() {
-  static obs::Counter& counter = obs::Registry::global().lane_counter(
-      "pool_lane_chunks_total", "chunks executed, by claiming lane");
+  static obs::Counter& counter = obs::Registry::global().counter(
+      "pool_lane_chunks_total", "parallel_for chunks executed",
+      obs::Scope::kRuntime);
   return counter;
 }
 

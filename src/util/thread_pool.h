@@ -20,9 +20,8 @@ namespace cleaks {
 
 class ThreadPool {
  public:
-  /// Upper bound on execution lanes. Everything lane-indexed (the metrics
-  /// registry's shards, the event bus's per-lane rings) is sized by this, so
-  /// requested lane counts are clamped to it.
+  /// Upper bound on execution lanes. The event bus keeps one buffer per
+  /// lane, sized by this, so requested lane counts are clamped to it.
   static constexpr int kMaxLanes = 64;
 
   /// `lanes` counts execution lanes *including* the calling thread, so the
@@ -47,7 +46,7 @@ class ThreadPool {
 
   /// Lane id of the calling thread: 0 for any thread outside a pool body
   /// (including the parallel_for caller), 1..lanes-1 for pool workers.
-  /// Lane-sharded telemetry keys on this.
+  /// The event bus picks the calling lane's buffer by this.
   [[nodiscard]] static int current_lane() noexcept { return tls_lane_; }
 
   /// Range body: handles indices [begin, end). One invocation runs on one

@@ -80,7 +80,7 @@ TEST(Detectors, MaskedChannelYieldsInconclusive) {
   env.advance = [&](SimDuration dt) { dc.step(dt); };
   BootIdDetector boot_id;
   EXPECT_EQ(boot_id.verify(*a, *b, env), Verdict::kInconclusive);
-  MemTraceDetector mem_trace(10);
+  MemTraceDetector mem_trace;
   EXPECT_EQ(mem_trace.verify(*a, *b, env), Verdict::kInconclusive);
 }
 

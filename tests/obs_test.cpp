@@ -1,18 +1,22 @@
-// Telemetry subsystem: deterministic lane-sharded metrics, the event
-// stream, and the exporters behind every bench emission. The core
-// contract under test is the PR-1 invariant extended to telemetry: merged
-// metric values, snapshot digests and drained event streams are bitwise
-// identical for every thread-pool lane count.
+// Telemetry subsystem: deterministic metrics, the event stream, and the
+// exporters behind every bench emission. The core contract under test is
+// the engine's determinism invariant extended to telemetry: metric values,
+// snapshot digests and drained event streams are bitwise identical for
+// every thread-pool lane count.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <regex>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "attack/monitor.h"
+#include "cloud/datacenter.h"
 #include "cloud/profiles.h"
 #include "cloud/server.h"
 #include "faults/injector.h"
@@ -28,9 +32,20 @@
 namespace cleaks::obs {
 namespace {
 
+// The named counter's value in the global registry, or nullopt when no
+// counter of that name is registered.
+std::optional<std::uint64_t> global_counter(std::string_view name) {
+  for (const MetricValue& metric : Registry::global().snapshot().metrics) {
+    if (metric.name == name && metric.kind == MetricValue::Kind::kCounter) {
+      return metric.counter;
+    }
+  }
+  return std::nullopt;
+}
+
 // ---------- counters ----------
 
-TEST(Counter, MergesLaneShardsToOneTotal) {
+TEST(Counter, ConcurrentIncrementsSumToOneTotal) {
   Registry registry;
   Counter& counter = registry.counter("requests_total", "help");
   ThreadPool pool(4);
@@ -145,10 +160,8 @@ TEST(Snapshot, RuntimeMetricsExcludedFromSimDigest) {
   registry.counter("sim_total", "").inc(3);
   Counter& runtime_counter =
       registry.counter("wall_total", "", Scope::kRuntime);
-  Counter& lanes = registry.lane_counter("lane_total", "");
   const std::uint64_t before = registry.snapshot().digest(Scope::kSim);
   runtime_counter.inc(99);
-  lanes.inc(7);
   EXPECT_EQ(registry.snapshot().digest(Scope::kSim), before);
   EXPECT_NE(registry.snapshot().digest(Scope::kRuntime), before);
 }
@@ -163,12 +176,8 @@ TEST(Prometheus, GoldenRendering) {
   hist.observe(5);
   hist.observe(15);
   hist.observe(99);
-  registry.lane_counter("chunks_total", "per-lane chunks").inc(4);
 
   const std::string expected =
-      "# HELP cleaks_chunks_total per-lane chunks\n"
-      "# TYPE cleaks_chunks_total counter\n"
-      "cleaks_chunks_total{lane=\"0\"} 4\n"
       "# HELP cleaks_latency render time\n"
       "# TYPE cleaks_latency histogram\n"
       "cleaks_latency_bucket{le=\"10\"} 1\n"
@@ -212,6 +221,25 @@ TEST(JsonWriter, EscapesAndNests) {
   EXPECT_NE(text.find("a\\\"b\\\\c\\nd"), std::string::npos);
   EXPECT_EQ(text.back(), '\n');
   EXPECT_EQ(text.front(), '{');
+}
+
+TEST(JsonWriter, NonFiniteDoublesStayValidJson) {
+  // JSON has no NaN or Infinity: printf's "nan"/"inf" would make the whole
+  // envelope unparseable, so non-finite values are written as null.
+  JsonWriter writer;
+  writer.field("a", std::nan(""));
+  writer.field("b", HUGE_VAL);
+  writer.field("c", -HUGE_VAL);
+  writer.field("d", 0.5);
+  writer.begin_array("e").element(std::nan("")).element(2.0).end_array();
+  const std::string text = writer.str();
+  EXPECT_NE(text.find("\"a\": null"), std::string::npos);
+  EXPECT_NE(text.find("\"b\": null"), std::string::npos);
+  EXPECT_NE(text.find("\"c\": null"), std::string::npos);
+  EXPECT_NE(text.find("\"d\": 0.5"), std::string::npos);
+  EXPECT_NE(text.find("null,\n"), std::string::npos);  // the array element
+  EXPECT_EQ(text.find("nan"), std::string::npos) << text;
+  EXPECT_EQ(text.find("inf"), std::string::npos) << text;
 }
 
 TEST(BenchReport, WritesEnvelopeToBenchDir) {
@@ -299,21 +327,26 @@ TEST(ContainerLeaksFile, ScanClassifiesAsNamespaced) {
 
 // ---------- event bus ----------
 
-TEST(EventBus, TinyRingOverwritesOldestAndCountsDrops) {
+TEST(EventBus, FullLaneDropsNewestAndCountsDrops) {
   EventBus bus;
   bus.set_enabled(true);
+  const std::uint64_t before =
+      global_counter("events_dropped_total").value_or(0);
   constexpr std::uint64_t kCapacity = EventBus::kCapacity;
   for (std::uint64_t i = 0; i < kCapacity + 3; ++i) {
     bus.emit(EventKind::kRaplSample, static_cast<SimTime>(i), /*source=*/0, i);
   }
   EXPECT_EQ(bus.dropped(), 3u);  // counted, never silent
+  EXPECT_EQ(global_counter("events_dropped_total").value_or(0) - before, 3u);
   const auto events = bus.drain();
-  ASSERT_EQ(events.size(), kCapacity);  // the newest survive, oldest-first
+  ASSERT_EQ(events.size(), kCapacity);  // the oldest stay, the newest went
   for (std::uint64_t i = 0; i < kCapacity; ++i) {
-    ASSERT_EQ(events[i].a, i + 3);
+    ASSERT_EQ(events[i].a, i);
   }
-  EXPECT_EQ(bus.dropped(), 0u);  // drain resets the wrap accounting
+  EXPECT_EQ(bus.dropped(), 0u);  // drain resets the lane's tally
   EXPECT_TRUE(bus.drain().empty());
+  bus.emit(EventKind::kRaplSample, 0, 0, 7);  // a drained lane takes more
+  EXPECT_EQ(bus.drain().size(), 1u);
 }
 
 TEST(EventBus, MergedStreamAndDigestIdenticalAcrossLaneCounts) {
@@ -506,6 +539,52 @@ TEST(EventStream, ObservationNeverPerturbsTheSim) {
   EXPECT_TRUE(saw_lifecycle);
 }
 
+// ---------- counters read by name ----------
+
+TEST(PerfbenchCounters, EveryNameReadByPerfbenchIsRegistered) {
+  // perfbench reads these counters by name and reads an absent one as 0,
+  // so a rename would silently zero a per-layer metric. Drive one small
+  // world through every layer that registers one, then look each up.
+  cloud::DatacenterConfig config;
+  config.num_racks = 1;
+  config.servers_per_rack = 1;
+  config.benign_load = false;
+  cloud::Datacenter dc(config);
+  dc.step(kSecond);  // facility step: engine and pool counters
+  cloud::Server& server = dc.server(0);
+  ASSERT_TRUE(server.fs().read("/proc/meminfo", fs::ViewContext{}).is_ok());
+  auto tenant = server.runtime().create({});
+  ASSERT_TRUE(tenant->read_file("/proc/meminfo").is_ok());  // PID ns read
+  leakage::CrossValidator validator(server);
+  EXPECT_FALSE(validator.scan().empty());
+  attack::RaplMonitor monitor(*tenant);
+  (void)monitor.sample_w(kSecond);
+  EventBus bus;
+  bus.set_enabled(true);
+  for (std::size_t i = 0; i <= EventBus::kCapacity; ++i) {
+    bus.emit(EventKind::kCtxSwitch, 0, 0);
+  }
+  EXPECT_EQ(bus.dropped(), 1u);
+
+  for (const char* name : {
+           "engine_active_server_steps_total",
+           "fs_render_cache_hits_total",
+           "fs_render_cache_misses_total",
+           "fs_render_cache_invalidations_total",
+           "fs_viewer_cache_hits_total",
+           "fs_viewer_cache_misses_total",
+           "fs_viewer_cache_invalidations_total",
+           "scan_paths_total",
+           "scan_paths_reused_total",
+           "attack_rapl_samples_total",
+           "events_dropped_total",
+           "pool_parallel_for_total",
+           "pool_lane_chunks_total",
+       }) {
+    EXPECT_TRUE(global_counter(name).has_value()) << name;
+  }
+}
+
 // ---------- chrome trace export ----------
 
 TEST(ChromeTrace, EmitsTracksCountersInstantsAndSlices) {
@@ -532,7 +611,6 @@ TEST(Prometheus, ExpositionFormatLint) {
   registry.gauge("very_high", "inf gauge").set(HUGE_VAL);
   registry.gauge("very_low", "neg inf gauge").set(-HUGE_VAL);
   registry.histogram("lat", {5, 10}, "hist").observe(7);
-  registry.lane_counter("lanes_total", "lane counter").inc(2);
   const std::string text = to_prometheus(registry.snapshot());
 
   // Non-finite floats must use the exposition spellings, and HELP must
