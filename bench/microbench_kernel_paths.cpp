@@ -4,10 +4,8 @@
 // RAPL read paths (stock leak vs. per-container modeled view). These are
 // the per-operation costs behind Table III's aggregate overheads.
 //
-// BM_HostAdvance times the whole-host tick loop on one host, reporting
-// honest cycle counts (util/cycle_timer.h: rdtsc, or steady_clock ns on
-// other platforms) as the "cycles" counter alongside google-benchmark's
-// wall clock.
+// BM_HostAdvance times the whole-host tick loop on one host, and the
+// BM_Provider* cases the provider's launch/terminate paths.
 #include <benchmark/benchmark.h>
 
 #include "cloud/datacenter.h"
@@ -16,7 +14,6 @@
 #include "cloud/server.h"
 #include "defense/power_namespace.h"
 #include "defense/trainer.h"
-#include "util/cycle_timer.h"
 
 using namespace cleaks;
 
@@ -168,29 +165,20 @@ void BM_SchedulerTick_8Tasks(benchmark::State& state) {
 BENCHMARK(BM_SchedulerTick_8Tasks);
 
 // Whole-host tick loop. A fresh server (not the shared Env) so the host
-// history is fixed; the "cycles" counter is the honest per-advance cost
-// from the cycle timer, independent of google-benchmark's wall-clock
-// plumbing.
+// history is fixed.
 void BM_HostAdvance(benchmark::State& state) {
   cloud::Server server("bm-host", cloud::local_testbed(), 23);
   server.host().set_tick_duration(100 * kMillisecond);
   server.step(kSecond);  // settle warmup transients out of the measurement
-  CycleTimer cycles;
   for (auto _ : state) {
-    cycles.start();
     server.host().advance(kSecond);
-    cycles.stop();
   }
-  state.counters["cycles"] = benchmark::Counter(
-      static_cast<double>(cycles.total), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_HostAdvance);
 
-// Provider control-plane hot paths (PR 10): steady-state launch/terminate
-// churn against a part-full datacenter, and the batch forms the churn
-// engine uses. Honest cycle counts via util/cycle_timer.h, like
-// BM_HostAdvance — the "cycles" counter is per iteration (one
-// launch + one terminate for the pair, 64 of each for the batch).
+// Provider control-plane hot paths: steady-state launch/terminate churn
+// against a part-full datacenter, and the batch forms. One iteration is
+// one launch + one terminate for the pair, 64 of each for the batch.
 struct FleetEnv {
   FleetEnv() : dc(make_config()), provider(dc, 4242) {
     container::ContainerConfig cc;
@@ -221,16 +209,11 @@ void BM_ProviderLaunchTerminate_Pair(benchmark::State& state) {
   container::ContainerConfig cc;
   cc.num_cpus = 0;
   std::vector<std::uint64_t> uid;
-  CycleTimer cycles;
   for (auto _ : state) {
     uid.clear();
-    cycles.start();
     e.provider.launch_batch("churn", 1, cc, &uid);
     e.provider.terminate_batch(uid);
-    cycles.stop();
   }
-  state.counters["cycles"] = benchmark::Counter(
-      static_cast<double>(cycles.total), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_ProviderLaunchTerminate_Pair);
 
@@ -238,15 +221,10 @@ void BM_ProviderBatch64(benchmark::State& state) {
   auto& e = fleet_env();
   container::ContainerConfig cc;
   cc.num_cpus = 0;
-  CycleTimer cycles;
   for (auto _ : state) {
-    cycles.start();
     e.provider.launch_batch("storm", 64, cc);
     e.provider.terminate_oldest("storm", 64);
-    cycles.stop();
   }
-  state.counters["cycles"] = benchmark::Counter(
-      static_cast<double>(cycles.total), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_ProviderBatch64);
 

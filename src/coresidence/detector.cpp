@@ -185,10 +185,6 @@ Verdict EnergyCounterDetector::verify(container::Container& a,
                                           : Verdict::kNotCoResident;
 }
 
-SimDuration MemTraceDetector::probe_duration() const {
-  return static_cast<SimDuration>(kMemTraceSamples) * kSecond;
-}
-
 Verdict MemTraceDetector::verify(container::Container& a,
                                  container::Container& b,
                                  const ProbeEnv& env) {
@@ -215,10 +211,6 @@ Verdict MemTraceDetector::verify(container::Container& a,
   if (stats_a.stddev() == 0.0) return Verdict::kInconclusive;
   return correlation >= kMemTraceMinCorrelation ? Verdict::kCoResident
                                                  : Verdict::kNotCoResident;
-}
-
-SimDuration ThermalSignalDetector::probe_duration() const {
-  return static_cast<SimDuration>(8 * kThermalSignalBits) * kSecond;
 }
 
 Verdict ThermalSignalDetector::verify(container::Container& a,
@@ -273,10 +265,6 @@ Verdict ThermalSignalDetector::verify(container::Container& a,
   }
   return decoded_matches == kThermalSignalBits ? Verdict::kCoResident
                                                : Verdict::kNotCoResident;
-}
-
-SimDuration PowerSignalDetector::probe_duration() const {
-  return static_cast<SimDuration>(2 * kPowerSignalBits) * kSecond;
 }
 
 Verdict PowerSignalDetector::verify(container::Container& a,

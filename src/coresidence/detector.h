@@ -37,8 +37,9 @@ class CoResidenceDetector {
  public:
   virtual ~CoResidenceDetector() = default;
   [[nodiscard]] virtual std::string name() const = 0;
-  /// Probe cost in simulated time (for the cost comparison ablation).
-  [[nodiscard]] virtual SimDuration probe_duration() const = 0;
+  /// Decide co-residence of `a` and `b`. A probe's cost is the sim time
+  /// it advances through `env`; callers measure it on their own clock
+  /// (evaluate_detector's AccuracyResult::sim_seconds_per_probe).
   virtual Verdict verify(container::Container& a, container::Container& b,
                          const ProbeEnv& env) = 0;
 };
@@ -47,7 +48,6 @@ class CoResidenceDetector {
 class BootIdDetector final : public CoResidenceDetector {
  public:
   [[nodiscard]] std::string name() const override { return "boot_id"; }
-  [[nodiscard]] SimDuration probe_duration() const override { return 0; }
   Verdict verify(container::Container& a, container::Container& b,
                  const ProbeEnv& env) override;
 };
@@ -57,7 +57,6 @@ class BootIdDetector final : public CoResidenceDetector {
 class IfpriomapDetector final : public CoResidenceDetector {
  public:
   [[nodiscard]] std::string name() const override { return "ifpriomap"; }
-  [[nodiscard]] SimDuration probe_duration() const override { return 0; }
   Verdict verify(container::Container& a, container::Container& b,
                  const ProbeEnv& env) override;
 };
@@ -67,9 +66,6 @@ class IfpriomapDetector final : public CoResidenceDetector {
 class TimerImplantDetector final : public CoResidenceDetector {
  public:
   [[nodiscard]] std::string name() const override { return "timer_list"; }
-  [[nodiscard]] SimDuration probe_duration() const override {
-    return 2 * kSecond;
-  }
   Verdict verify(container::Container& a, container::Container& b,
                  const ProbeEnv& env) override;
 };
@@ -78,9 +74,6 @@ class TimerImplantDetector final : public CoResidenceDetector {
 class SchedDebugImplantDetector final : public CoResidenceDetector {
  public:
   [[nodiscard]] std::string name() const override { return "sched_debug"; }
-  [[nodiscard]] SimDuration probe_duration() const override {
-    return 2 * kSecond;
-  }
   Verdict verify(container::Container& a, container::Container& b,
                  const ProbeEnv& env) override;
 };
@@ -90,9 +83,6 @@ class SchedDebugImplantDetector final : public CoResidenceDetector {
 class LocksImplantDetector final : public CoResidenceDetector {
  public:
   [[nodiscard]] std::string name() const override { return "locks"; }
-  [[nodiscard]] SimDuration probe_duration() const override {
-    return 8 * kSecond;
-  }
   Verdict verify(container::Container& a, container::Container& b,
                  const ProbeEnv& env) override;
 };
@@ -103,7 +93,6 @@ class LocksImplantDetector final : public CoResidenceDetector {
 class UptimeDetector final : public CoResidenceDetector {
  public:
   [[nodiscard]] std::string name() const override { return "uptime"; }
-  [[nodiscard]] SimDuration probe_duration() const override { return 0; }
   Verdict verify(container::Container& a, container::Container& b,
                  const ProbeEnv& env) override;
 };
@@ -113,7 +102,6 @@ class UptimeDetector final : public CoResidenceDetector {
 class EnergyCounterDetector final : public CoResidenceDetector {
  public:
   [[nodiscard]] std::string name() const override { return "energy_uj"; }
-  [[nodiscard]] SimDuration probe_duration() const override { return kSecond; }
   Verdict verify(container::Container& a, container::Container& b,
                  const ProbeEnv& env) override;
 };
@@ -123,7 +111,6 @@ class EnergyCounterDetector final : public CoResidenceDetector {
 class MemTraceDetector final : public CoResidenceDetector {
  public:
   [[nodiscard]] std::string name() const override { return "meminfo-trace"; }
-  [[nodiscard]] SimDuration probe_duration() const override;
   Verdict verify(container::Container& a, container::Container& b,
                  const ProbeEnv& env) override;
 };
@@ -136,7 +123,6 @@ class MemTraceDetector final : public CoResidenceDetector {
 class ThermalSignalDetector final : public CoResidenceDetector {
  public:
   [[nodiscard]] std::string name() const override { return "coretemp"; }
-  [[nodiscard]] SimDuration probe_duration() const override;
   Verdict verify(container::Container& a, container::Container& b,
                  const ProbeEnv& env) override;
 };
@@ -146,7 +132,6 @@ class ThermalSignalDetector final : public CoResidenceDetector {
 class PowerSignalDetector final : public CoResidenceDetector {
  public:
   [[nodiscard]] std::string name() const override { return "power-signal"; }
-  [[nodiscard]] SimDuration probe_duration() const override;
   Verdict verify(container::Container& a, container::Container& b,
                  const ProbeEnv& env) override;
 };

@@ -33,9 +33,9 @@ namespace cleaks::hw {
 
 /// Advance one RAPL domain from `anchor` by `elapsed_sec` seconds at a
 /// constant `watts`, writing the result over `out` (the live domain
-/// state). Mirrors rapl_charge()'s residual/wrap arithmetic so a coast
-/// landing on the wrap edge counts wraps exactly like the equivalent
-/// charge would.
+/// state). Mirrors RaplDomain::add_energy_j's residual/wrap arithmetic so
+/// a coast landing on the wrap edge counts wraps exactly like the
+/// equivalent charge would.
 inline void rapl_coast(RaplDomainState& out, const RaplDomainState& anchor,
                        double watts, double elapsed_sec,
                        std::uint64_t range_uj) noexcept {

@@ -15,7 +15,15 @@ std::string to_string(RaplDomainKind kind) {
 }
 
 void RaplDomain::add_energy_j(double joules) noexcept {
-  rapl_charge(state_, joules, range_uj_);
+  if (joules <= 0.0) return;
+  state_.total_j += joules;
+  state_.residual_uj += joules * 1e6;
+  const auto whole = static_cast<std::uint64_t>(state_.residual_uj);
+  state_.residual_uj -= static_cast<double>(whole);
+  // One charge can span several wraps when a coarse tick delivers more
+  // than range_uj at once; count each so wrap_count stays ground truth.
+  state_.wrap_count += (state_.counter_uj + whole) / range_uj_;
+  state_.counter_uj = (state_.counter_uj + whole) % range_uj_;
 }
 
 std::uint64_t RaplDomain::energy_uj() const noexcept {

@@ -29,21 +29,6 @@ struct RaplDomainState {
   std::uint64_t wrap_count = 0;
 };
 
-/// Charge `joules` into a domain state (the accumulator kernel behind
-/// RaplDomain::add_energy_j).
-inline void rapl_charge(RaplDomainState& s, double joules,
-                        std::uint64_t range_uj) noexcept {
-  if (joules <= 0.0) return;
-  s.total_j += joules;
-  s.residual_uj += joules * 1e6;
-  const auto whole = static_cast<std::uint64_t>(s.residual_uj);
-  s.residual_uj -= static_cast<double>(whole);
-  // One charge can span several wraps when a coarse tick delivers more
-  // than range_uj at once; count each so wrap_count stays ground truth.
-  s.wrap_count += (s.counter_uj + whole) / range_uj;
-  s.counter_uj = (s.counter_uj + whole) % range_uj;
-}
-
 /// One RAPL domain: a wrapping microjoule accumulator.
 class RaplDomain {
  public:
@@ -55,7 +40,9 @@ class RaplDomain {
 
   [[nodiscard]] RaplDomainKind kind() const noexcept { return kind_; }
 
-  /// Charge `joules` of energy into the accumulator.
+  /// Charge `joules` of energy into the accumulator; non-positive
+  /// amounts are ignored. This is the only way a tick charges RAPL
+  /// (hw/idle_coast.h's rapl_coast mirrors its residual/wrap arithmetic).
   void add_energy_j(double joules) noexcept;
 
   /// Current wrapped counter value in microjoules, as energy_uj reports it.

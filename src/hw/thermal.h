@@ -4,7 +4,9 @@
 // lists it as a V+M co-residence channel: a tenant can bind a hot workload
 // to a core from one container and watch the temperature from another).
 // First-order thermal RC: each core's temperature relaxes toward
-// ambient + theta * core_power with time constant tau.
+// ambient + theta * core_power with time constant tau. A ticking host
+// steps each core with ThermalModel::step_core; an idle coast applies the
+// closed form instead (hw/idle_coast.h thermal_coast_retention).
 #pragma once
 
 #include <cmath>
@@ -26,18 +28,11 @@ class ThermalModel {
  public:
   explicit ThermalModel(int num_cores);
 
-  /// Advance one tick: `core_power_w[i]` is the power of core i during the
-  /// last `dt_seconds`.
-  void advance(const std::vector<double>& core_power_w, double dt_seconds);
-
-  /// Same step with the decay factor supplied by the caller — Host caches
-  /// thermal_decay(dt) per distinct tick length (identical dt ⇒ identical
-  /// exp ⇒ identical temperatures).
-  void advance_with_decay(const double* core_power_w, std::size_t n,
-                          double decay) noexcept;
-
-  /// One core's share of that step: relax toward ambient + theta *
-  /// `power_w`. Host steps each core inside its one pass over the cores.
+  /// Advance one core by one tick: relax toward ambient + theta *
+  /// `power_w`, where `decay` is thermal_decay(tick seconds). Host steps
+  /// each core inside its one pass over the cores, with the decay cached
+  /// per distinct tick length (identical dt ⇒ identical exp ⇒ identical
+  /// temperatures).
   void step_core(std::size_t core, double power_w, double decay) noexcept {
     const double target = kAmbientC + kThetaCPerW * power_w;
     temps_c_[core] += (target - temps_c_[core]) * decay;

@@ -1,10 +1,8 @@
 #include "obs/events.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "obs/metrics.h"
-#include "util/env.h"
 
 namespace cleaks::obs {
 namespace {
@@ -98,11 +96,7 @@ std::uint64_t EventBus::digest(const std::vector<Event>& events,
 }
 
 EventBus& EventBus::global() {
-  static EventBus* instance = [] {
-    auto* bus = new EventBus();
-    if (env_long_or("CLEAKS_EVENTS", 0) > 0) bus->set_enabled(true);
-    return bus;
-  }();
+  static EventBus* instance = new EventBus();
   return *instance;
 }
 

@@ -23,8 +23,12 @@
 // every run. Multi-lane emission that fills a lane splits drops by
 // scheduling luck — don't run that configuration under a digest pin.
 //
-// Enabled via CLEAKS_EVENTS ("0"/unset = off, any positive number = on) or
-// programmatically with set_enabled().
+// The bus is off until a consumer that drains it turns it on with
+// set_enabled(): SimEngine::enable_event_stream() (which an enabled flight
+// recorder triggers for every engine run), or a bench that drains the
+// global bus itself. Nothing turns it on from the environment: a bus that
+// nobody drains fills every lane, and its drop count then depends on the
+// lane count.
 #pragma once
 
 #include <array>
@@ -116,7 +120,7 @@ class EventBus {
   [[nodiscard]] static std::uint64_t digest(const std::vector<Event>& events,
                                             std::uint64_t seed = kDigestSeed);
 
-  /// Process-wide bus, configured from CLEAKS_EVENTS on first use.
+  /// Process-wide bus; off until a draining consumer enables it.
   static EventBus& global();
 
  private:

@@ -4,7 +4,9 @@
 //    dumps them as a `cleaks-events-v1` JSON document on demand, on a
 //    failed bench_check(), or from a std::terminate handler when enabled
 //    via CLEAKS_FLIGHT_RECORDER (value = window in sim-seconds; "1" keeps
-//    the 30 s default).
+//    the 30 s default). While the global recorder is enabled, every
+//    SimEngine turns its event stream on at build, so the recorder sees
+//    the engine's whole run; the recorder alone never enables the bus.
 //  * to_chrome_trace — chrome://tracing-loadable JSON from events:
 //    per-server counter tracks, instants for faults and scan findings,
 //    container lifetimes as async slices.

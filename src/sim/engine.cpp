@@ -59,6 +59,9 @@ SimEngine::SimEngine(ScenarioSpec spec) : spec_(std::move(spec)) { build(); }
 SimEngine::~SimEngine() = default;
 
 void SimEngine::build() {
+  // An enabled flight recorder records the whole run, the build included.
+  if (obs::FlightRecorder::global().enabled()) enable_event_stream();
+
   // 1. Facility.
   dc_ = std::make_unique<cloud::Datacenter>(spec_.datacenter);
   if (spec_.provider) {
@@ -287,15 +290,12 @@ void SimEngine::drain_event_stream_() {
   // whole. Draining every step keeps each lane far below its capacity,
   // which is what makes the Scope::kSim drop counter
   // lane-count-independent (it stays 0).
-  if (drain_events_ ||
-      (obs::EventBus::global().enabled() &&
-       obs::FlightRecorder::global().enabled())) {
-    const std::vector<obs::Event> batch = obs::EventBus::global().drain();
-    events_drained_ += batch.size();
-    events_digest_ = obs::EventBus::digest(batch, events_digest_);
-    auto& recorder = obs::FlightRecorder::global();
-    if (recorder.enabled()) recorder.feed(batch);
-  }
+  if (!drain_events_) return;
+  const std::vector<obs::Event> batch = obs::EventBus::global().drain();
+  events_drained_ += batch.size();
+  events_digest_ = obs::EventBus::digest(batch, events_digest_);
+  auto& recorder = obs::FlightRecorder::global();
+  if (recorder.enabled()) recorder.feed(batch);
 }
 
 void SimEngine::enable_event_stream() {

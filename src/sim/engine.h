@@ -102,9 +102,10 @@ class SimEngine {
   // ---- event stream ----
   /// Turn on the global event bus and drain it in this engine's
   /// measurement phase every step (the merged stream feeds the digest,
-  /// and the global flight recorder when that is enabled). The
-  /// accumulated stream digest is lane-count-independent: same contract
-  /// as the metrics registry.
+  /// and the global flight recorder when that is enabled). The engine
+  /// drains only after this call; build() makes it first when the global
+  /// flight recorder is enabled. The accumulated stream digest is
+  /// lane-count-independent: same contract as the metrics registry.
   void enable_event_stream();
   [[nodiscard]] std::uint64_t event_stream_digest() const noexcept {
     return events_digest_;

@@ -1,13 +1,16 @@
-// Cycle-honest microbench timing (the serenity core/time.h tsc idiom).
+// Cycle counter reads (the serenity core/time.h tsc idiom).
 //
-// Wall-clock timers hide the cost structure of sub-microsecond kernels
-// behind scheduler noise and clock_gettime overhead; the TSC read is ~20
-// cycles and monotonic within a core. read_cycle_counter() compiles to
-// rdtsc on x86; elsewhere (and that includes any container without a
-// stable invariant TSC story) it falls back to steady_clock nanoseconds,
-// so "cycles" then means "nanoseconds" — calibrate_cycles_per_second()
-// reports the actual unit so bench envelopes stay honest about which
-// source they measured with.
+// The provider's control-cycle counters and bench/scaling_fleet time
+// control-plane paths in cycles: clock_gettime would add its own overhead
+// to sub-microsecond spans, while the TSC read is ~20 cycles and monotonic
+// within a core. ScopedCycles times one scope into a caller's
+// accumulator.
+//
+// read_cycle_counter() compiles to rdtsc on x86; elsewhere (and that
+// includes any container without a stable invariant TSC story) it falls
+// back to steady_clock nanoseconds, so "cycles" then means "nanoseconds" —
+// calibrate_cycles_per_second() reports the actual unit so bench envelopes
+// stay honest about which source they measured with.
 #pragma once
 
 #include <chrono>
@@ -38,32 +41,6 @@ inline std::uint64_t read_cycle_counter() noexcept {
 inline const char* cycle_counter_source() noexcept {
   return kCycleCounterIsTsc ? "rdtsc" : "steady_clock_ns";
 }
-
-/// Accumulating start/stop cycle counter. start() while already running and
-/// stop() while stopped are no-ops, so it nests safely around re-entrant
-/// code the way the serenity `tsc` struct does.
-struct CycleTimer {
-  std::uint64_t total = 0;
-  std::uint64_t started = 0;
-
-  void reset() noexcept {
-    total = 0;
-    started = 0;
-  }
-  void start() noexcept {
-    if (started == 0) started = read_cycle_counter();
-  }
-  void stop() noexcept {
-    if (started != 0) {
-      total += read_cycle_counter() - started;
-      started = 0;
-    }
-  }
-  /// Accumulated cycles, including a still-running interval.
-  [[nodiscard]] std::uint64_t cycle_count() const noexcept {
-    return total + (started != 0 ? read_cycle_counter() - started : 0);
-  }
-};
 
 /// RAII wrapper: times one scope into an accumulator.
 class ScopedCycles {

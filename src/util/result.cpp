@@ -16,8 +16,6 @@ std::string_view to_string(StatusCode code) noexcept {
       return "INVALID_ARGUMENT";
     case StatusCode::kUnavailable:
       return "UNAVAILABLE";
-    case StatusCode::kOutOfRange:
-      return "OUT_OF_RANGE";
   }
   return "UNKNOWN";
 }

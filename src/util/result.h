@@ -26,7 +26,6 @@ enum class StatusCode {
   kNotSupported,      ///< ENOTSUP: hardware absent (e.g. no RAPL).
   kInvalidArgument,   ///< EINVAL: malformed request.
   kUnavailable,       ///< EBUSY / transient failure.
-  kOutOfRange,        ///< value outside the representable domain.
 };
 
 /// Human-readable name for a StatusCode, for logs and test diagnostics.

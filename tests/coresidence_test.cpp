@@ -118,12 +118,28 @@ TEST(Detectors, TimerImplantLeavesNoResidue) {
   EXPECT_EQ(timers.find("probe"), std::string::npos);
 }
 
-TEST(Detectors, ProbeDurationsOrdered) {
-  // Static-id probes are instant; trace matching is the slowest.
-  BootIdDetector boot_id;
-  MemTraceDetector mem_trace;
-  EXPECT_EQ(boot_id.probe_duration(), 0u);
-  EXPECT_GE(mem_trace.probe_duration(), 30 * kSecond);
+TEST(Detectors, ProbeCostIsTheSimTimeVerifyAdvances) {
+  // A probe costs what its verify() advances through the env: static ids
+  // are instant, trace matching and covert signalling are the slowest.
+  Fixture fixture;
+  SimDuration advanced = 0;
+  ProbeEnv counting;
+  counting.advance = [&](SimDuration dt) {
+    advanced += dt;
+    fixture.env.advance(dt);
+  };
+  std::vector<SimDuration> costs;
+  for (const auto& detector : all_detectors()) {
+    advanced = 0;
+    detector->verify(*fixture.same_a, *fixture.same_b, counting);
+    costs.push_back(advanced);
+  }
+  // boot_id, ifpriomap, sched_debug, timer_list, locks, uptime, energy_uj,
+  // meminfo-trace, power-signal, coretemp.
+  const std::vector<SimDuration> expected = {
+      0, 0, 2 * kSecond, 2 * kSecond, 6 * kSecond,
+      0, kSecond, 60 * kSecond, 16 * kSecond, 60 * kSecond};
+  EXPECT_EQ(costs, expected);
 }
 
 TEST(Detectors, VerdictNames) {

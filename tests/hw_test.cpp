@@ -145,22 +145,24 @@ TEST(Thermal, StartsAtAmbient) {
 
 TEST(Thermal, ConvergesTowardPowerTarget) {
   ThermalModel model(1);
-  const std::vector<double> power = {20.0};
-  for (int i = 0; i < 200; ++i) model.advance(power, 1.0);
+  for (int i = 0; i < 200; ++i) model.step_core(0, 20.0, thermal_decay(1.0));
   EXPECT_NEAR(model.temp_c(0), kAmbientC + kThetaCPerW * 20.0, 0.5);
 }
 
 TEST(Thermal, CoolsBackDown) {
   ThermalModel model(1);
-  for (int i = 0; i < 100; ++i) model.advance({30.0}, 1.0);
+  for (int i = 0; i < 100; ++i) model.step_core(0, 30.0, thermal_decay(1.0));
   const double hot = model.temp_c(0);
-  for (int i = 0; i < 100; ++i) model.advance({0.0}, 1.0);
+  for (int i = 0; i < 100; ++i) model.step_core(0, 0.0, thermal_decay(1.0));
   EXPECT_LT(model.temp_c(0), hot - 20.0);
 }
 
 TEST(Thermal, PerCoreIndependence) {
   ThermalModel model(2);
-  for (int i = 0; i < 50; ++i) model.advance({25.0, 0.0}, 1.0);
+  for (int i = 0; i < 50; ++i) {
+    model.step_core(0, 25.0, thermal_decay(1.0));
+    model.step_core(1, 0.0, thermal_decay(1.0));
+  }
   EXPECT_GT(model.temp_c(0), model.temp_c(1) + 10.0);
 }
 

@@ -539,6 +539,32 @@ TEST(EventStream, ObservationNeverPerturbsTheSim) {
   EXPECT_TRUE(saw_lifecycle);
 }
 
+TEST(EventStream, EnabledRecorderAloneRecordsAnEngineRun) {
+  // No enable_event_stream() call: an enabled global flight recorder makes
+  // the engine drain the bus into it from the build on, and the drained
+  // stream is the same at every lane count.
+  auto& recorder = FlightRecorder::global();
+  recorder.set_enabled(true);
+  recorder.set_window(1000 * kDay);  // evict nothing during this test
+  std::vector<std::uint64_t> digests;
+  for (int lanes : {1, 4}) {
+    Registry::global().reset();
+    const std::size_t before = recorder.buffered().size();
+    sim::SimEngine engine(faulted_facility(lanes));
+    engine.run_steps(20, kSecond);
+    EXPECT_GT(engine.events_drained(), 0u) << lanes << " lanes";
+    EXPECT_EQ(recorder.buffered().size() - before, engine.events_drained())
+        << lanes << " lanes";
+    EXPECT_EQ(EventBus::global().dropped(), 0u) << lanes << " lanes";
+    digests.push_back(engine.event_stream_digest());
+  }
+  recorder.set_enabled(false);
+  recorder.set_window(FlightRecorder::kDefaultWindow);
+  EventBus::global().set_enabled(false);
+  (void)EventBus::global().drain();
+  EXPECT_EQ(digests[0], digests[1]);
+}
+
 // ---------- counters read by name ----------
 
 TEST(PerfbenchCounters, EveryNameReadByPerfbenchIsRegistered) {
